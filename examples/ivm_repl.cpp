@@ -96,22 +96,6 @@ struct Session {
     std::printf("error: %s\n", st.ToString().c_str());
   }
 
-  Value ParseValue(const std::string& tok) {
-    char* end = nullptr;
-    long long v = std::strtoll(tok.c_str(), &end, 10);
-    if (end != tok.c_str() && *end == '\0') return v;
-    // Intern non-numeric tokens; offset to keep them apart from small ints.
-    return 1'000'000'000 + dict.Intern(tok);
-  }
-
-  std::string RenderValue(Value v) {
-    if (v >= 1'000'000'000) {
-      const std::string* s = dict.Lookup(v - 1'000'000'000);
-      if (s != nullptr) return *s;
-    }
-    return std::to_string(v);
-  }
-
   StatusOr<ViewTree<IntRing>> MakeTree() {
     if (IsHierarchical(*query)) {
       return ViewTree<IntRing>::Make(*query, opts.storage);
@@ -514,7 +498,12 @@ struct Session {
           continue;
         }
       }
-      t.push_back(ParseValue(tok));
+      StatusOr<Value> v = ParseToken(tok, dict);
+      if (!v.ok()) {
+        PrintError(v.status());
+        return false;
+      }
+      t.push_back(*v);
     }
     bool known = false;
     for (const Atom& a : query->atoms()) {
@@ -617,7 +606,7 @@ struct Session {
     size_t total = engine->Enumerate([&](const Tuple& t, const int64_t& p) {
       if (n >= 50) return;
       std::string row;
-      for (Value v : t) row += RenderValue(v) + " ";
+      for (Value v : t) row += RenderToken(v, dict) + " ";
       std::printf("  %s-> %lld\n", row.c_str(), static_cast<long long>(p));
       ++n;
     });

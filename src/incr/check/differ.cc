@@ -32,13 +32,8 @@ namespace {
 
 using OutMap = std::map<Tuple, int64_t>;
 
-ViewTree<IntRing> MakeTree(const GenQuery& q) {
-  auto t = ViewTree<IntRing>::Make(q.query, q.vo);
-  INCR_CHECK(t.ok());
-  return *std::move(t);
-}
-
-ViewTree<IntRing> MakeTree(const GenQuery& q, const StorageOptions& so) {
+ViewTree<IntRing> MakeTree(const GenQuery& q,
+                           const StorageOptions& so = {}) {
   auto t = ViewTree<IntRing>::Make(q.query, q.vo, so);
   INCR_CHECK(t.ok());
   return *std::move(t);
@@ -168,10 +163,11 @@ std::vector<EngineVariant> BuiltinVariants(const GenQuery& q,
   std::vector<EngineVariant> out;
   const Schema vt_out = MakeTree(q).OutputSchema();
 
-  auto make_view_tree = [qp](size_t threads, size_t morsel_bytes) {
-    return [qp, threads,
-            morsel_bytes]() -> std::unique_ptr<IvmEngine<IntRing>> {
-      auto e = std::make_unique<ViewTreeEngine<IntRing>>(MakeTree(*qp));
+  auto make_view_tree = [qp](size_t threads, size_t morsel_bytes,
+                             const StorageOptions& so = {}) {
+    return [qp, threads, morsel_bytes,
+            so]() -> std::unique_ptr<IvmEngine<IntRing>> {
+      auto e = std::make_unique<ViewTreeEngine<IntRing>>(MakeTree(*qp, so));
       if (threads > 1) {
         EngineOptions o;
         o.threads = threads;
@@ -208,14 +204,15 @@ std::vector<EngineVariant> BuiltinVariants(const GenQuery& q,
     }
   }
 
-  // Paged-storage twins (data/page_store.h): the single-update and
-  // sequential-batch engines again, over the buffer-pool backend with a
+  // Paged-storage twins (data/page_store.h): the single-update, sequential
+  // and parallel batch engines again, over the buffer-pool backend with a
   // deliberately tiny pool (kMinFrames minimum pages), so most state lives
-  // in the spill file and probes continually cross the pager. The paged
-  // map replicates the heap map's probe sequence exactly and serialization
-  // is canonical over entries, so these join the heap configs' dump groups
+  // in the spill file and probes continually cross the pager. Both storage
+  // backends run the one DenseMap probe core and serialization is
+  // canonical over entries, so these join the heap configs' dump groups
   // byte-for-byte — the storage backend must be invisible in both output
-  // and serialized state.
+  // and serialized state. The parallel twin replays per-index op streams
+  // concurrently over the one shared PageStore.
   if (!opts.scratch_dir.empty()) {
     StorageOptions so;
     so.backend = StorageBackend::kPaged;
@@ -223,13 +220,15 @@ std::vector<EngineVariant> BuiltinVariants(const GenQuery& q,
     so.page_bytes = StorageOptions::kMinPageBytes;
     so.buffer_pool_bytes =
         StorageOptions::kMinPageBytes * StorageOptions::kMinFrames;
-    auto make_paged = [qp, so]() -> std::unique_ptr<IvmEngine<IntRing>> {
-      return std::make_unique<ViewTreeEngine<IntRing>>(MakeTree(*qp, so));
-    };
-    out.push_back({"view-tree/paged/single", make_paged, vt_out,
+    out.push_back({"view-tree/paged/single", make_view_tree(1, 0, so), vt_out,
                    /*batch_mode=*/false, "single"});
-    out.push_back({"view-tree/paged/batch", make_paged, vt_out,
+    out.push_back({"view-tree/paged/batch", make_view_tree(1, 0, so), vt_out,
                    /*batch_mode=*/true, "batch-seq"});
+    if (opts.threads > 1) {
+      out.push_back({"view-tree/paged/batch/t2",
+                     make_view_tree(2, opts.morsel_bytes, so), vt_out,
+                     /*batch_mode=*/true, "batch-par"});
+    }
   }
 
   // The four Fig. 4 strategies over the same tree. Eager-fact's per-update

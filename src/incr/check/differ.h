@@ -136,9 +136,10 @@ struct DiffResult {
 
 /// The built-in variant set compatible with (q, stream): the universal
 /// view-tree engine (single, batch x {1, opts.threads} threads), paged-
-/// storage twins of the single/sequential-batch configs when scratch_dir
-/// is set (tiny buffer pool, spilling to scratch_dir, sharing the heap
-/// configs' dump groups), the four Fig. 4 strategies, and — when the
+/// storage twins of the single, sequential-batch and 2-thread batch
+/// configs when scratch_dir is set (tiny buffer pool, spilling to
+/// scratch_dir, sharing the heap configs' dump groups), the four Fig. 4
+/// strategies, and — when the
 /// query's structure allows — the insert-only, CQAP, mixed
 /// static/dynamic, and shattered engines.
 std::vector<EngineVariant> BuiltinVariants(const GenQuery& q,

@@ -1,5 +1,5 @@
-// DenseMap: a flat open-addressing hash map with a dense entry array and a
-// SwissTable-style group-probing slot table.
+// DenseMap: a flat open-addressing hash map with a dense record array and a
+// SwissTable-style group-probing slot table — the repo's only hash table.
 //
 // This is the workhorse container behind relations, views, and indexes. The
 // IVM data-structure contract from paper §2 is exactly its design brief:
@@ -7,33 +7,43 @@
 //   * enumeration of entries with constant delay (dense array scan, no
 //     skipping over empty buckets as in node- or bucket-based maps).
 //
-// Layout (three flat arrays; see DESIGN.md "Flat hash core"):
+// Layout (see DESIGN.md "Flat hash core"):
 //
-//   entries_  dense vector of {key, value} — insertion order, swap-remove
-//             on erase, never a hole; enumeration is a linear scan.
-//   hashes_   the full 64-bit hash of each dense entry, cached at insert so
+//   records_  the dense {key, value} array — insertion order, swap-remove
+//             on erase, never a hole; enumeration is a linear scan. Where it
+//             lives is the `Records` policy: HeapRecords (a std::vector, the
+//             default) or PagedRecords (fixed-width records in a PageStore
+//             page chain, data/paged_backend.h).
+//   hashes_   the full 64-bit hash of each dense record, cached at insert so
 //             rehashing and swap-remove slot patching never re-hash a key.
 //   ctrl_     one control byte per slot: kEmpty, kDeleted, or the low 7
-//             bits of the entry's hash (its H2 fragment). Probing tests 16
+//             bits of the record's hash (its H2 fragment). Probing tests 16
 //             control bytes at a time with one SSE2/NEON compare (scalar
 //             SWAR fallback), so a lookup usually touches one 16-byte
 //             control line plus one key — not a chain of full entries.
-//   slots_    the entry index per slot, consulted only on a control match.
+//   slots_    the record index per slot, consulted only on a control match.
 //
-// The table is a power of two >= 16 slots, organized as aligned 16-slot
-// groups. Probing walks groups in a triangular sequence (g, g+1, g+3, ...),
-// which visits every group exactly once when the group count is a power of
-// two. A probe stops at the first group containing an empty slot — deleted
-// slots (tombstones) keep probe chains alive until a rebuild purges them.
-// The table is rebuilt when live + tombstone load exceeds 7/8 (growing only
-// when live load alone exceeds 1/2).
+// The slot table (ctrl_, slots_, hashes_) is always heap-resident and is the
+// same code for both record stores; only the key compare and the record
+// moves go through the store. The table is a power of two >= 16 slots,
+// organized as aligned 16-slot groups. Probing walks groups in a triangular
+// sequence (g, g+1, g+3, ...), which visits every group exactly once when
+// the group count is a power of two. A probe stops at the first group
+// containing an empty slot — deleted slots (tombstones) keep probe chains
+// alive until a rebuild purges them. The table is rebuilt when live +
+// tombstone load exceeds 7/8 (growing only when live load alone exceeds
+// 1/2).
 //
-// Determinism: the dense order of entries_ after any operation sequence
+// Determinism: the dense order of the records after any operation sequence
 // depends only on that sequence (insert appends; erase swap-removes), never
-// on the slot table's layout — snapshot serialization and the parallel
-// batch path rely on this.
+// on the slot table's layout or the record store — snapshot serialization,
+// the parallel batch path and heap/paged byte identity rely on this.
 //
-// References returned by Find/GetOrInsert are invalidated by any mutation.
+// Two access levels. Slot level (both stores): FindSlot / InsertNew /
+// ValueAt / SetAt / EraseSlot; a slot stays valid until the next insert or
+// rebuild (SetAt and EraseSlot never move other slots). Pointer level (heap
+// store only): Find / GetOrInsert and begin/end/at, whose references are
+// invalidated by any mutation.
 #ifndef INCR_DATA_DENSE_MAP_H_
 #define INCR_DATA_DENSE_MAP_H_
 
@@ -56,21 +66,21 @@ namespace incr {
 namespace detail {
 
 /// A 16-bit mask of matching slots within one 16-slot control group, plus
-/// the one-shot probes that produce it. Bit i set <=> control byte i
+/// the one-shot probe that produces it. Bit i set <=> control byte i
 /// matched. Iterate with NextBit.
 struct GroupProbe {
   static constexpr size_t kWidth = 16;
 
-  /// Slots whose control byte equals `h2` (a 7-bit hash fragment).
-  static inline uint32_t MatchH2(const int8_t* ctrl, int8_t h2) {
+  /// Slots whose control byte equals `b` (an H2 fragment or a special).
+  static inline uint32_t MatchH2(const int8_t* ctrl, int8_t b) {
 #if defined(__SSE2__)
     const __m128i g =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(ctrl));
     return static_cast<uint32_t>(
-        _mm_movemask_epi8(_mm_cmpeq_epi8(g, _mm_set1_epi8(h2))));
+        _mm_movemask_epi8(_mm_cmpeq_epi8(g, _mm_set1_epi8(b))));
 #elif defined(__ARM_NEON) || defined(__ARM_NEON__)
     const uint8x16_t g = vld1q_u8(reinterpret_cast<const uint8_t*>(ctrl));
-    const uint8x16_t eq = vceqq_u8(g, vdupq_n_u8(static_cast<uint8_t>(h2)));
+    const uint8x16_t eq = vceqq_u8(g, vdupq_n_u8(static_cast<uint8_t>(b)));
     // Collapse each byte's MSB into a 16-bit mask (one bit per lane).
     const uint8x8_t bits = vshrn_n_u16(vreinterpretq_u16_u8(eq), 4);
     const uint64_t packed = vget_lane_u64(vreinterpret_u64_u8(bits), 0);
@@ -81,14 +91,8 @@ struct GroupProbe {
     }
     return mask;
 #else
-    return MatchByteSwar(ctrl, static_cast<uint8_t>(h2));
+    return MatchByteSwar(ctrl, static_cast<uint8_t>(b));
 #endif
-  }
-
-  /// Slots whose control byte is kEmpty (0x80). Works because no full slot
-  /// (0..127) and no deleted slot (0xFE) has that exact value.
-  static inline uint32_t MatchEmpty(const int8_t* ctrl, int8_t empty) {
-    return MatchH2(ctrl, empty);
   }
 
   /// Index of the lowest set bit; callers guarantee mask != 0.
@@ -121,33 +125,88 @@ struct GroupProbe {
 
 }  // namespace detail
 
-template <typename K, typename V, typename Hash = std::hash<K>,
-          typename Eq = std::equal_to<K>>
-class DenseMap {
- public:
-  struct Entry {
-    K key;
-    V value;
-  };
+template <typename K, typename V>
+struct DenseEntry {
+  K key;
+  V value;
+};
 
-  DenseMap() { InitTable(kMinCapacity); }
+/// The default record store: a std::vector of entries. Keys are compared
+/// directly (no cached-hash screen — the key is on the same line as the
+/// value the caller wants next).
+template <typename K, typename V, typename Eq = std::equal_to<K>>
+class HeapRecords {
+ public:
+  using Entry = DenseEntry<K, V>;
+  static constexpr bool kHashScreen = false;
 
   size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
+  const Entry* data() const { return entries_.data(); }
+  bool KeyEquals(uint32_t i, const K& key) const {
+    return eq_(entries_[i].key, key);
+  }
+  V& Value(uint32_t i) { return entries_[i].value; }
+  const V& Value(uint32_t i) const { return entries_[i].value; }
+  void SetValue(uint32_t i, V v) { entries_[i].value = std::move(v); }
+  void Append(const K& key, V v) {
+    entries_.push_back(Entry{key, std::move(v)});
+  }
+  /// Moves the last record into position `i` (if it is not already last)
+  /// and drops the last position.
+  void SwapRemove(uint32_t i) {
+    if (i + 1 != entries_.size()) entries_[i] = std::move(entries_.back());
+    entries_.pop_back();
+  }
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const Entry& e : entries_) fn(e.key, e.value);
+  }
+  void Reserve(size_t n) { entries_.reserve(n); }
+  void clear() { entries_.clear(); }
+  size_t MemoryBytes() const { return entries_.capacity() * sizeof(Entry); }
+  size_t PagedBytes() const { return 0; }
 
-  /// Dense, constant-delay iteration over all entries.
-  const Entry* begin() const { return entries_.data(); }
-  const Entry* end() const { return entries_.data() + entries_.size(); }
+ private:
+  std::vector<Entry> entries_;
+  [[no_unique_address]] Eq eq_{};
+};
 
-  /// Entry at dense position `i` (0 <= i < size()). Positions are stable
-  /// only between mutations.
+template <typename K, typename V, typename Hash = std::hash<K>,
+          typename Eq = std::equal_to<K>,
+          typename Records = HeapRecords<K, V, Eq>>
+class DenseMap {
+ public:
+  using Entry = DenseEntry<K, V>;
+  static constexpr size_t kNoSlot = SIZE_MAX;
+
+  DenseMap() { InitTable(kMinCapacity); }
+  explicit DenseMap(Records records) : records_(std::move(records)) {
+    InitTable(kMinCapacity);
+  }
+
+  size_t size() const { return records_.size(); }
+  bool empty() const { return size() == 0; }
+
+  /// Dense, constant-delay iteration over all entries (heap store only).
+  const Entry* begin() const { return records_.data(); }
+  const Entry* end() const { return records_.data() + size(); }
+
+  /// Entry at dense position `i` (0 <= i < size(); heap store only).
+  /// Positions are stable only between mutations.
   const Entry& at(size_t i) const {
-    INCR_DCHECK(i < entries_.size());
-    return entries_[i];
+    INCR_DCHECK(i < size());
+    return records_.data()[i];
+  }
+
+  /// fn(const K&, const V&) for every record, in dense order. `fn` must
+  /// not mutate this map.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    records_.ForEach(fn);
   }
 
   void clear() {
-    entries_.clear();
+    records_.clear();
     hashes_.clear();
     InitTable(kMinCapacity);
     tombstones_ = 0;
@@ -156,7 +215,7 @@ class DenseMap {
   void Reserve(size_t n) {
     size_t needed = NextPow2(n * 8 / 7 + 1);
     if (needed > Capacity()) Rebuild(needed);
-    entries_.reserve(n);
+    records_.Reserve(n);
     hashes_.reserve(n);
   }
 
@@ -164,104 +223,103 @@ class DenseMap {
   /// since construction. Feeds the relation rehash counters.
   size_t rehashes() const { return rehashes_; }
 
-  /// Approximate heap footprint in bytes: the dense entry array, the cached
-  /// hashes, and the slot table (control bytes + entry indexes).
-  /// Out-of-line key/value allocations (e.g. SmallVector spill) are not
-  /// counted; this feeds the snapshot memory gauges, which only need the
-  /// dominant terms.
+  /// Approximate heap footprint in bytes: the record store's resident part,
+  /// the cached hashes, and the slot table (control bytes + record
+  /// indexes). Out-of-line key/value allocations (e.g. SmallVector spill)
+  /// are not counted; this feeds the snapshot memory gauges, which only
+  /// need the dominant terms.
   size_t MemoryBytes() const {
-    return entries_.capacity() * sizeof(Entry) +
-           hashes_.capacity() * sizeof(uint64_t) +
+    return records_.MemoryBytes() + hashes_.capacity() * sizeof(uint64_t) +
            ctrl_.capacity() * sizeof(int8_t) +
            slots_.capacity() * sizeof(uint32_t);
   }
 
-  /// Returns a pointer to the value for `key`, or nullptr.
-  V* Find(const K& key) {
-    size_t slot = FindSlot(key, hash_(key));
-    if (slot == kNoSlot) return nullptr;
-    return &entries_[slots_[slot]].value;
-  }
-  const V* Find(const K& key) const {
-    size_t slot = FindSlot(key, hash_(key));
-    if (slot == kNoSlot) return nullptr;
-    return &entries_[slots_[slot]].value;
+  /// Bytes of page storage held by the record store (0 on the heap).
+  size_t PagedBytes() const { return records_.PagedBytes(); }
+
+  // --- Slot level (both record stores) -----------------------------------
+
+  /// The slot holding `key`, or kNoSlot.
+  size_t FindSlot(const K& key) const {
+    const uint64_t h = hash_(key);
+    return Walk(h, KeyHit(key, h), nullptr);
   }
 
-  /// Returns the value for `key`, inserting `def` first if absent.
-  V& GetOrInsert(const K& key, V def = V{}) {
+  /// Inserts a key known to be absent (callers probe first).
+  void InsertNew(const K& key, V v) {
     MaybeRebuild();
     const uint64_t h = hash_(key);
-    const int8_t h2 = H2(h);
-    const size_t group_mask = NumGroups() - 1;
-    size_t g = H1(h) & group_mask;
-    size_t first_deleted = kNoSlot;
-    for (size_t step = 1;; ++step) {
-      const int8_t* gc = ctrl_.data() + g * kGroupWidth;
-      uint32_t match = detail::GroupProbe::MatchH2(gc, h2);
-      while (match != 0) {
-        const unsigned bit = detail::GroupProbe::NextBit(match);
-        const size_t slot = g * kGroupWidth + bit;
-        if (eq_(entries_[slots_[slot]].key, key)) {
-          return entries_[slots_[slot]].value;
-        }
-        match &= match - 1;
-      }
-      if (first_deleted == kNoSlot) {
-        uint32_t deleted = detail::GroupProbe::MatchH2(gc, kDeleted);
-        if (deleted != 0) {
-          first_deleted =
-              g * kGroupWidth + detail::GroupProbe::NextBit(deleted);
-        }
-      }
-      const uint32_t empty = detail::GroupProbe::MatchEmpty(gc, kEmpty);
-      if (empty != 0) {
-        size_t target;
-        if (first_deleted != kNoSlot) {
-          target = first_deleted;
-          --tombstones_;
-        } else {
-          target = g * kGroupWidth + detail::GroupProbe::NextBit(empty);
-        }
-        ctrl_[target] = h2;
-        slots_[target] = static_cast<uint32_t>(entries_.size());
-        entries_.push_back(Entry{key, std::move(def)});
-        hashes_.push_back(h);
-        return entries_.back().value;
-      }
-      g = (g + step) & group_mask;  // triangular: visits every group once
+    size_t at = 0;
+    Walk(h, [](uint32_t) { return false; }, &at);
+    Place(at, key, std::move(v), h);
+  }
+
+  /// The value in `slot` (a reference on the heap store, a copy on paged).
+  decltype(auto) ValueAt(size_t slot) const {
+    return records_.Value(slots_[slot]);
+  }
+  void SetAt(size_t slot, V v) {
+    records_.SetValue(slots_[slot], std::move(v));
+  }
+
+  /// Removes the record in `slot`. Swap-remove: the last record moves into
+  /// the hole and its slot is re-pointed — found via its cached hash, with
+  /// no key re-hash or compare.
+  void EraseSlot(size_t slot) {
+    const uint32_t idx = slots_[slot];
+    ctrl_[slot] = kDeleted;
+    ++tombstones_;
+    const uint32_t last = static_cast<uint32_t>(size()) - 1;
+    if (idx != last) {
+      const size_t moved_slot =
+          Walk(hashes_[last], [last](uint32_t i) { return i == last; },
+               nullptr);
+      INCR_DCHECK(moved_slot != kNoSlot);
+      hashes_[idx] = hashes_[last];
+      slots_[moved_slot] = idx;
     }
+    records_.SwapRemove(idx);
+    hashes_.pop_back();
   }
 
   /// Removes `key`. Returns true if it was present.
   bool Erase(const K& key) {
-    size_t slot = FindSlot(key, hash_(key));
+    const size_t slot = FindSlot(key);
     if (slot == kNoSlot) return false;
-    const uint32_t idx = slots_[slot];
-    ctrl_[slot] = kDeleted;
-    ++tombstones_;
-    const uint32_t last = static_cast<uint32_t>(entries_.size()) - 1;
-    if (idx != last) {
-      // Swap-remove: move the last dense entry into the hole and repoint
-      // its slot — found via its cached hash, no key re-hash or compare.
-      const size_t moved_slot = FindSlotOfEntry(last);
-      INCR_DCHECK(moved_slot != kNoSlot);
-      entries_[idx] = std::move(entries_[last]);
-      hashes_[idx] = hashes_[last];
-      slots_[moved_slot] = idx;
-    }
-    entries_.pop_back();
-    hashes_.pop_back();
+    EraseSlot(slot);
     return true;
+  }
+
+  // --- Pointer level (heap store only) -----------------------------------
+
+  /// Returns a pointer to the value for `key`, or nullptr.
+  V* Find(const K& key) {
+    const size_t slot = FindSlot(key);
+    return slot == kNoSlot ? nullptr : &records_.Value(slots_[slot]);
+  }
+  const V* Find(const K& key) const {
+    const size_t slot = FindSlot(key);
+    return slot == kNoSlot ? nullptr : &records_.Value(slots_[slot]);
+  }
+
+  /// Returns the value for `key`, inserting `def` first if absent — one
+  /// probe either way.
+  V& GetOrInsert(const K& key, V def = V{}) {
+    MaybeRebuild();
+    const uint64_t h = hash_(key);
+    size_t at = 0;
+    const size_t slot = Walk(h, KeyHit(key, h), &at);
+    if (slot != kNoSlot) return records_.Value(slots_[slot]);
+    Place(at, key, std::move(def), h);
+    return records_.Value(static_cast<uint32_t>(size() - 1));
   }
 
  private:
   static constexpr size_t kGroupWidth = detail::GroupProbe::kWidth;
-  // Control byte values. Full slots hold the entry's 7-bit H2 fragment
+  // Control byte values. Full slots hold the record's 7-bit H2 fragment
   // (0..127, i.e. non-negative); the specials have the sign bit set.
   static constexpr int8_t kEmpty = static_cast<int8_t>(0x80);    // -128
   static constexpr int8_t kDeleted = static_cast<int8_t>(0xFE);  // -2
-  static constexpr size_t kNoSlot = SIZE_MAX;
   static constexpr size_t kMinCapacity = 16;  // one group
 
   /// Group-selection bits: everything above the 7 H2 bits.
@@ -283,54 +341,73 @@ class DenseMap {
     slots_.assign(capacity, 0);
   }
 
-  /// Probe shared by Find and Erase: the slot holding `key`, or kNoSlot.
-  size_t FindSlot(const K& key, uint64_t h) const {
+  /// Record-index predicate for `key`. The paged store screens on the
+  /// cached full hash first, so nearly every false H2 match is rejected
+  /// before a page is pinned; the heap store compares keys directly.
+  auto KeyHit(const K& key, uint64_t h) const {
+    return [this, &key, h](uint32_t idx) {
+      if constexpr (Records::kHashScreen) {
+        if (hashes_[idx] != h) return false;
+      }
+      return records_.KeyEquals(idx, key);
+    };
+  }
+
+  /// The one probe loop. Walks the chain of hash `h` and returns the first
+  /// slot whose control byte matches and whose record index satisfies
+  /// `hit`, or kNoSlot at the first group holding an empty slot. In the
+  /// latter case `insert_at` (if non-null) receives the slot an insert
+  /// takes: the first tombstone on the chain, else that first empty slot.
+  template <typename Hit>
+  size_t Walk(uint64_t h, Hit&& hit, size_t* insert_at) const {
     const int8_t h2 = H2(h);
     const size_t group_mask = NumGroups() - 1;
     size_t g = H1(h) & group_mask;
+    size_t first_deleted = kNoSlot;
     for (size_t step = 1;; ++step) {
       const int8_t* gc = ctrl_.data() + g * kGroupWidth;
-      uint32_t match = detail::GroupProbe::MatchH2(gc, h2);
-      while (match != 0) {
-        const unsigned bit = detail::GroupProbe::NextBit(match);
-        const size_t slot = g * kGroupWidth + bit;
-        if (eq_(entries_[slots_[slot]].key, key)) return slot;
-        match &= match - 1;
+      for (uint32_t m = detail::GroupProbe::MatchH2(gc, h2); m != 0;
+           m &= m - 1) {
+        const size_t slot = g * kGroupWidth + detail::GroupProbe::NextBit(m);
+        if (hit(slots_[slot])) return slot;
       }
-      if (detail::GroupProbe::MatchEmpty(gc, kEmpty) != 0) return kNoSlot;
-      g = (g + step) & group_mask;
+      if (insert_at != nullptr && first_deleted == kNoSlot) {
+        const uint32_t d = detail::GroupProbe::MatchH2(gc, kDeleted);
+        if (d != 0) {
+          first_deleted = g * kGroupWidth + detail::GroupProbe::NextBit(d);
+        }
+      }
+      const uint32_t empty = detail::GroupProbe::MatchH2(gc, kEmpty);
+      if (empty != 0) {
+        if (insert_at != nullptr) {
+          *insert_at = first_deleted != kNoSlot
+                           ? first_deleted
+                           : g * kGroupWidth +
+                                 detail::GroupProbe::NextBit(empty);
+        }
+        return kNoSlot;
+      }
+      g = (g + step) & group_mask;  // triangular: visits every group once
     }
   }
 
-  /// The slot pointing at dense entry `idx`, located by its cached hash —
-  /// compares slot values instead of keys, so moved-entry patching during
-  /// swap-remove costs one probe chain and zero key operations.
-  size_t FindSlotOfEntry(uint32_t idx) const {
-    const uint64_t h = hashes_[idx];
-    const int8_t h2 = H2(h);
-    const size_t group_mask = NumGroups() - 1;
-    size_t g = H1(h) & group_mask;
-    for (size_t step = 1;; ++step) {
-      const int8_t* gc = ctrl_.data() + g * kGroupWidth;
-      uint32_t match = detail::GroupProbe::MatchH2(gc, h2);
-      while (match != 0) {
-        const unsigned bit = detail::GroupProbe::NextBit(match);
-        const size_t slot = g * kGroupWidth + bit;
-        if (slots_[slot] == idx) return slot;
-        match &= match - 1;
-      }
-      if (detail::GroupProbe::MatchEmpty(gc, kEmpty) != 0) return kNoSlot;
-      g = (g + step) & group_mask;
-    }
+  /// Fills slot `at` (from Walk's insert_at) with a new record at the end
+  /// of the dense array.
+  void Place(size_t at, const K& key, V v, uint64_t h) {
+    if (ctrl_[at] == kDeleted) --tombstones_;
+    ctrl_[at] = H2(h);
+    slots_[at] = static_cast<uint32_t>(size());
+    records_.Append(key, std::move(v));
+    hashes_.push_back(h);
   }
 
   void MaybeRebuild() {
     // Keep live + tombstone load under 7/8; grow only if live load alone
     // exceeds 1/2, otherwise rebuild at the same size to purge tombstones.
-    size_t used = entries_.size() + tombstones_ + 1;
+    size_t used = size() + tombstones_ + 1;
     if (used * 8 < Capacity() * 7) return;
     size_t cap = Capacity();
-    if ((entries_.size() + 1) * 2 >= cap) cap <<= 1;
+    if ((size() + 1) * 2 >= cap) cap <<= 1;
     Rebuild(cap);
   }
 
@@ -338,34 +415,22 @@ class DenseMap {
     ++rehashes_;
     InitTable(capacity);
     tombstones_ = 0;
-    const size_t group_mask = capacity / kGroupWidth - 1;
-    for (uint32_t idx = 0; idx < entries_.size(); ++idx) {
+    for (uint32_t idx = 0; idx < size(); ++idx) {
       // Cached hash: a rebuild never re-hashes a key.
-      const uint64_t h = hashes_[idx];
-      size_t g = H1(h) & group_mask;
-      for (size_t step = 1;; ++step) {
-        const int8_t* gc = ctrl_.data() + g * kGroupWidth;
-        const uint32_t empty = detail::GroupProbe::MatchEmpty(gc, kEmpty);
-        if (empty != 0) {
-          const size_t slot =
-              g * kGroupWidth + detail::GroupProbe::NextBit(empty);
-          ctrl_[slot] = H2(h);
-          slots_[slot] = idx;
-          break;
-        }
-        g = (g + step) & group_mask;
-      }
+      size_t at = 0;
+      Walk(hashes_[idx], [](uint32_t) { return false; }, &at);
+      ctrl_[at] = H2(hashes_[idx]);
+      slots_[at] = idx;
     }
   }
 
-  std::vector<Entry> entries_;
-  std::vector<uint64_t> hashes_;  // full hash per dense entry (same order)
+  Records records_;
+  std::vector<uint64_t> hashes_;  // full hash per dense record (same order)
   std::vector<int8_t> ctrl_;      // one control byte per slot
-  std::vector<uint32_t> slots_;   // entry index per slot
+  std::vector<uint32_t> slots_;   // record index per slot
   size_t tombstones_ = 0;
   size_t rehashes_ = 0;
   [[no_unique_address]] Hash hash_{};
-  [[no_unique_address]] Eq eq_{};
 };
 
 }  // namespace incr

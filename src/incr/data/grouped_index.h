@@ -4,16 +4,15 @@
 // and delete of index entries — the index structure required by paper §2.
 //
 // Two interchangeable backends (DESIGN.md "Storage backends"), chosen by
-// the StorageContext passed at construction:
+// the StorageContext passed at construction, with one insert and one
+// swap-remove body templated over them:
 //   * heap (default): key -> dense vector of member tuples, plus a position
 //     map (full tuple -> offset in its group) so deletion is a swap-remove.
 //   * paged: the group-key map stays heap-resident (group keys are the hot
 //     working set), but each group's member tuples live in a PageStore page
 //     chain and the position map's records are paged — cold groups age out
 //     of the buffer pool. Group(key, scratch) materializes a group through
-//     the caller's scratch vector; both backends produce members in the
-//     identical order, because the paged path replicates the heap path's
-//     push-back / swap-remove discipline exactly.
+//     the caller's scratch vector, in the same member order as the heap.
 #ifndef INCR_DATA_GROUPED_INDEX_H_
 #define INCR_DATA_GROUPED_INDEX_H_
 
@@ -30,6 +29,15 @@
 namespace incr {
 
 class GroupedIndex {
+  // Defined ahead of the public members so its return type is deduced
+  // before their bodies use it.
+  /// The one heap/paged dispatch point: runs fn(groups, positions) on the
+  /// maps backing `self`.
+  template <typename Self, typename Fn>
+  static auto Dispatch(Self& self, Fn&& fn) {
+    if (self.store_ == nullptr) return fn(self.groups_, self.positions_);
+    return fn(self.pgroups_, *self.ppositions_);
+  }
  public:
   /// `base` is the indexed relation's schema, `key` the grouping columns
   /// (each must occur in `base`). A context with a store selects the paged
@@ -39,7 +47,9 @@ class GroupedIndex {
         key_positions_(ProjectionPositions(base, key)),
         arity_(base.size()),
         store_(std::move(ctx.store)) {
-    if (store_ != nullptr) ppositions_.emplace(store_, arity_);
+    if (store_ != nullptr) {
+      ppositions_.emplace(PagedRecords<uint32_t>(store_, arity_));
+    }
   }
 
   /// Deep copy: the heap backend copies maps member-wise; the paged
@@ -86,56 +96,34 @@ class GroupedIndex {
 
   /// Adds `t` to its group. Must not already be present.
   void Insert(const Tuple& t) {
-    if (store_ == nullptr) {
-      auto& group = groups_.GetOrInsert(KeyOf(t));
-      positions_.GetOrInsert(t) = static_cast<uint32_t>(group.size());
-      group.push_back(t);
-      return;
-    }
-    PagedTupleChain& chain = pgroups_.GetOrInsert(KeyOf(t));
-    ppositions_->InsertNew(t, chain.size);
-    chain.Push(*store_, arity_, t);
+    Dispatch(*this, [&](auto& groups, auto& positions) {
+      auto& members = groups.GetOrInsert(KeyOf(t));
+      positions.InsertNew(t, Size(members));
+      Push(members, t);
+    });
   }
 
   /// Removes `t` from its group. Returns true if it was present.
   bool Erase(const Tuple& t) {
-    if (store_ == nullptr) {
-      uint32_t* pos = positions_.Find(t);
-      if (pos == nullptr) return false;
-      Tuple key = KeyOf(t);
-      std::vector<Tuple>* group = groups_.Find(key);
-      INCR_DCHECK(group != nullptr);
-      uint32_t idx = *pos;
-      uint32_t last = static_cast<uint32_t>(group->size()) - 1;
+    return Dispatch(*this, [&](auto& groups, auto& positions) {
+      const size_t slot = positions.FindSlot(t);
+      if (slot == kNoSlot) return false;
+      const uint32_t idx = positions.ValueAt(slot);
+      const Tuple key = KeyOf(t);
+      auto* members = groups.Find(key);
+      INCR_DCHECK(members != nullptr);
+      // Swap-remove: the last member moves into the hole, so its position
+      // is re-pointed first. `slot` survives — SetAt never moves a slot.
+      const uint32_t last = Size(*members) - 1;
       if (idx != last) {
-        (*group)[idx] = std::move((*group)[last]);
-        *positions_.Find((*group)[idx]) = idx;
+        const Tuple& moved = Member(*members, last);
+        positions.SetAt(positions.FindSlot(moved), idx);
       }
-      group->pop_back();
-      positions_.Erase(t);
-      if (group->empty()) groups_.Erase(key);
+      SwapRemove(*members, idx);
+      positions.EraseSlot(slot);
+      if (Size(*members) == 0) groups.Erase(key);
       return true;
-    }
-    const size_t slot = ppositions_->FindSlot(t);
-    if (slot == PagedMap<uint32_t>::kNoSlot) return false;
-    const uint32_t idx = ppositions_->GetAtSlot(slot);
-    Tuple key = KeyOf(t);
-    PagedTupleChain* chain = pgroups_.Find(key);
-    INCR_DCHECK(chain != nullptr);
-    const uint32_t last = chain->size - 1;
-    if (idx != last) {
-      Tuple moved = chain->At(*store_, arity_, last);
-      chain->Set(*store_, arity_, idx, moved);
-      const size_t mslot = ppositions_->FindSlot(moved);
-      INCR_DCHECK(mslot != PagedMap<uint32_t>::kNoSlot);
-      ppositions_->SetAtSlot(mslot, idx);
-    }
-    chain->PopBack(*store_, arity_);
-    // The slot survives the patching above: in-place updates never move
-    // slots, and nothing was inserted since FindSlot.
-    ppositions_->EraseSlot(slot);
-    if (chain->size == 0) pgroups_.Erase(key);
-    return true;
+    });
   }
 
   /// The tuples in the group of `key`; nullptr if the group is empty.
@@ -163,22 +151,24 @@ class GroupedIndex {
 
   /// Number of tuples in the group of `key` (its degree).
   size_t GroupSize(const Tuple& key) const {
-    if (store_ == nullptr) {
-      const auto* g = groups_.Find(key);
-      return g == nullptr ? 0 : g->size();
-    }
-    const PagedTupleChain* chain = pgroups_.Find(key);
-    return chain == nullptr ? 0 : chain->size;
+    return Dispatch(*this, [&](const auto& groups, const auto&) -> size_t {
+      const auto* members = groups.Find(key);
+      return members == nullptr ? 0 : Size(*members);
+    });
   }
 
   /// Number of distinct non-empty groups.
   size_t NumGroups() const {
-    return store_ == nullptr ? groups_.size() : pgroups_.size();
+    return Dispatch(*this, [](const auto& groups, const auto&) {
+      return groups.size();
+    });
   }
 
   /// Total number of indexed tuples.
   size_t NumEntries() const {
-    return store_ == nullptr ? positions_.size() : ppositions_->size();
+    return Dispatch(*this, [](const auto&, const auto& positions) {
+      return positions.size();
+    });
   }
 
   /// Constant-delay iteration over the distinct group keys (heap backend
@@ -192,22 +182,15 @@ class GroupedIndex {
   /// Pre-sizes the position map for `n` total entries (bulk insertion).
   /// Group storage grows on demand; the position map is the rehash hotspot.
   void Reserve(size_t n) {
-    if (store_ == nullptr) {
-      positions_.Reserve(n);
-    } else {
-      ppositions_->Reserve(n);
-    }
+    Dispatch(*this, [n](auto&, auto& positions) { positions.Reserve(n); });
   }
 
   void Clear() {
-    if (store_ == nullptr) {
-      groups_.clear();
-      positions_.clear();
-      return;
-    }
     ReleaseChains();
-    pgroups_.clear();
-    ppositions_->Clear();
+    Dispatch(*this, [](auto& groups, auto& positions) {
+      groups.clear();
+      positions.clear();
+    });
   }
 
   /// Approximate heap footprint in bytes (heap backend: group vectors
@@ -215,14 +198,11 @@ class GroupedIndex {
   /// key map, page-id lists, position-map slot table — without the page
   /// bytes, which PagedBytes reports).
   size_t MemoryBytes() const {
-    if (store_ == nullptr) {
-      size_t n = groups_.MemoryBytes() + positions_.MemoryBytes();
-      for (const auto& e : groups_) n += e.value.capacity() * sizeof(Tuple);
+    return Dispatch(*this, [](const auto& groups, const auto& positions) {
+      size_t n = groups.MemoryBytes() + positions.MemoryBytes();
+      for (const auto& e : groups) n += HeapBytes(e.value);
       return n;
-    }
-    size_t n = pgroups_.MemoryBytes() + ppositions_->MemoryBytes();
-    for (const auto& e : pgroups_) n += e.value.HeapBytes();
-    return n;
+    });
   }
 
   /// Bytes of page storage held by this index (paged backend; 0 on heap).
@@ -234,6 +214,35 @@ class GroupedIndex {
   }
 
  private:
+  using HeapGroups = DenseMap<Tuple, std::vector<Tuple>, TupleHash, TupleEq>;
+  static constexpr size_t kNoSlot = HeapGroups::kNoSlot;
+
+  // Member-list operations, one overload per backend.
+  static uint32_t Size(const std::vector<Tuple>& g) {
+    return static_cast<uint32_t>(g.size());
+  }
+  static uint32_t Size(const PagedTupleChain& c) { return c.size; }
+  void Push(std::vector<Tuple>& g, const Tuple& t) { g.push_back(t); }
+  void Push(PagedTupleChain& c, const Tuple& t) { c.Push(*store_, arity_, t); }
+  static const Tuple& Member(const std::vector<Tuple>& g, uint32_t i) {
+    return g[i];
+  }
+  Tuple Member(const PagedTupleChain& c, uint32_t i) const {
+    return c.At(*store_, arity_, i);
+  }
+  /// Moves the last member into position `i`, dropping the last position.
+  static void SwapRemove(std::vector<Tuple>& g, uint32_t i) {
+    if (i + 1 != g.size()) g[i] = std::move(g.back());
+    g.pop_back();
+  }
+  void SwapRemove(PagedTupleChain& c, uint32_t i) {
+    c.SwapRemove(*store_, PagedTupleChain::RecordBytes(arity_), i);
+  }
+  static size_t HeapBytes(const std::vector<Tuple>& g) {
+    return g.capacity() * sizeof(Tuple);
+  }
+  static size_t HeapBytes(const PagedTupleChain& c) { return c.HeapBytes(); }
+
   void ReleaseChains() {
     if (store_ == nullptr) return;
     for (const auto& e : pgroups_) {
@@ -247,12 +256,12 @@ class GroupedIndex {
   std::shared_ptr<PageStore> store_;  // null = heap backend
 
   // Heap backend.
-  DenseMap<Tuple, std::vector<Tuple>, TupleHash, TupleEq> groups_;
+  HeapGroups groups_;
   DenseMap<Tuple, uint32_t, TupleHash, TupleEq> positions_;
 
   // Paged backend: group keys resident, members + positions in pages.
   DenseMap<Tuple, PagedTupleChain, TupleHash, TupleEq> pgroups_;
-  std::optional<PagedMap<uint32_t>> ppositions_;
+  std::optional<PagedTupleMap<uint32_t>> ppositions_;
 };
 
 }  // namespace incr

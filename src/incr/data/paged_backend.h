@@ -1,27 +1,23 @@
-// The paged storage backend behind Relation and GroupedIndex: the same
-// insert / erase / lookup / enumerate contract as the heap DenseMap path,
-// with the bulk payload bytes living in PageStore pages instead of the
-// heap, so view state can exceed the buffer-pool budget (DESIGN.md
-// "Storage backends").
+// The paged record stores behind Relation and GroupedIndex (DESIGN.md
+// "Storage backends"): the bulk bytes of view state live in PageStore pages
+// instead of the heap, so state can exceed the buffer-pool budget.
 //
-// Two building blocks:
+//   PageChain        a dense array of fixed-width records spread across a
+//                    chain of pages — append, read, overwrite, swap-remove,
+//                    deep copy. The two stores below are built on it.
 //
-//   PagedMap<V>    a flat hash map Tuple -> V whose records (key values +
-//                  payload, fixed width) live in a dense page-chain array.
-//                  The slot table (control bytes, slot indexes) and the
-//                  cached 64-bit hashes stay heap-resident — they are the
-//                  hot probe path and a fraction of the record bytes —
-//                  while cold record pages age out of the pool. Probing,
-//                  triangular group walk, tombstones, and swap-remove are
-//                  exactly DenseMap's, so the dense record order after any
-//                  operation sequence matches the heap backend's entry
-//                  order, and canonical (sorted) serialization is
-//                  bit-identical across backends.
+//   PagedRecords<V>  DenseMap's paged record store: {key values, payload}
+//                    records of fixed width. DenseMap keeps its slot table
+//                    (control bytes, slot indexes, cached hashes) on the
+//                    heap — it is the hot probe path and a fraction of the
+//                    record bytes — while cold record pages age out of the
+//                    pool. The probe, insert and swap-remove logic is
+//                    DenseMap's own, so dense record order matches the heap
+//                    store's for any operation sequence.
 //
-//   PagedTupleChain  a dense array of fixed-arity tuples in a page chain —
-//                  the member list of one GroupedIndex group. Hot groups
-//                  stay resident because their pages keep getting
-//                  referenced; cold groups page out wholesale.
+//   PagedTupleChain  the member list of one GroupedIndex group. Hot groups
+//                    stay resident because their pages keep getting
+//                    referenced; cold groups page out wholesale.
 //
 // Records are raw little-endian bytes (memcpy of int64 key values plus a
 // trivially-copyable payload), matching the layout assumptions the rest of
@@ -46,119 +42,76 @@
 
 namespace incr {
 
-namespace detail {
-
-inline constexpr int8_t kPagedEmpty = static_cast<int8_t>(0x80);
-inline constexpr int8_t kPagedDeleted = static_cast<int8_t>(0xFE);
-inline constexpr size_t kPagedMinCapacity = 16;
-
-inline size_t PagedNextPow2(size_t n) {
-  size_t p = kPagedMinCapacity;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-/// Group-selection bits / control-byte fragment, as in DenseMap.
-inline size_t PagedH1(uint64_t h) { return static_cast<size_t>(h >> 7); }
-inline int8_t PagedH2(uint64_t h) { return static_cast<int8_t>(h & 0x7f); }
-
-}  // namespace detail
-
-/// A dense array of `arity`-value tuples spread across PageStore pages.
-/// All operations take the store and arity as parameters so the struct
-/// itself stays a pair of POD fields (cheap to hold as a DenseMap value).
+/// A dense array of `record_bytes`-wide records across PageStore pages.
+/// Operations take the store and record width as parameters so the struct
+/// itself stays a pair of plain fields (cheap to hold as a DenseMap value).
 /// Copying the struct aliases the pages — use Clone for a deep copy and
 /// FreeAll before dropping the last reference.
-struct PagedTupleChain {
+struct PageChain {
   std::vector<PageId> pages;
   uint32_t size = 0;
 
-  static size_t RecordBytes(size_t arity) {
-    return arity == 0 ? sizeof(Value) : arity * sizeof(Value);
-  }
-  static size_t PerPage(const PageStore& ps, size_t arity) {
-    return ps.page_bytes() / RecordBytes(arity);
+  static size_t PerPage(const PageStore& ps, size_t record_bytes) {
+    return ps.page_bytes() / record_bytes;
   }
 
-  void Push(PageStore& ps, size_t arity, const Tuple& t) {
-    const size_t per = PerPage(ps, arity);
-    if (size % per == 0) pages.push_back(ps.Alloc());
-    const PageId page = pages.back();
-    uint8_t* p = ps.Pin(page, /*for_write=*/true) +
-                 (size % per) * RecordBytes(arity);
-    std::memcpy(p, t.data(), arity * sizeof(Value));
-    ps.Unpin(page, /*dirty=*/true);
-    ++size;
+  /// Pins the page of record `i` and returns the record's bytes; pair with
+  /// Unpin(ps, rb, i, dirty). Pinning one page twice nests.
+  uint8_t* Pin(PageStore& ps, size_t rb, uint32_t i, bool write) const {
+    const size_t per = PerPage(ps, rb);
+    return ps.Pin(pages[i / per], write) + (i % per) * rb;
+  }
+  void Unpin(PageStore& ps, size_t rb, uint32_t i, bool dirty) const {
+    ps.Unpin(pages[i / PerPage(ps, rb)], dirty);
   }
 
-  Tuple At(PageStore& ps, size_t arity, uint32_t i) const {
+  /// Appends a new last record and returns its bytes pinned for writing;
+  /// pair with Unpin(ps, rb, size - 1, /*dirty=*/true).
+  uint8_t* PinNew(PageStore& ps, size_t rb) {
+    if (size % PerPage(ps, rb) == 0) pages.push_back(ps.Alloc());
+    return Pin(ps, rb, size++, /*write=*/true);
+  }
+
+  /// Moves the last record into position `i` (if it is not already last)
+  /// and drops the last position, freeing a page that empties.
+  void SwapRemove(PageStore& ps, size_t rb, uint32_t i) {
     INCR_DCHECK(i < size);
-    const size_t per = PerPage(ps, arity);
-    const PageId page = pages[i / per];
-    const uint8_t* p = ps.Pin(page, /*for_write=*/false) +
-                       (i % per) * RecordBytes(arity);
-    Tuple t;
-    t.reserve(arity);
-    for (size_t k = 0; k < arity; ++k) {
-      Value v;
-      std::memcpy(&v, p + k * sizeof(Value), sizeof(Value));
-      t.push_back(v);
+    const uint32_t last = size - 1;
+    if (i != last) {
+      const uint8_t* s = Pin(ps, rb, last, /*write=*/false);
+      std::memmove(Pin(ps, rb, i, /*write=*/true), s, rb);
+      Unpin(ps, rb, i, /*dirty=*/true);
+      Unpin(ps, rb, last, /*dirty=*/false);
     }
-    ps.Unpin(page, /*dirty=*/false);
-    return t;
-  }
-
-  void Set(PageStore& ps, size_t arity, uint32_t i, const Tuple& t) {
-    INCR_DCHECK(i < size);
-    const size_t per = PerPage(ps, arity);
-    const PageId page = pages[i / per];
-    uint8_t* p = ps.Pin(page, /*for_write=*/true) +
-                 (i % per) * RecordBytes(arity);
-    std::memcpy(p, t.data(), arity * sizeof(Value));
-    ps.Unpin(page, /*dirty=*/true);
-  }
-
-  void PopBack(PageStore& ps, size_t arity) {
-    INCR_DCHECK(size > 0);
     --size;
-    const size_t per = PerPage(ps, arity);
-    if (size % per == 0) {
+    if (size % PerPage(ps, rb) == 0) {
       ps.Free(pages.back());
       pages.pop_back();
     }
   }
 
-  /// Decodes every member, appending to `out` in chain order.
-  void AppendTo(PageStore& ps, size_t arity, std::vector<Tuple>* out) const {
-    const size_t per = PerPage(ps, arity);
-    out->reserve(out->size() + size);
+  /// fn(const uint8_t* record) for every record in chain order, pinning
+  /// each page once across its records.
+  template <typename Fn>
+  void ForEach(PageStore& ps, size_t rb, Fn&& fn) const {
+    const size_t per = PerPage(ps, rb);
     for (size_t pi = 0; pi < pages.size(); ++pi) {
       const size_t n = std::min<size_t>(per, size - pi * per);
       const uint8_t* base = ps.Pin(pages[pi], /*for_write=*/false);
-      for (size_t r = 0; r < n; ++r) {
-        const uint8_t* p = base + r * RecordBytes(arity);
-        Tuple t;
-        t.reserve(arity);
-        for (size_t k = 0; k < arity; ++k) {
-          Value v;
-          std::memcpy(&v, p + k * sizeof(Value), sizeof(Value));
-          t.push_back(v);
-        }
-        out->push_back(std::move(t));
-      }
+      for (size_t r = 0; r < n; ++r) fn(base + r * rb);
       ps.Unpin(pages[pi], /*dirty=*/false);
     }
   }
 
-  PagedTupleChain Clone(PageStore& ps) const {
-    PagedTupleChain c;
+  /// Deep copy on the same store: pages are cloned byte-for-byte.
+  PageChain Clone(PageStore& ps) const {
+    PageChain c;
     c.size = size;
     c.pages.reserve(pages.size());
     for (PageId src : pages) {
       const PageId dst = ps.Alloc();
       const uint8_t* s = ps.Pin(src, /*for_write=*/false);
-      uint8_t* d = ps.Pin(dst, /*for_write=*/true);
-      std::memcpy(d, s, ps.page_bytes());
+      std::memcpy(ps.Pin(dst, /*for_write=*/true), s, ps.page_bytes());
       ps.Unpin(dst, /*dirty=*/true);
       ps.Unpin(src, /*dirty=*/false);
       c.pages.push_back(dst);
@@ -175,376 +128,162 @@ struct PagedTupleChain {
   size_t HeapBytes() const { return pages.capacity() * sizeof(PageId); }
 };
 
-/// Flat hash map Tuple (fixed arity) -> V with page-resident records.
-/// V must be trivially copyable — enforced where bodies instantiate, so a
-/// Relation over a non-copyable ring can still declare (and never use) the
-/// member.
-template <typename V>
-class PagedMap {
- public:
-  static constexpr size_t kNoSlot = SIZE_MAX;
+/// Decodes `arity` values from raw record bytes.
+inline Tuple DecodeTuple(const uint8_t* p, size_t arity) {
+  Tuple t;
+  t.reserve(arity);
+  for (size_t k = 0; k < arity; ++k) {
+    Value v;
+    std::memcpy(&v, p + k * sizeof(Value), sizeof(Value));
+    t.push_back(v);
+  }
+  return t;
+}
 
-  PagedMap(std::shared_ptr<PageStore> store, size_t arity)
-      : store_(std::move(store)),
-        arity_(arity),
-        record_bytes_(arity * sizeof(Value) + sizeof(V)),
-        per_page_(store_->page_bytes() / record_bytes_) {
-    static_assert(std::is_trivially_copyable_v<V>);
-    INCR_CHECK(per_page_ > 0);
-    InitTable(detail::kPagedMinCapacity);
+/// A group's member tuples: a PageChain of `arity`-value records.
+struct PagedTupleChain : PageChain {
+  static size_t RecordBytes(size_t arity) {
+    return arity == 0 ? sizeof(Value) : arity * sizeof(Value);
   }
 
-  /// Deep copy on the same store: record pages are cloned byte-for-byte,
-  /// so the copy's dense order and slot layout match the original exactly.
-  PagedMap(const PagedMap& o)
+  void Push(PageStore& ps, size_t arity, const Tuple& t) {
+    const size_t rb = RecordBytes(arity);
+    std::memcpy(PinNew(ps, rb), t.data(), arity * sizeof(Value));
+    Unpin(ps, rb, size - 1, /*dirty=*/true);
+  }
+
+  Tuple At(PageStore& ps, size_t arity, uint32_t i) const {
+    INCR_DCHECK(i < size);
+    const size_t rb = RecordBytes(arity);
+    Tuple t = DecodeTuple(Pin(ps, rb, i, /*write=*/false), arity);
+    Unpin(ps, rb, i, /*dirty=*/false);
+    return t;
+  }
+
+  /// Decodes every member, appending to `out` in chain order.
+  void AppendTo(PageStore& ps, size_t arity, std::vector<Tuple>* out) const {
+    out->reserve(out->size() + size);
+    ForEach(ps, RecordBytes(arity),
+            [&](const uint8_t* p) { out->push_back(DecodeTuple(p, arity)); });
+  }
+
+  PagedTupleChain Clone(PageStore& ps) const {
+    PagedTupleChain c;
+    static_cast<PageChain&>(c) = PageChain::Clone(ps);
+    return c;
+  }
+};
+
+/// DenseMap's paged record store for Tuple keys of a fixed arity and a
+/// trivially-copyable payload V — enforced where the constructor
+/// instantiates, so a Relation over a non-copyable ring can still declare
+/// (and never build) the member. Owns its pages: copying clones them on the
+/// same store, so a copy's dense order matches the original exactly.
+template <typename V>
+class PagedRecords {
+ public:
+  static constexpr bool kHashScreen = true;
+
+  PagedRecords(std::shared_ptr<PageStore> store, size_t arity)
+      : store_(std::move(store)),
+        arity_(arity),
+        record_bytes_(arity * sizeof(incr::Value) + sizeof(V)) {
+    static_assert(std::is_trivially_copyable_v<V>);
+    INCR_CHECK(PageChain::PerPage(*store_, record_bytes_) > 0);
+  }
+  PagedRecords(const PagedRecords& o)
       : store_(o.store_),
         arity_(o.arity_),
         record_bytes_(o.record_bytes_),
-        per_page_(o.per_page_),
-        ctrl_(o.ctrl_),
-        slots_(o.slots_),
-        hashes_(o.hashes_),
-        size_(o.size_),
-        tombstones_(o.tombstones_),
-        rehashes_(o.rehashes_) {
-    pages_.reserve(o.pages_.size());
-    for (PageId src : o.pages_) {
-      const PageId dst = store_->Alloc();
-      const uint8_t* s = store_->Pin(src, /*for_write=*/false);
-      uint8_t* d = store_->Pin(dst, /*for_write=*/true);
-      std::memcpy(d, s, store_->page_bytes());
-      store_->Unpin(dst, /*dirty=*/true);
-      store_->Unpin(src, /*dirty=*/false);
-      pages_.push_back(dst);
-    }
-  }
-  PagedMap& operator=(const PagedMap&) = delete;
-  PagedMap(PagedMap&&) noexcept = default;
-  PagedMap& operator=(PagedMap&& o) noexcept {
+        chain_(o.chain_.Clone(*store_)) {}
+  PagedRecords(PagedRecords&& o) noexcept
+      : store_(std::move(o.store_)),
+        arity_(o.arity_),
+        record_bytes_(o.record_bytes_),
+        chain_(std::exchange(o.chain_, {})) {}
+  PagedRecords& operator=(const PagedRecords&) = delete;
+  PagedRecords& operator=(PagedRecords&& o) noexcept {
     if (this != &o) {
-      ReleasePages();
+      clear();
       store_ = std::move(o.store_);
       arity_ = o.arity_;
       record_bytes_ = o.record_bytes_;
-      per_page_ = o.per_page_;
-      ctrl_ = std::move(o.ctrl_);
-      slots_ = std::move(o.slots_);
-      hashes_ = std::move(o.hashes_);
-      pages_ = std::move(o.pages_);
-      size_ = o.size_;
-      tombstones_ = o.tombstones_;
-      rehashes_ = o.rehashes_;
-      o.pages_.clear();
-      o.size_ = 0;
+      chain_ = std::exchange(o.chain_, {});
     }
     return *this;
   }
+  ~PagedRecords() { clear(); }
 
-  ~PagedMap() { ReleasePages(); }
+  size_t size() const { return chain_.size; }
 
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  size_t rehashes() const { return rehashes_; }
-
-  /// The slot holding `key`, or kNoSlot. Slots stay valid until the next
-  /// insert or rebuild (erase and in-place updates do not move them).
-  size_t FindSlot(const Tuple& key) const {
-    const uint64_t h = TupleHash{}(key);
-    const int8_t h2 = detail::PagedH2(h);
-    const size_t group_mask = NumGroups() - 1;
-    size_t g = detail::PagedH1(h) & group_mask;
-    for (size_t step = 1;; ++step) {
-      const int8_t* gc = ctrl_.data() + g * kGroupWidth;
-      uint32_t match = detail::GroupProbe::MatchH2(gc, h2);
-      while (match != 0) {
-        const unsigned bit = detail::GroupProbe::NextBit(match);
-        const size_t slot = g * kGroupWidth + bit;
-        const uint32_t idx = slots_[slot];
-        // The cached full hash screens out nearly every false H2 match
-        // before a page is touched.
-        if (hashes_[idx] == h && KeyEquals(idx, key)) return slot;
-        match &= match - 1;
-      }
-      if (detail::GroupProbe::MatchEmpty(gc, detail::kPagedEmpty) != 0) {
-        return kNoSlot;
-      }
-      g = (g + step) & group_mask;
-    }
+  bool KeyEquals(uint32_t i, const Tuple& key) const {
+    const bool eq = std::memcmp(Pin(i, false), key.data(), KeyBytes()) == 0;
+    Unpin(i, false);
+    return eq;
   }
-
-  bool Find(const Tuple& key, V* out) const {
-    const size_t slot = FindSlot(key);
-    if (slot == kNoSlot) return false;
-    *out = ValueAt(slots_[slot]);
-    return true;
+  V Value(uint32_t i) const {
+    V v;
+    std::memcpy(&v, Pin(i, false) + KeyBytes(), sizeof(V));
+    Unpin(i, false);
+    return v;
   }
-
-  V GetAtSlot(size_t slot) const { return ValueAt(slots_[slot]); }
-
-  void SetAtSlot(size_t slot, const V& v) {
-    const uint32_t idx = slots_[slot];
-    const PageId page = pages_[idx / per_page_];
-    uint8_t* p = store_->Pin(page, /*for_write=*/true) +
-                 (idx % per_page_) * record_bytes_ + arity_ * sizeof(Value);
-    std::memcpy(p, &v, sizeof(V));
-    store_->Unpin(page, /*dirty=*/true);
+  void SetValue(uint32_t i, const V& v) {
+    std::memcpy(Pin(i, true) + KeyBytes(), &v, sizeof(V));
+    Unpin(i, true);
   }
-
-  /// Inserts a key known to be absent (callers always probe first).
-  void InsertNew(const Tuple& key, const V& v) {
+  void Append(const Tuple& key, const V& v) {
     INCR_DCHECK(key.size() == arity_);
-    MaybeRebuild();
-    const uint64_t h = TupleHash{}(key);
-    const int8_t h2 = detail::PagedH2(h);
-    const size_t group_mask = NumGroups() - 1;
-    size_t g = detail::PagedH1(h) & group_mask;
-    size_t first_deleted = kNoSlot;
-    for (size_t step = 1;; ++step) {
-      const int8_t* gc = ctrl_.data() + g * kGroupWidth;
-      if (first_deleted == kNoSlot) {
-        const uint32_t deleted =
-            detail::GroupProbe::MatchH2(gc, detail::kPagedDeleted);
-        if (deleted != 0) {
-          first_deleted =
-              g * kGroupWidth + detail::GroupProbe::NextBit(deleted);
-        }
-      }
-      const uint32_t empty =
-          detail::GroupProbe::MatchEmpty(gc, detail::kPagedEmpty);
-      if (empty != 0) {
-        size_t target;
-        if (first_deleted != kNoSlot) {
-          target = first_deleted;
-          --tombstones_;
-        } else {
-          target = g * kGroupWidth + detail::GroupProbe::NextBit(empty);
-        }
-        ctrl_[target] = h2;
-        slots_[target] = static_cast<uint32_t>(size_);
-        AppendRecord(key, v);
-        hashes_.push_back(h);
-        return;
-      }
-      g = (g + step) & group_mask;
-    }
+    uint8_t* p = chain_.PinNew(*store_, record_bytes_);
+    std::memcpy(p, key.data(), KeyBytes());
+    std::memcpy(p + KeyBytes(), &v, sizeof(V));
+    Unpin(chain_.size - 1, true);
   }
+  void SwapRemove(uint32_t i) { chain_.SwapRemove(*store_, record_bytes_, i); }
 
-  /// Erases via a slot from FindSlot. Swap-remove: the last record moves
-  /// into the hole and its slot is re-pointed via the cached hash.
-  void EraseSlot(size_t slot) {
-    const uint32_t idx = slots_[slot];
-    ctrl_[slot] = detail::kPagedDeleted;
-    ++tombstones_;
-    const uint32_t last = static_cast<uint32_t>(size_) - 1;
-    if (idx != last) {
-      const size_t moved_slot = FindSlotOfEntry(last);
-      INCR_DCHECK(moved_slot != kNoSlot);
-      MoveRecord(last, idx);
-      hashes_[idx] = hashes_[last];
-      slots_[moved_slot] = idx;
-    }
-    hashes_.pop_back();
-    --size_;
-    if (size_ % per_page_ == 0 && !pages_.empty()) {
-      store_->Free(pages_.back());
-      pages_.pop_back();
-    }
-  }
-
-  bool Erase(const Tuple& key) {
-    const size_t slot = FindSlot(key);
-    if (slot == kNoSlot) return false;
-    EraseSlot(slot);
-    return true;
-  }
-
-  /// Enumerates (key, value) in dense record order — the same order the
-  /// heap DenseMap's entry array would have after the identical operation
-  /// sequence. `fn` must not mutate this map (pinning other pages is fine;
-  /// the page being read stays pinned across its records).
+  /// fn(const Tuple&, const V&) in dense record order. `fn` must not
+  /// mutate this store (pinning other pages is fine).
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    Tuple key;
     V value;
-    for (size_t pi = 0; pi < pages_.size(); ++pi) {
-      const size_t n = std::min<size_t>(per_page_, size_ - pi * per_page_);
-      const uint8_t* base = store_->Pin(pages_[pi], /*for_write=*/false);
-      for (size_t r = 0; r < n; ++r) {
-        const uint8_t* p = base + r * record_bytes_;
-        key.clear();
-        key.reserve(arity_);
-        for (size_t k = 0; k < arity_; ++k) {
-          Value v;
-          std::memcpy(&v, p + k * sizeof(Value), sizeof(Value));
-          key.push_back(v);
-        }
-        std::memcpy(&value, p + arity_ * sizeof(Value), sizeof(V));
-        fn(static_cast<const Tuple&>(key), static_cast<const V&>(value));
-      }
-      store_->Unpin(pages_[pi], /*dirty=*/false);
-    }
+    chain_.ForEach(*store_, record_bytes_, [&](const uint8_t* p) {
+      const Tuple key = DecodeTuple(p, arity_);
+      std::memcpy(&value, p + KeyBytes(), sizeof(V));
+      fn(key, static_cast<const V&>(value));
+    });
   }
 
   void Reserve(size_t n) {
-    const size_t needed = detail::PagedNextPow2(n * 8 / 7 + 1);
-    if (needed > Capacity()) Rebuild(needed);
-    hashes_.reserve(n);
-    pages_.reserve((n + per_page_ - 1) / per_page_);
+    const size_t per = PageChain::PerPage(*store_, record_bytes_);
+    chain_.pages.reserve((n + per - 1) / per);
   }
-
-  void Clear() {
-    for (PageId p : pages_) store_->Free(p);
-    pages_.clear();
-    hashes_.clear();
-    size_ = 0;
-    tombstones_ = 0;
-    InitTable(detail::kPagedMinCapacity);
+  void clear() {
+    if (store_ != nullptr) chain_.FreeAll(*store_);
   }
-
-  /// Heap-resident footprint: slot table + cached hashes + the page-id
-  /// list. The record bytes themselves are PagedBytes().
-  size_t MemoryBytes() const {
-    return ctrl_.capacity() * sizeof(int8_t) +
-           slots_.capacity() * sizeof(uint32_t) +
-           hashes_.capacity() * sizeof(uint64_t) +
-           pages_.capacity() * sizeof(PageId);
+  /// Resident part: the page-id list.
+  size_t MemoryBytes() const { return chain_.HeapBytes(); }
+  size_t PagedBytes() const {
+    return chain_.pages.size() * store_->page_bytes();
   }
-
-  /// Bytes of record storage held in pages (whole pages, the pager's
-  /// granularity).
-  size_t PagedBytes() const { return pages_.size() * store_->page_bytes(); }
-
-  PageStore& store() const { return *store_; }
-  size_t arity() const { return arity_; }
 
  private:
-  static constexpr size_t kGroupWidth = detail::GroupProbe::kWidth;
-
-  void ReleasePages() {
-    if (store_ != nullptr) {
-      for (PageId p : pages_) store_->Free(p);
-    }
-    pages_.clear();
+  size_t KeyBytes() const { return arity_ * sizeof(incr::Value); }
+  uint8_t* Pin(uint32_t i, bool write) const {
+    return chain_.Pin(*store_, record_bytes_, i, write);
   }
-
-  size_t Capacity() const { return ctrl_.size(); }
-  size_t NumGroups() const { return ctrl_.size() / kGroupWidth; }
-
-  void InitTable(size_t capacity) {
-    ctrl_.assign(capacity, detail::kPagedEmpty);
-    slots_.assign(capacity, 0);
-  }
-
-  bool KeyEquals(uint32_t idx, const Tuple& key) const {
-    const PageId page = pages_[idx / per_page_];
-    const uint8_t* p = store_->Pin(page, /*for_write=*/false) +
-                       (idx % per_page_) * record_bytes_;
-    const bool eq =
-        std::memcmp(p, key.data(), arity_ * sizeof(Value)) == 0;
-    store_->Unpin(page, /*dirty=*/false);
-    return eq;
-  }
-
-  void AppendRecord(const Tuple& key, const V& v) {
-    if (size_ % per_page_ == 0) pages_.push_back(store_->Alloc());
-    const PageId page = pages_.back();
-    uint8_t* p = store_->Pin(page, /*for_write=*/true) +
-                 (size_ % per_page_) * record_bytes_;
-    std::memcpy(p, key.data(), arity_ * sizeof(Value));
-    std::memcpy(p + arity_ * sizeof(Value), &v, sizeof(V));
-    store_->Unpin(page, /*dirty=*/true);
-    ++size_;
-  }
-
-  V ValueAt(uint32_t idx) const {
-    const PageId page = pages_[idx / per_page_];
-    const uint8_t* p = store_->Pin(page, /*for_write=*/false) +
-                       (idx % per_page_) * record_bytes_ +
-                       arity_ * sizeof(Value);
-    V v;
-    std::memcpy(&v, p, sizeof(V));
-    store_->Unpin(page, /*dirty=*/false);
-    return v;
-  }
-
-  void MoveRecord(uint32_t from, uint32_t to) {
-    const PageId src = pages_[from / per_page_];
-    const PageId dst = pages_[to / per_page_];
-    // Pinning the same page twice is fine (pin counts nest).
-    const uint8_t* s = store_->Pin(src, /*for_write=*/false) +
-                       (from % per_page_) * record_bytes_;
-    uint8_t* d = store_->Pin(dst, /*for_write=*/true) +
-                 (to % per_page_) * record_bytes_;
-    std::memmove(d, s, record_bytes_);
-    store_->Unpin(dst, /*dirty=*/true);
-    store_->Unpin(src, /*dirty=*/false);
-  }
-
-  size_t FindSlotOfEntry(uint32_t idx) const {
-    const uint64_t h = hashes_[idx];
-    const int8_t h2 = detail::PagedH2(h);
-    const size_t group_mask = NumGroups() - 1;
-    size_t g = detail::PagedH1(h) & group_mask;
-    for (size_t step = 1;; ++step) {
-      const int8_t* gc = ctrl_.data() + g * kGroupWidth;
-      uint32_t match = detail::GroupProbe::MatchH2(gc, h2);
-      while (match != 0) {
-        const unsigned bit = detail::GroupProbe::NextBit(match);
-        const size_t slot = g * kGroupWidth + bit;
-        if (slots_[slot] == idx) return slot;
-        match &= match - 1;
-      }
-      if (detail::GroupProbe::MatchEmpty(gc, detail::kPagedEmpty) != 0) {
-        return kNoSlot;
-      }
-      g = (g + step) & group_mask;
-    }
-  }
-
-  void MaybeRebuild() {
-    const size_t used = size_ + tombstones_ + 1;
-    if (used * 8 < Capacity() * 7) return;
-    size_t cap = Capacity();
-    if ((size_ + 1) * 2 >= cap) cap <<= 1;
-    Rebuild(cap);
-  }
-
-  void Rebuild(size_t capacity) {
-    ++rehashes_;
-    InitTable(capacity);
-    tombstones_ = 0;
-    const size_t group_mask = capacity / kGroupWidth - 1;
-    for (uint32_t idx = 0; idx < size_; ++idx) {
-      const uint64_t h = hashes_[idx];
-      size_t g = detail::PagedH1(h) & group_mask;
-      for (size_t step = 1;; ++step) {
-        const int8_t* gc = ctrl_.data() + g * kGroupWidth;
-        const uint32_t empty =
-            detail::GroupProbe::MatchEmpty(gc, detail::kPagedEmpty);
-        if (empty != 0) {
-          const size_t slot =
-              g * kGroupWidth + detail::GroupProbe::NextBit(empty);
-          ctrl_[slot] = detail::PagedH2(h);
-          slots_[slot] = idx;
-          break;
-        }
-        g = (g + step) & group_mask;
-      }
-    }
+  void Unpin(uint32_t i, bool dirty) const {
+    chain_.Unpin(*store_, record_bytes_, i, dirty);
   }
 
   std::shared_ptr<PageStore> store_;
   size_t arity_;
   size_t record_bytes_;
-  size_t per_page_;
-  std::vector<int8_t> ctrl_;      // one control byte per slot
-  std::vector<uint32_t> slots_;   // record index per slot
-  std::vector<uint64_t> hashes_;  // full hash per dense record
-  std::vector<PageId> pages_;     // the dense record array's page chain
-  size_t size_ = 0;
-  size_t tombstones_ = 0;
-  size_t rehashes_ = 0;
+  PageChain chain_;
 };
+
+/// A DenseMap from fixed-arity tuples to V whose records live in pages.
+template <typename V>
+using PagedTupleMap =
+    DenseMap<Tuple, V, TupleHash, TupleEq, PagedRecords<V>>;
 
 }  // namespace incr
 

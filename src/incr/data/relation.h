@@ -3,16 +3,17 @@
 // every change. Payloads that become zero are physically removed, so |R| is
 // always the number of non-zero tuples.
 //
-// The map itself has two interchangeable backends (DESIGN.md "Storage
+// The map is a DenseMap over one of two record stores (DESIGN.md "Storage
 // backends"), chosen by the StorageContext passed at construction:
-//   * heap (default): a DenseMap — the O(1) in-memory path.
-//   * paged: a PagedMap whose records live in PageStore pages, for view
-//     state beyond RAM. Requires a trivially-copyable payload; rings that
-//     fail that gate (the provenance ring's heap-allocated polynomials)
-//     silently keep the heap backend.
-// Both backends maintain identical dense entry order for identical
-// operation sequences, so canonical serialization (store/serde.h) is
-// bit-identical across backends — the differ's heap-vs-paged axis checks
+//   * heap (default): records in a std::vector — the O(1) in-memory path.
+//   * paged: records in PageStore pages, for view state beyond RAM.
+//     Requires a trivially-copyable payload; rings that fail that gate (the
+//     provenance ring's heap-allocated polynomials) silently keep the heap
+//     store.
+// Both run the same slot table and the same mutation code (one body per
+// operation, templated over the map and picked at one dispatch point), so
+// dense entry order — and with it canonical serialization (store/serde.h)
+// — is identical across backends; the differ's heap-vs-paged axis checks
 // exactly this.
 #ifndef INCR_DATA_RELATION_H_
 #define INCR_DATA_RELATION_H_
@@ -66,7 +67,8 @@ template <RingType R>
 class Relation {
  public:
   using RV = typename R::Value;
-  using Entry = typename DenseMap<Tuple, RV, TupleHash, TupleEq>::Entry;
+  using HeapMap = DenseMap<Tuple, RV, TupleHash, TupleEq>;
+  using Entry = typename HeapMap::Entry;
 
   /// Payloads that can be memcpy'd into pages; everything else falls back
   /// to the heap backend regardless of the context.
@@ -77,13 +79,13 @@ class Relation {
     if constexpr (kPagedCapable) {
       if (ctx.store != nullptr) {
         store_ = std::move(ctx.store);
-        paged_.emplace(store_, schema_.size());
+        paged_.emplace(PagedRecords<RV>(store_, schema_.size()));
       }
     }
   }
 
-  /// Deep copy, for snapshot versioning: both backends preserve the exact
-  /// slot/entry layout (heap: member-wise vector copy; paged: page chains
+  /// Deep copy, for snapshot versioning: both record stores preserve the
+  /// exact slot/entry layout (heap: member-wise vector copy; paged: pages
   /// cloned byte-for-byte on the same store), and indexes are cloned in
   /// registration order, so a copy is bit-identical to the original under
   /// DumpState-style serialization.
@@ -110,30 +112,21 @@ class Relation {
   const Schema& schema() const { return schema_; }
   bool paged() const { return store_ != nullptr; }
   size_t size() const {
-    if constexpr (kPagedCapable) {
-      if (paged_) return paged_->size();
-    }
-    return data_.size();
+    return Dispatch(*this, [](const auto& m) { return m.size(); });
   }
   bool empty() const { return size() == 0; }
 
   /// Payload of `t`; Zero if absent.
   RV Payload(const Tuple& t) const {
-    if constexpr (kPagedCapable) {
-      if (paged_) {
-        RV out;
-        return paged_->Find(t, &out) ? out : R::Zero();
-      }
-    }
-    const RV* v = data_.Find(t);
-    return v == nullptr ? R::Zero() : *v;
+    return Dispatch(*this, [&](const auto& m) -> RV {
+      const size_t slot = m.FindSlot(t);
+      return slot == kNoSlot ? R::Zero() : RV(m.ValueAt(slot));
+    });
   }
 
   bool Contains(const Tuple& t) const {
-    if constexpr (kPagedCapable) {
-      if (paged_) return paged_->FindSlot(t) != PagedMap<RV>::kNoSlot;
-    }
-    return data_.Find(t) != nullptr;
+    return Dispatch(*this,
+                    [&](const auto& m) { return m.FindSlot(t) != kNoSlot; });
   }
 
   /// Applies a delta: payload(t) += d, removing t if the result is zero.
@@ -141,26 +134,10 @@ class Relation {
   void Apply(const Tuple& t, const RV& d) {
     INCR_DCHECK(t.size() == schema_.size());
     if (R::IsZero(d)) return;
-    if constexpr (kPagedCapable) {
-      if (paged_) {
-        const int net = ApplyPagedNet(t, d);
-        if (net > 0) {
-          for (auto& idx : indexes_) idx->Insert(t);
-        } else if (net < 0) {
-          for (auto& idx : indexes_) idx->Erase(t);
-        }
-        return;
-      }
-    }
-    RV* existing = data_.Find(t);
-    if (existing == nullptr) {
-      data_.GetOrInsert(t, d);
+    const int net = Dispatch(*this, [&](auto& m) { return ApplyNet(m, t, d); });
+    if (net > 0) {
       for (auto& idx : indexes_) idx->Insert(t);
-      return;
-    }
-    *existing = R::Add(*existing, d);
-    if (R::IsZero(*existing)) {
-      data_.Erase(t);
+    } else if (net < 0) {
       for (auto& idx : indexes_) idx->Erase(t);
     }
   }
@@ -175,55 +152,7 @@ class Relation {
   /// then, so this is safe and deterministic (the PageStore serializes its
   /// own metadata under the paged backend).
   void ApplyBatch(std::span<const Entry> batch, ThreadPool* pool = nullptr) {
-    if constexpr (kPagedCapable) {
-      if (paged_) {
-        ApplyBatchPaged(batch, pool);
-        return;
-      }
-    }
-    const bool obs_on = obs::Enabled();
-    const size_t rehashes_before = obs_on ? data_.rehashes() : 0;
-    data_.Reserve(data_.size() + batch.size());
-    if (indexes_.empty()) {
-      size_t upserts = 0;
-      size_t erases = 0;
-      for (const Entry& e : batch) {
-        int net = ApplyUnindexed(e.key, e.value);
-        if (net > 0) ++upserts;
-        if (net < 0) ++erases;
-      }
-      if (obs_on) {
-        BatchMetrics(batch.size(), upserts, erases,
-                     data_.rehashes() - rehashes_before, data_.size());
-      }
-      return;
-    }
-    // (entry index, is_insert) event stream; tuples are read back from the
-    // batch so no copies are made.
-    std::vector<std::pair<uint32_t, bool>> ops;
-    ops.reserve(batch.size());
-    size_t inserts = 0;
-    for (uint32_t i = 0; i < batch.size(); ++i) {
-      const Entry& e = batch[i];
-      if (R::IsZero(e.value)) continue;
-      RV* existing = data_.Find(e.key);
-      if (existing == nullptr) {
-        data_.GetOrInsert(e.key, e.value);
-        ops.emplace_back(i, true);
-        ++inserts;
-        continue;
-      }
-      *existing = R::Add(*existing, e.value);
-      if (R::IsZero(*existing)) {
-        data_.Erase(e.key);
-        ops.emplace_back(i, false);
-      }
-    }
-    if (obs_on) {
-      BatchMetrics(batch.size(), inserts, ops.size() - inserts,
-                   data_.rehashes() - rehashes_before, data_.size());
-    }
-    ReplayOps(batch, ops, inserts, pool);
+    Dispatch(*this, [&](auto& m) { ApplyBatchTo(m, batch, pool); });
   }
 
   /// Constant-delay iteration over (tuple, payload) entries. Heap backend
@@ -246,13 +175,7 @@ class Relation {
   /// entry, in dense order. `fn` must not mutate this relation.
   template <typename Fn>
   void ForEachEntry(Fn&& fn) const {
-    if constexpr (kPagedCapable) {
-      if (paged_) {
-        paged_->ForEach(fn);
-        return;
-      }
-    }
-    for (const Entry& e : data_) fn(e.key, e.value);
+    Dispatch(*this, [&](const auto& m) { m.ForEach(fn); });
   }
 
   /// Registers a grouped index on `key` columns; returns its id. Existing
@@ -275,39 +198,21 @@ class Relation {
 
   /// Removes all tuples (indexes are emptied, not dropped).
   void Clear() {
-    if constexpr (kPagedCapable) {
-      if (paged_) {
-        paged_->Clear();
-        for (auto& idx : indexes_) idx->Clear();
-        return;
-      }
-    }
-    data_.clear();
+    Dispatch(*this, [](auto& m) { m.clear(); });
     for (auto& idx : indexes_) idx->Clear();
   }
 
   /// Pre-sizes the underlying map (and nothing else) for `n` total
   /// entries; bulk loaders call this to avoid rehash storms.
   void Reserve(size_t n) {
-    if constexpr (kPagedCapable) {
-      if (paged_) {
-        paged_->Reserve(n);
-        return;
-      }
-    }
-    data_.Reserve(n);
+    Dispatch(*this, [n](auto& m) { m.Reserve(n); });
   }
 
   /// Approximate heap footprint in bytes (map plus all grouped indexes).
   /// Under the paged backend this counts only the resident structures;
   /// PagedBytes() reports the page storage.
   size_t MemoryBytes() const {
-    size_t n;
-    if constexpr (kPagedCapable) {
-      n = paged_ ? paged_->MemoryBytes() : data_.MemoryBytes();
-    } else {
-      n = data_.MemoryBytes();
-    }
+    size_t n = Dispatch(*this, [](const auto& m) { return m.MemoryBytes(); });
     for (const auto& idx : indexes_) n += idx->MemoryBytes();
     return n;
   }
@@ -315,86 +220,67 @@ class Relation {
   /// Bytes of page storage held by this relation and its indexes (0 on the
   /// heap backend).
   size_t PagedBytes() const {
-    size_t n = 0;
-    if constexpr (kPagedCapable) {
-      if (paged_) n = paged_->PagedBytes();
-    }
+    size_t n = Dispatch(*this, [](const auto& m) { return m.PagedBytes(); });
     for (const auto& idx : indexes_) n += idx->PagedBytes();
     return n;
   }
 
  private:
-  // Returns +1 for a fresh insert, -1 for an erase-to-zero, 0 otherwise.
-  int ApplyUnindexed(const Tuple& t, const RV& d) {
-    if (R::IsZero(d)) return 0;
-    RV* existing = data_.Find(t);
-    if (existing == nullptr) {
-      data_.GetOrInsert(t, d);
-      return 1;
+  static constexpr size_t kNoSlot = HeapMap::kNoSlot;
+
+  /// The one heap/paged dispatch point: runs fn on the map backing `self`.
+  template <typename Self, typename Fn>
+  static auto Dispatch(Self& self, Fn&& fn) {
+    if constexpr (kPagedCapable) {
+      if (self.paged_) return fn(*self.paged_);
     }
-    *existing = R::Add(*existing, d);
-    if (R::IsZero(*existing)) {
-      data_.Erase(t);
-      return -1;
-    }
-    return 0;
+    return fn(self.data_);
   }
 
-  // The paged counterpart of ApplyUnindexed: one probe, then an in-place
-  // update, append, or swap-remove on the page-resident record.
-  int ApplyPagedNet(const Tuple& t, const RV& d) {
-    const size_t slot = paged_->FindSlot(t);
-    if (slot == PagedMap<RV>::kNoSlot) {
-      paged_->InsertNew(t, d);
+  // payload(t) += d on `m` with one probe, then an in-place update, append,
+  // or swap-remove. Returns +1 for a fresh insert, -1 for an erase-to-zero,
+  // 0 otherwise.
+  template <typename Map>
+  static int ApplyNet(Map& m, const Tuple& t, const RV& d) {
+    const size_t slot = m.FindSlot(t);
+    if (slot == kNoSlot) {
+      m.InsertNew(t, d);
       return 1;
     }
-    const RV v = R::Add(paged_->GetAtSlot(slot), d);
+    RV v = R::Add(m.ValueAt(slot), d);
     if (R::IsZero(v)) {
-      paged_->EraseSlot(slot);
+      m.EraseSlot(slot);
       return -1;
     }
-    paged_->SetAtSlot(slot, v);
+    m.SetAt(slot, std::move(v));
     return 0;
   }
 
-  void ApplyBatchPaged(std::span<const Entry> batch, ThreadPool* pool) {
+  template <typename Map>
+  void ApplyBatchTo(Map& m, std::span<const Entry> batch, ThreadPool* pool) {
     const bool obs_on = obs::Enabled();
-    const size_t rehashes_before = obs_on ? paged_->rehashes() : 0;
-    paged_->Reserve(paged_->size() + batch.size());
-    if (indexes_.empty()) {
-      size_t upserts = 0;
-      size_t erases = 0;
-      for (const Entry& e : batch) {
-        if (R::IsZero(e.value)) continue;
-        const int net = ApplyPagedNet(e.key, e.value);
-        if (net > 0) ++upserts;
-        if (net < 0) ++erases;
-      }
-      if (obs_on) {
-        BatchMetrics(batch.size(), upserts, erases,
-                     paged_->rehashes() - rehashes_before, paged_->size());
-      }
-      return;
-    }
+    const size_t rehashes_before = obs_on ? m.rehashes() : 0;
+    m.Reserve(m.size() + batch.size());
+    // (entry index, is_insert) event stream for the index replay; tuples
+    // are read back from the batch so no copies are made.
+    const bool indexed = !indexes_.empty();
     std::vector<std::pair<uint32_t, bool>> ops;
-    ops.reserve(batch.size());
+    if (indexed) ops.reserve(batch.size());
     size_t inserts = 0;
+    size_t erases = 0;
     for (uint32_t i = 0; i < batch.size(); ++i) {
       const Entry& e = batch[i];
       if (R::IsZero(e.value)) continue;
-      const int net = ApplyPagedNet(e.key, e.value);
-      if (net > 0) {
-        ops.emplace_back(i, true);
-        ++inserts;
-      } else if (net < 0) {
-        ops.emplace_back(i, false);
-      }
+      const int net = ApplyNet(m, e.key, e.value);
+      if (net == 0) continue;
+      ++(net > 0 ? inserts : erases);
+      if (indexed) ops.emplace_back(i, net > 0);
     }
     if (obs_on) {
-      BatchMetrics(batch.size(), inserts, ops.size() - inserts,
-                   paged_->rehashes() - rehashes_before, paged_->size());
+      BatchMetrics(batch.size(), inserts, erases,
+                   m.rehashes() - rehashes_before, m.size());
     }
-    ReplayOps(batch, ops, inserts, pool);
+    if (indexed) ReplayOps(batch, ops, inserts, pool);
   }
 
   void ReplayOps(std::span<const Entry> batch,
@@ -434,8 +320,8 @@ class Relation {
 
   Schema schema_;
   std::shared_ptr<PageStore> store_;  // null = heap backend
-  DenseMap<Tuple, RV, TupleHash, TupleEq> data_;
-  std::optional<PagedMap<RV>> paged_;
+  HeapMap data_;
+  std::optional<PagedTupleMap<RV>> paged_;
   std::vector<std::unique_ptr<GroupedIndex>> indexes_;
 };
 

@@ -16,4 +16,12 @@ const std::string* Dictionary::Lookup(Value code) const {
   return &strings_[static_cast<size_t>(code)];
 }
 
+std::string RenderToken(Value v, const Dictionary& dict) {
+  if (v >= kStringCodeBase) {
+    const std::string* s = dict.Lookup(v - kStringCodeBase);
+    if (s != nullptr) return *s;
+  }
+  return std::to_string(v);
+}
+
 }  // namespace incr

@@ -4,11 +4,15 @@
 #ifndef INCR_DATA_VALUE_H_
 #define INCR_DATA_VALUE_H_
 
+#include <cerrno>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "incr/util/status.h"
 
 namespace incr {
 
@@ -30,6 +34,42 @@ class Dictionary {
   std::unordered_map<std::string, Value> codes_;
   std::vector<std::string> strings_;
 };
+
+/// The text-token codec of the REPL and the wire protocol. An integer
+/// literal below kStringCodeBase stands for itself; any other token is a
+/// string, encoded as kStringCodeBase + its dictionary code. Literals at or
+/// above the base, and literals outside int64, are rejected, so an integer
+/// can never alias an interned string.
+inline constexpr Value kStringCodeBase = 1'000'000'000;
+
+/// Parses one value token; `intern(const std::string&) -> Value` supplies
+/// the dictionary code of a string token (callers sharing a Dictionary
+/// across threads lock inside it).
+template <typename Intern>
+StatusOr<Value> ParseToken(const std::string& tok, Intern&& intern) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(tok.c_str(), &end, 10);
+  if (end == tok.c_str() || *end != '\0') {
+    return kStringCodeBase + intern(tok);  // not an integer literal
+  }
+  if (errno == ERANGE) {
+    return Status::InvalidArgument("integer out of range: " + tok);
+  }
+  if (v >= kStringCodeBase) {
+    return Status::InvalidArgument(
+        "integer " + tok + " is in the reserved string-code range (>= " +
+        std::to_string(kStringCodeBase) + ")");
+  }
+  return Value{v};
+}
+
+inline StatusOr<Value> ParseToken(const std::string& tok, Dictionary& dict) {
+  return ParseToken(tok, [&](const std::string& s) { return dict.Intern(s); });
+}
+
+/// Inverse of ParseToken: the string of a string code, else the integer.
+std::string RenderToken(Value v, const Dictionary& dict);
 
 }  // namespace incr
 

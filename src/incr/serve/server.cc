@@ -622,30 +622,27 @@ std::string IvmServer::CmdRegister(const std::string& sql_text) {
   return "OK q" + std::to_string(id);
 }
 
-Value IvmServer::ParseValue(const std::string& tok) {
-  char* end = nullptr;
-  long long v = std::strtoll(tok.c_str(), &end, 10);
-  if (end != tok.c_str() && *end == '\0') return v;
-  std::lock_guard<std::mutex> lock(dict_mu_);
-  return 1'000'000'000 + dict_.Intern(tok);
+StatusOr<Value> IvmServer::ParseValue(const std::string& tok) {
+  return ParseToken(tok, [this](const std::string& s) {
+    std::lock_guard<std::mutex> lock(dict_mu_);
+    return dict_.Intern(s);
+  });
 }
 
 std::string IvmServer::RenderValue(Value v) {
-  if (v >= 1'000'000'000) {
-    std::lock_guard<std::mutex> lock(dict_mu_);
-    const std::string* s = dict_.Lookup(v - 1'000'000'000);
-    if (s != nullptr) return *s;
-  }
-  return std::to_string(v);
+  if (v < kStringCodeBase) return std::to_string(v);
+  std::lock_guard<std::mutex> lock(dict_mu_);
+  return RenderToken(v, dict_);
 }
 
 namespace {
 
 /// Parses "Rel v1 .. vn [xN]" (optional +/- prefix) — the REPL's delta
 /// line syntax on the wire.
-bool ParseNamedDelta(const std::string& line,
-                     const std::function<Value(const std::string&)>& value_of,
-                     NamedDelta* out, std::string* err) {
+bool ParseNamedDelta(
+    const std::string& line,
+    const std::function<StatusOr<Value>(const std::string&)>& value_of,
+    NamedDelta* out, std::string* err) {
   std::istringstream in(line);
   std::string rel, tok;
   in >> rel;
@@ -669,7 +666,12 @@ bool ParseNamedDelta(const std::string& line,
         continue;
       }
     }
-    t.push_back(value_of(tok));
+    StatusOr<Value> v = value_of(tok);
+    if (!v.ok()) {
+      *err = v.status().message();
+      return false;
+    }
+    t.push_back(*v);
   }
   if (t.empty()) {
     *err = "delta for " + rel + " has no values";

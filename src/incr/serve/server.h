@@ -129,7 +129,7 @@ class IvmServer {
   /// Resolves "q<N>" under a caller-held shared registry lock.
   RegisteredQuery* FindQuery(const std::string& token);
 
-  Value ParseValue(const std::string& tok);
+  StatusOr<Value> ParseValue(const std::string& tok);
   std::string RenderValue(Value v);
 
   ServerOptions opts_;

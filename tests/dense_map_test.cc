@@ -1,12 +1,20 @@
 // DenseMap unit + property tests: oracle comparison against
-// std::unordered_map under random operation streams (DESIGN.md invariant 2).
+// std::unordered_map under random operation streams (DESIGN.md invariant 2),
+// over both record stores (heap vector and paged records).
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "incr/data/dense_map.h"
+#include "incr/data/page_store.h"
+#include "incr/data/paged_backend.h"
 #include "incr/data/tuple.h"
 #include "incr/util/rng.h"
 
@@ -100,61 +108,121 @@ TEST(DenseMapTest, ReserveDoesNotLoseEntries) {
 // ---------------------------------------------------------------------------
 // Adversarial probing: hash functors chosen to break the group-probing
 // slot table — every key in one probe chain, false-positive control
-// matches, tombstone-saturated chains.
+// matches, tombstone-saturated chains. Each suite runs against both record
+// stores: the heap vector and PagedRecords on a 4-frame pool of 512-byte
+// pages, so the paged runs also evict and reload records constantly.
+// Both go through the slot-level API, the one the paged store supports.
 
 // Every key lands in group 0 with H2 fragment 0: inserts form one long
 // probe chain across consecutive groups, and every lookup walks it.
 struct CollidingHash {
-  size_t operator()(int64_t) const { return 0; }
+  size_t operator()(const Tuple&) const { return 0; }
 };
 
 // Two hash values that share H1 (group index) but differ in H2 only in the
 // lowest bit: control-byte matches hit the wrong key's slots constantly,
-// and the full key compare must reject them.
+// and the key compare (behind the paged store's cached-hash screen) must
+// reject them.
 struct TwoFragmentHash {
-  size_t operator()(int64_t k) const { return static_cast<size_t>(k) & 1; }
+  size_t operator()(const Tuple& t) const {
+    return static_cast<size_t>(t[0]) & 1;
+  }
 };
 
+template <typename Hash>
+using HeapMap = DenseMap<Tuple, int64_t, Hash, TupleEq>;
+template <typename Hash>
+using PagedRecordMap =
+    DenseMap<Tuple, int64_t, Hash, TupleEq, PagedRecords<int64_t>>;
+
+std::shared_ptr<PageStore> TinyPool() {
+  StorageOptions so;
+  so.backend = StorageBackend::kPaged;
+  so.spill_dir = ::testing::TempDir() + "dense_map_paged";
+  so.page_bytes = StorageOptions::kMinPageBytes;
+  so.buffer_pool_bytes =
+      StorageOptions::kMinPageBytes * StorageOptions::kMinFrames;
+  auto ctx = MakeStorageContext(so);
+  EXPECT_TRUE(ctx.ok()) << ctx.status().ToString();
+  return ctx->store;
+}
+
+/// Runs `body(map)` on a fresh empty map over each record store.
+template <typename Hash = TupleHash, typename Body>
+void OnBothStores(Body&& body) {
+  {
+    SCOPED_TRACE("heap records");
+    HeapMap<Hash> m;
+    body(m);
+  }
+  {
+    SCOPED_TRACE("paged records");
+    PagedRecordMap<Hash> m(PagedRecords<int64_t>(TinyPool(), /*arity=*/1));
+    body(m);
+  }
+}
+
+Tuple K(int64_t k) { return Tuple{k}; }
+
+template <typename Map>
+std::optional<int64_t> Get(const Map& m, int64_t k) {
+  const size_t slot = m.FindSlot(K(k));
+  if (slot == Map::kNoSlot) return std::nullopt;
+  return m.ValueAt(slot);
+}
+
+template <typename Map>
+void Put(Map& m, int64_t k, int64_t v) {
+  const size_t slot = m.FindSlot(K(k));
+  if (slot == Map::kNoSlot) {
+    m.InsertNew(K(k), v);
+  } else {
+    m.SetAt(slot, v);
+  }
+}
+
+template <typename Map>
+std::vector<std::pair<Tuple, int64_t>> Dense(const Map& m) {
+  std::vector<std::pair<Tuple, int64_t>> out;
+  m.ForEach([&](const Tuple& k, int64_t v) { out.emplace_back(k, v); });
+  return out;
+}
+
 TEST(DenseMapAdversarialTest, CollidingHashChainStaysCorrect) {
-  DenseMap<int64_t, int64_t, CollidingHash> m;
-  for (int64_t i = 0; i < 500; ++i) m.GetOrInsert(i, i * 3);
-  EXPECT_EQ(m.size(), 500u);
-  for (int64_t i = 0; i < 500; ++i) {
-    ASSERT_NE(m.Find(i), nullptr) << i;
-    EXPECT_EQ(*m.Find(i), i * 3);
-  }
-  EXPECT_EQ(m.Find(500), nullptr);  // full-chain walk ending in "absent"
-  for (int64_t i = 0; i < 500; i += 2) ASSERT_TRUE(m.Erase(i));
-  for (int64_t i = 0; i < 500; ++i) {
-    if (i % 2 == 0) {
-      ASSERT_EQ(m.Find(i), nullptr) << i;
-    } else {
-      ASSERT_NE(m.Find(i), nullptr) << i;
-      EXPECT_EQ(*m.Find(i), i * 3);
+  OnBothStores<CollidingHash>([](auto& m) {
+    for (int64_t i = 0; i < 500; ++i) Put(m, i, i * 3);
+    EXPECT_EQ(m.size(), 500u);
+    for (int64_t i = 0; i < 500; ++i) ASSERT_EQ(Get(m, i), i * 3) << i;
+    EXPECT_EQ(Get(m, 500), std::nullopt);  // full-chain walk to "absent"
+    for (int64_t i = 0; i < 500; i += 2) ASSERT_TRUE(m.Erase(K(i)));
+    for (int64_t i = 0; i < 500; ++i) {
+      if (i % 2 == 0) {
+        ASSERT_EQ(Get(m, i), std::nullopt) << i;
+      } else {
+        ASSERT_EQ(Get(m, i), i * 3) << i;
+      }
     }
-  }
-  EXPECT_EQ(m.size(), 250u);
+    EXPECT_EQ(m.size(), 250u);
+  });
 }
 
 TEST(DenseMapAdversarialTest, FalsePositiveControlMatchesAreRejected) {
-  Rng rng(77);
-  DenseMap<int64_t, int64_t, TwoFragmentHash> m;
-  std::unordered_map<int64_t, int64_t> oracle;
-  for (int step = 0; step < 5000; ++step) {
-    int64_t key = rng.UniformInt(0, 99);
-    if (rng.Chance(0.6)) {
-      int64_t val = rng.UniformInt(-50, 50);
-      m.GetOrInsert(key, 0) = val;
-      oracle[key] = val;
-    } else {
-      ASSERT_EQ(m.Erase(key), oracle.erase(key) > 0);
+  OnBothStores<TwoFragmentHash>([](auto& m) {
+    Rng rng(77);
+    std::unordered_map<int64_t, int64_t> oracle;
+    for (int step = 0; step < 5000; ++step) {
+      int64_t key = rng.UniformInt(0, 99);
+      if (rng.Chance(0.6)) {
+        int64_t val = rng.UniformInt(-50, 50);
+        Put(m, key, val);
+        oracle[key] = val;
+      } else {
+        ASSERT_EQ(m.Erase(K(key)), oracle.erase(key) > 0);
+      }
+      ASSERT_EQ(m.size(), oracle.size());
     }
-    ASSERT_EQ(m.size(), oracle.size());
-  }
-  for (const auto& [key, val] : oracle) {
-    ASSERT_NE(m.Find(key), nullptr) << key;
-    ASSERT_EQ(*m.Find(key), val);
-  }
+    for (const auto& [key, val] : oracle) ASSERT_EQ(Get(m, key), val) << key;
+  });
 }
 
 TEST(DenseMapAdversarialTest, TombstoneChurnTriggersPurgeNotUnboundedGrowth) {
@@ -163,183 +231,171 @@ TEST(DenseMapAdversarialTest, TombstoneChurnTriggersPurgeNotUnboundedGrowth) {
   // and cannot be reused in place — they pile up until load crosses 7/8
   // and a same-size purge rebuild collects them. The table must keep
   // answering correctly and must not grow without bound.
-  DenseMap<int64_t, int64_t> m;
-  for (int64_t i = 0; i < 100; ++i) m.GetOrInsert(i, i);
-  const size_t baseline = m.MemoryBytes();
-  const size_t rehashes_before = m.rehashes();
-  for (int64_t round = 1; round <= 100; ++round) {
-    for (int64_t i = 0; i < 100; ++i) {
-      ASSERT_TRUE(m.Erase((round - 1) * 100000 + i));
-      m.GetOrInsert(round * 100000 + i, i);
+  OnBothStores([](auto& m) {
+    for (int64_t i = 0; i < 100; ++i) Put(m, i, i);
+    const size_t baseline = m.MemoryBytes();
+    const size_t rehashes_before = m.rehashes();
+    for (int64_t round = 1; round <= 100; ++round) {
+      for (int64_t i = 0; i < 100; ++i) {
+        ASSERT_TRUE(m.Erase(K((round - 1) * 100000 + i)));
+        Put(m, round * 100000 + i, i);
+      }
+      ASSERT_EQ(m.size(), 100u);
     }
-    ASSERT_EQ(m.size(), 100u);
-  }
-  EXPECT_GT(m.rehashes(), rehashes_before);  // churn forced purge rebuilds
-  EXPECT_LE(m.MemoryBytes(), baseline * 4);  // purged, not grown 100x
-  for (int64_t i = 0; i < 100; ++i) {
-    ASSERT_NE(m.Find(100 * 100000 + i), nullptr) << i;
-    EXPECT_EQ(*m.Find(100 * 100000 + i), i);
-  }
+    EXPECT_GT(m.rehashes(), rehashes_before);  // churn forced purges
+    EXPECT_LE(m.MemoryBytes(), baseline * 4);  // purged, not grown 100x
+    for (int64_t i = 0; i < 100; ++i) {
+      ASSERT_EQ(Get(m, 100 * 100000 + i), i) << i;
+    }
+  });
 }
 
 TEST(DenseMapAdversarialTest, TombstonesOnTheProbeChainAreReusedInPlace) {
   // The mirror image: with every key in ONE probe chain, an insert always
   // walks past the freshest tombstone and must reuse it — 1:1 erase/insert
   // churn then needs no rebuild at all, and the table stays at its size.
-  DenseMap<int64_t, int64_t, CollidingHash> m;
-  for (int64_t i = 0; i < 64; ++i) m.GetOrInsert(i, i);
-  const size_t baseline = m.MemoryBytes();
-  const size_t rehashes_before = m.rehashes();
-  for (int64_t round = 1; round <= 200; ++round) {
-    for (int64_t i = 0; i < 64; ++i) {
-      ASSERT_TRUE(m.Erase((round - 1) * 64 + i));
-      m.GetOrInsert(round * 64 + i, i);
+  OnBothStores<CollidingHash>([](auto& m) {
+    for (int64_t i = 0; i < 64; ++i) Put(m, i, i);
+    const size_t baseline = m.MemoryBytes();
+    const size_t rehashes_before = m.rehashes();
+    for (int64_t round = 1; round <= 200; ++round) {
+      for (int64_t i = 0; i < 64; ++i) {
+        ASSERT_TRUE(m.Erase(K((round - 1) * 64 + i)));
+        Put(m, round * 64 + i, i);
+      }
+      ASSERT_EQ(m.size(), 64u);
     }
-    ASSERT_EQ(m.size(), 64u);
-  }
-  EXPECT_EQ(m.rehashes(), rehashes_before);  // every tombstone reused
-  EXPECT_EQ(m.MemoryBytes(), baseline);
-  for (int64_t i = 0; i < 64; ++i) {
-    ASSERT_NE(m.Find(200 * 64 + i), nullptr) << i;
-    EXPECT_EQ(*m.Find(200 * 64 + i), i);
-  }
+    EXPECT_EQ(m.rehashes(), rehashes_before);  // every tombstone reused
+    EXPECT_EQ(m.MemoryBytes(), baseline);
+    for (int64_t i = 0; i < 64; ++i) ASSERT_EQ(Get(m, 200 * 64 + i), i) << i;
+  });
 }
 
 TEST(DenseMapAdversarialTest, EraseDuringHighLoadKeepsChainsReachable) {
   // Drive the table to its load ceiling, then erase from the middle of
   // long chains while inserting replacements — tombstones must keep probe
   // chains alive for keys displaced past them.
-  DenseMap<int64_t, int64_t, CollidingHash> m;
-  m.Reserve(256);
-  const size_t cap_before = m.MemoryBytes();
-  for (int64_t i = 0; i < 200; ++i) m.GetOrInsert(i, i);
-  EXPECT_EQ(m.MemoryBytes(), cap_before);  // still within the reservation
-  Rng rng(78);
-  std::unordered_map<int64_t, int64_t> oracle;
-  for (int64_t i = 0; i < 200; ++i) oracle[i] = i;
-  for (int step = 0; step < 2000; ++step) {
-    // Erase one resident key, insert one fresh key: stays at the ceiling.
-    int64_t victim = rng.UniformInt(0, 10000);
-    auto it = oracle.find(victim);
-    if (it != oracle.end()) {
-      ASSERT_TRUE(m.Erase(victim));
-      oracle.erase(it);
-      int64_t fresh = 10001 + step;
-      m.GetOrInsert(fresh, -fresh);
-      oracle[fresh] = -fresh;
-    } else {
-      ASSERT_EQ(m.Find(victim) != nullptr, false) << victim;
+  OnBothStores<CollidingHash>([](auto& m) {
+    m.Reserve(256);
+    const size_t cap_before = m.MemoryBytes();
+    for (int64_t i = 0; i < 200; ++i) Put(m, i, i);
+    EXPECT_EQ(m.MemoryBytes(), cap_before);  // within the reservation
+    Rng rng(78);
+    std::unordered_map<int64_t, int64_t> oracle;
+    for (int64_t i = 0; i < 200; ++i) oracle[i] = i;
+    for (int step = 0; step < 2000; ++step) {
+      // Erase one resident key, insert one fresh key: stays at the ceiling.
+      int64_t victim = rng.UniformInt(0, 10000);
+      auto it = oracle.find(victim);
+      if (it != oracle.end()) {
+        ASSERT_TRUE(m.Erase(K(victim)));
+        oracle.erase(it);
+        int64_t fresh = 10001 + step;
+        Put(m, fresh, -fresh);
+        oracle[fresh] = -fresh;
+      } else {
+        ASSERT_EQ(Get(m, victim), std::nullopt) << victim;
+      }
     }
-  }
-  ASSERT_EQ(m.size(), oracle.size());
-  for (const auto& [key, val] : oracle) {
-    ASSERT_NE(m.Find(key), nullptr) << key;
-    ASSERT_EQ(*m.Find(key), val);
-  }
+    ASSERT_EQ(m.size(), oracle.size());
+    for (const auto& [key, val] : oracle) ASSERT_EQ(Get(m, key), val) << key;
+  });
 }
 
 TEST(DenseMapAdversarialTest, DeepCopyIsIndependentAndEqual) {
-  DenseMap<Tuple, int64_t, TupleHash, TupleEq> m;
-  for (int64_t i = 0; i < 300; ++i) m.GetOrInsert(Tuple{i, i % 7}, i);
-  for (int64_t i = 0; i < 100; ++i) m.Erase(Tuple{i * 3, (i * 3) % 7});
-  DenseMap<Tuple, int64_t, TupleHash, TupleEq> copy = m;
-  // Same contents, same dense enumeration order.
-  ASSERT_EQ(copy.size(), m.size());
-  auto it = copy.begin();
-  for (const auto& e : m) {
-    ASSERT_EQ(it->key, e.key);
-    ASSERT_EQ(it->value, e.value);
-    ++it;
-  }
-  // The copy's slot table must be self-consistent, not aliased: mutate the
-  // original heavily and re-check the copy.
-  DenseMap<Tuple, int64_t, TupleHash, TupleEq> snapshot = copy;
-  for (int64_t i = 0; i < 300; ++i) m.Erase(Tuple{i, i % 7});
-  ASSERT_TRUE(m.empty());
-  ASSERT_EQ(copy.size(), snapshot.size());
-  for (const auto& e : snapshot) {
-    ASSERT_NE(copy.Find(e.key), nullptr);
-    ASSERT_EQ(*copy.Find(e.key), e.value);
-  }
-  // And the copy keeps working as a live map (erase through its own slots).
-  size_t live = copy.size();
-  for (const auto& e : snapshot) {
-    ASSERT_TRUE(copy.Erase(e.key));
-    ASSERT_EQ(copy.size(), --live);
-  }
-  EXPECT_TRUE(copy.empty());
+  OnBothStores([](auto& m) {
+    using Map = std::remove_reference_t<decltype(m)>;
+    for (int64_t i = 0; i < 300; ++i) Put(m, i, i);
+    for (int64_t i = 0; i < 100; ++i) m.Erase(K(i * 3));
+    Map copy = m;
+    // Same contents, same dense enumeration order.
+    ASSERT_EQ(Dense(copy), Dense(m));
+    // The copy's slot table (and, paged, its pages) must be
+    // self-consistent, not aliased: mutate the original heavily and
+    // re-check the copy.
+    const auto snapshot = Dense(copy);
+    for (int64_t i = 0; i < 300; ++i) m.Erase(K(i));
+    ASSERT_TRUE(m.empty());
+    ASSERT_EQ(Dense(copy), snapshot);
+    for (const auto& [key, val] : snapshot) ASSERT_EQ(Get(copy, key[0]), val);
+    // And the copy keeps working as a live map (erase through its own
+    // slots).
+    size_t live = copy.size();
+    for (const auto& [key, val] : snapshot) {
+      ASSERT_TRUE(copy.Erase(key));
+      ASSERT_EQ(copy.size(), --live);
+    }
+    EXPECT_TRUE(copy.empty());
+  });
 }
 
 TEST(DenseMapAdversarialTest, GoldenEnumerationOrderIsDenseArrayOrder) {
   // Snapshot serialization depends on enumeration being exactly the dense
-  // array: insertion order with swap-remove holes. Golden sequence check.
-  DenseMap<int64_t, int64_t> m;
-  auto order = [&] {
-    std::vector<int64_t> keys;
-    for (const auto& e : m) keys.push_back(e.key);
-    return keys;
-  };
-  for (int64_t i = 0; i < 10; ++i) m.GetOrInsert(i, i);
-  EXPECT_EQ(order(), (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
-  m.Erase(3);  // last entry (9) moves into slot 3
-  EXPECT_EQ(order(), (std::vector<int64_t>{0, 1, 2, 9, 4, 5, 6, 7, 8}));
-  m.Erase(0);  // last entry (8) moves into slot 0
-  EXPECT_EQ(order(), (std::vector<int64_t>{8, 1, 2, 9, 4, 5, 6, 7}));
-  m.GetOrInsert(10, 10);  // appends
-  EXPECT_EQ(order(), (std::vector<int64_t>{8, 1, 2, 9, 4, 5, 6, 7, 10}));
-  m.Erase(7);  // last entry (10) moves into its place
-  EXPECT_EQ(order(), (std::vector<int64_t>{8, 1, 2, 9, 4, 5, 6, 10}));
-  // Rehashing reorders slots, never the dense array.
-  m.Reserve(100000);
-  EXPECT_EQ(order(), (std::vector<int64_t>{8, 1, 2, 9, 4, 5, 6, 10}));
+  // array: insertion order with swap-remove holes. Golden sequence check —
+  // identical for both record stores.
+  OnBothStores([](auto& m) {
+    auto order = [&] {
+      std::vector<int64_t> keys;
+      for (const auto& [key, val] : Dense(m)) keys.push_back(key[0]);
+      return keys;
+    };
+    for (int64_t i = 0; i < 10; ++i) Put(m, i, i);
+    EXPECT_EQ(order(), (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+    m.Erase(K(3));  // last entry (9) moves into slot 3
+    EXPECT_EQ(order(), (std::vector<int64_t>{0, 1, 2, 9, 4, 5, 6, 7, 8}));
+    m.Erase(K(0));  // last entry (8) moves into slot 0
+    EXPECT_EQ(order(), (std::vector<int64_t>{8, 1, 2, 9, 4, 5, 6, 7}));
+    Put(m, 10, 10);  // appends
+    EXPECT_EQ(order(), (std::vector<int64_t>{8, 1, 2, 9, 4, 5, 6, 7, 10}));
+    m.Erase(K(7));  // last entry (10) moves into its place
+    EXPECT_EQ(order(), (std::vector<int64_t>{8, 1, 2, 9, 4, 5, 6, 10}));
+    // Rehashing reorders slots, never the dense array.
+    m.Reserve(100000);
+    EXPECT_EQ(order(), (std::vector<int64_t>{8, 1, 2, 9, 4, 5, 6, 10}));
+  });
 }
 
-// Property test: random streams of insert/update/erase against an oracle.
+// Property test: random streams of insert/update/erase against an oracle,
+// on both record stores.
 class DenseMapPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DenseMapPropertyTest, MatchesUnorderedMapOracle) {
-  Rng rng(GetParam());
-  DenseMap<int64_t, int64_t> m;
-  std::unordered_map<int64_t, int64_t> oracle;
-  const int64_t kKeySpace = 200;  // small key space => many collisions/reuse
-  for (int step = 0; step < 20000; ++step) {
-    int64_t key = rng.UniformInt(0, kKeySpace - 1);
-    switch (rng.Uniform(3)) {
-      case 0: {  // upsert
-        int64_t val = rng.UniformInt(-100, 100);
-        m.GetOrInsert(key, 0) = val;
-        oracle[key] = val;
-        break;
-      }
-      case 1: {  // erase
-        bool a = m.Erase(key);
-        bool b = oracle.erase(key) > 0;
-        ASSERT_EQ(a, b);
-        break;
-      }
-      case 2: {  // lookup
-        const int64_t* v = m.Find(key);
-        auto it = oracle.find(key);
-        if (it == oracle.end()) {
-          ASSERT_EQ(v, nullptr);
-        } else {
-          ASSERT_NE(v, nullptr);
-          ASSERT_EQ(*v, it->second);
+  OnBothStores([](auto& m) {
+    Rng rng(GetParam());
+    std::unordered_map<int64_t, int64_t> oracle;
+    const int64_t kKeySpace = 200;  // small key space => collisions/reuse
+    for (int step = 0; step < 20000; ++step) {
+      int64_t key = rng.UniformInt(0, kKeySpace - 1);
+      switch (rng.Uniform(3)) {
+        case 0: {  // upsert
+          int64_t val = rng.UniformInt(-100, 100);
+          Put(m, key, val);
+          oracle[key] = val;
+          break;
         }
-        break;
+        case 1:  // erase
+          ASSERT_EQ(m.Erase(K(key)), oracle.erase(key) > 0);
+          break;
+        case 2: {  // lookup
+          auto it = oracle.find(key);
+          ASSERT_EQ(Get(m, key), it == oracle.end()
+                                     ? std::nullopt
+                                     : std::optional<int64_t>(it->second));
+          break;
+        }
       }
+      ASSERT_EQ(m.size(), oracle.size());
     }
-    ASSERT_EQ(m.size(), oracle.size());
-  }
-  // Final full-content check via dense iteration.
-  size_t seen = 0;
-  for (const auto& e : m) {
-    auto it = oracle.find(e.key);
-    ASSERT_NE(it, oracle.end());
-    ASSERT_EQ(e.value, it->second);
-    ++seen;
-  }
-  ASSERT_EQ(seen, oracle.size());
+    // Final full-content check via dense iteration.
+    size_t seen = 0;
+    for (const auto& [key, val] : Dense(m)) {
+      auto it = oracle.find(key[0]);
+      ASSERT_NE(it, oracle.end());
+      ASSERT_EQ(val, it->second);
+      ++seen;
+    }
+    ASSERT_EQ(seen, oracle.size());
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DenseMapPropertyTest,

@@ -1,10 +1,11 @@
 // Paged-backend equivalence tests (DESIGN.md "Storage backends"): the
 // buffer-pool Relation/GroupedIndex must be observably identical to the
-// heap containers — same sizes, same payloads, same group member ORDER
-// (the paged map replicates the heap map's probe sequence and swap-remove
-// exactly) — while running over a pool small enough that state is
-// continually evicted and reloaded. A view-tree level pass checks the end
-// product: DumpState bytes identical across backends.
+// heap containers — same sizes, same payloads, same dense entry ORDER and
+// same group member ORDER (both run one DenseMap core and one swap-remove
+// body) — while running over a pool small enough that state is
+// continually evicted and reloaded, also with index replays running on
+// several threads over the shared pool. A view-tree level pass checks the
+// end product: DumpState bytes identical across backends.
 #include <cstdint>
 #include <map>
 #include <string>
@@ -19,6 +20,7 @@
 #include "incr/ring/int_ring.h"
 #include "incr/store/serde.h"
 #include "incr/util/rng.h"
+#include "incr/util/thread_pool.h"
 
 namespace incr {
 namespace {
@@ -47,6 +49,34 @@ std::map<Tuple, int64_t> Contents(const Relation<IntRing>& r) {
   return out;
 }
 
+/// Entries in dense (enumeration) order — what DumpState walks.
+std::vector<std::pair<Tuple, int64_t>> Sequence(const Relation<IntRing>& r) {
+  std::vector<std::pair<Tuple, int64_t>> out;
+  r.ForEachEntry(
+      [&](const Tuple& t, const int64_t& v) { out.emplace_back(t, v); });
+  return out;
+}
+
+/// Same entry sequence, and in every index the same groups with members
+/// in the same order (not just as sets).
+void ExpectSameState(const Relation<IntRing>& heap,
+                     const Relation<IntRing>& paged) {
+  EXPECT_EQ(Sequence(paged), Sequence(heap));
+  ASSERT_EQ(paged.num_indexes(), heap.num_indexes());
+  std::vector<Tuple> scratch;
+  for (size_t i = 0; i < heap.num_indexes(); ++i) {
+    const GroupedIndex& h = heap.index(i);
+    const GroupedIndex& p = paged.index(i);
+    EXPECT_EQ(p.NumEntries(), h.NumEntries()) << "index " << i;
+    ASSERT_EQ(p.NumGroups(), h.NumGroups()) << "index " << i;
+    for (const auto& g : h.groups()) {
+      const std::vector<Tuple>* members = p.Group(g.key, &scratch);
+      ASSERT_NE(members, nullptr) << "index " << i;
+      EXPECT_EQ(*members, g.value) << "index " << i;
+    }
+  }
+}
+
 TEST(PagedBackendTest, RelationMatchesHeapUnderEvictionPressure) {
   StorageContext ctx = MustContext(TinyPagedOpts("relation"));
   ASSERT_TRUE(ctx.paged());
@@ -73,23 +103,15 @@ TEST(PagedBackendTest, RelationMatchesHeapUnderEvictionPressure) {
     }
   }
 
-  EXPECT_EQ(Contents(paged), Contents(heap));
-  EXPECT_EQ(paged.index(pidx).NumEntries(), heap.index(hidx).NumEntries());
-  EXPECT_EQ(paged.index(pidx).NumGroups(), heap.index(hidx).NumGroups());
-
-  // Group members must match in ORDER, not just as sets: the paged chain
-  // replicates the heap vector's push/swap-remove sequence exactly.
+  // Entries and group members must match in ORDER, not just as sets: the
+  // dense order is what DumpState and enumeration walk.
+  ExpectSameState(heap, paged);
   std::vector<Tuple> scratch;
   for (Value a = 0; a < 64; ++a) {
     Tuple key{a};
-    const std::vector<Tuple>* hg = heap.index(hidx).Group(key);
-    const std::vector<Tuple>* pg = paged.index(pidx).Group(key, &scratch);
-    if (hg == nullptr) {
-      EXPECT_EQ(pg, nullptr) << "key " << a;
-      continue;
+    if (heap.index(hidx).Group(key) == nullptr) {
+      EXPECT_EQ(paged.index(pidx).Group(key, &scratch), nullptr) << a;
     }
-    ASSERT_NE(pg, nullptr) << "key " << a;
-    EXPECT_EQ(*pg, *hg) << "key " << a;
   }
 
   // The pool really was under pressure — this test is pointless if all
@@ -99,6 +121,43 @@ TEST(PagedBackendTest, RelationMatchesHeapUnderEvictionPressure) {
   EXPECT_GT(stats.writebacks, 0u);
   EXPECT_GT(paged.PagedBytes(),
             StorageOptions::kMinPageBytes * StorageOptions::kMinFrames);
+}
+
+TEST(PagedBackendTest, ParallelIndexReplayMatchesHeap) {
+  // ApplyBatch replays each grouped index's op stream on its own pool
+  // thread, and every replay pins pages of the one shared PageStore. Mixed
+  // batches (fresh inserts, increments, deletes to zero, repeated tuples)
+  // over three indexes on a 4-frame pool must leave exactly the heap
+  // relation's entry sequence and group-member order.
+  StorageContext ctx = MustContext(TinyPagedOpts("parallel"));
+  Schema schema{A, B, X};
+  Relation<IntRing> heap(schema);
+  Relation<IntRing> paged(schema, ctx);
+  for (const Schema& key : {Schema{A}, Schema{B}, Schema{A, X}}) {
+    heap.AddIndex(key);
+    paged.AddIndex(key);
+  }
+  ThreadPool pool(2);
+  using Entry = Relation<IntRing>::Entry;
+  Rng rng(0x7A11E1);
+  for (int round = 0; round < 12; ++round) {
+    std::vector<Entry> batch;
+    for (int i = 0; i < 300; ++i) {
+      Tuple t{static_cast<Value>(rng.Uniform(24)),
+              static_cast<Value>(rng.Uniform(24)),
+              static_cast<Value>(rng.Uniform(4))};
+      const int64_t payload = heap.Payload(t);
+      const int64_t d = payload != 0 && rng.Chance(0.4)
+                            ? -payload
+                            : static_cast<int64_t>(1 + rng.Uniform(3));
+      batch.push_back(Entry{t, d});
+    }
+    heap.ApplyBatch(batch, &pool);
+    paged.ApplyBatch(batch, &pool);
+    ASSERT_EQ(paged.size(), heap.size()) << "round " << round;
+    ExpectSameState(heap, paged);
+  }
+  EXPECT_GT(ctx.store->Stats().evictions, 0u);
 }
 
 TEST(PagedBackendTest, PagedRelationCopyIsIndependent) {

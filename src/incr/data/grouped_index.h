@@ -29,15 +29,15 @@
 namespace incr {
 
 class GroupedIndex {
-  // Defined ahead of the public members so its return type is deduced
-  // before their bodies use it.
   /// The one heap/paged dispatch point: runs fn(groups, positions) on the
-  /// maps backing `self`.
+  /// maps backing `self`. Defined ahead of the public members so its
+  /// return type is deduced before their bodies use it.
   template <typename Self, typename Fn>
   static auto Dispatch(Self& self, Fn&& fn) {
     if (self.store_ == nullptr) return fn(self.groups_, self.positions_);
     return fn(self.pgroups_, *self.ppositions_);
   }
+
  public:
   /// `base` is the indexed relation's schema, `key` the grouping columns
   /// (each must occur in `base`). A context with a store selects the paged
@@ -45,10 +45,10 @@ class GroupedIndex {
   GroupedIndex(const Schema& base, const Schema& key, StorageContext ctx = {})
       : key_schema_(key),
         key_positions_(ProjectionPositions(base, key)),
-        arity_(base.size()),
         store_(std::move(ctx.store)) {
     if (store_ != nullptr) {
-      ppositions_.emplace(PagedRecords<uint32_t>(store_, arity_));
+      member_layout_ = PageLayout(*store_, base.size(), /*payload_bytes=*/0);
+      ppositions_.emplace(PagedRecords<uint32_t>(store_, base.size()));
     }
   }
 
@@ -58,8 +58,8 @@ class GroupedIndex {
   GroupedIndex(const GroupedIndex& o)
       : key_schema_(o.key_schema_),
         key_positions_(o.key_positions_),
-        arity_(o.arity_),
         store_(o.store_),
+        member_layout_(o.member_layout_),
         groups_(o.groups_),
         positions_(o.positions_),
         ppositions_(o.ppositions_) {
@@ -76,8 +76,8 @@ class GroupedIndex {
       ReleaseChains();
       key_schema_ = std::move(o.key_schema_);
       key_positions_ = std::move(o.key_positions_);
-      arity_ = o.arity_;
       store_ = std::move(o.store_);
+      member_layout_ = o.member_layout_;
       groups_ = std::move(o.groups_);
       positions_ = std::move(o.positions_);
       pgroups_ = std::move(o.pgroups_);
@@ -145,7 +145,7 @@ class GroupedIndex {
     const PagedTupleChain* chain = pgroups_.Find(key);
     if (chain == nullptr) return nullptr;
     scratch->clear();
-    chain->AppendTo(*store_, arity_, scratch);
+    chain->AppendTo(*store_, member_layout_, scratch);
     return scratch;
   }
 
@@ -223,12 +223,14 @@ class GroupedIndex {
   }
   static uint32_t Size(const PagedTupleChain& c) { return c.size; }
   void Push(std::vector<Tuple>& g, const Tuple& t) { g.push_back(t); }
-  void Push(PagedTupleChain& c, const Tuple& t) { c.Push(*store_, arity_, t); }
+  void Push(PagedTupleChain& c, const Tuple& t) {
+    c.Push(*store_, member_layout_, t);
+  }
   static const Tuple& Member(const std::vector<Tuple>& g, uint32_t i) {
     return g[i];
   }
   Tuple Member(const PagedTupleChain& c, uint32_t i) const {
-    return c.At(*store_, arity_, i);
+    return c.At(*store_, member_layout_, i);
   }
   /// Moves the last member into position `i`, dropping the last position.
   static void SwapRemove(std::vector<Tuple>& g, uint32_t i) {
@@ -236,7 +238,7 @@ class GroupedIndex {
     g.pop_back();
   }
   void SwapRemove(PagedTupleChain& c, uint32_t i) {
-    c.SwapRemove(*store_, PagedTupleChain::RecordBytes(arity_), i);
+    c.SwapRemove(*store_, member_layout_, i);
   }
   static size_t HeapBytes(const std::vector<Tuple>& g) {
     return g.capacity() * sizeof(Tuple);
@@ -252,8 +254,8 @@ class GroupedIndex {
 
   Schema key_schema_;
   SmallVector<uint32_t, 4> key_positions_;
-  size_t arity_;
   std::shared_ptr<PageStore> store_;  // null = heap backend
+  PageLayout member_layout_;          // paged group-member record format
 
   // Heap backend.
   HeapGroups groups_;

@@ -2,9 +2,10 @@
 // "Storage backends"): the bulk bytes of view state live in PageStore pages
 // instead of the heap, so state can exceed the buffer-pool budget.
 //
-//   PageChain        a dense array of fixed-width records spread across a
-//                    chain of pages — append, read, overwrite, swap-remove,
-//                    deep copy. The two stores below are built on it.
+//   PageChain        a dense array of fixed-width records (PageLayout)
+//                    spread across a chain of pages — append, pinned
+//                    access (RecordPin), swap-remove, deep copy. The two
+//                    stores below are built on it.
 //
 //   PagedRecords<V>  DenseMap's paged record store: {key values, payload}
 //                    records of fixed width. DenseMap keeps its slot table
@@ -42,49 +43,80 @@
 
 namespace incr {
 
-/// A dense array of `record_bytes`-wide records across PageStore pages.
-/// Operations take the store and record width as parameters so the struct
-/// itself stays a pair of plain fields (cheap to hold as a DenseMap value).
+/// The fixed-width record format of one page chain: `arity` key values,
+/// then `payload_bytes`, `per_page` records to a page. Computed once per
+/// container, so addressing a record costs one division.
+struct PageLayout {
+  PageLayout() = default;
+  PageLayout(const PageStore& ps, size_t arity, size_t payload_bytes)
+      : arity(arity),
+        record_bytes(std::max(arity * sizeof(Value) + payload_bytes,
+                              sizeof(Value))),
+        per_page(ps.page_bytes() / record_bytes) {
+    INCR_CHECK(per_page > 0);
+  }
+  size_t key_bytes() const { return arity * sizeof(Value); }
+
+  size_t arity = 0;
+  size_t record_bytes = 0;
+  size_t per_page = 0;
+};
+
+/// Pins the page holding record `i` of a chain for the guard's lifetime.
+/// Pinning one page twice nests.
+class RecordPin {
+ public:
+  RecordPin(PageStore& ps, const std::vector<PageId>& pages,
+            const PageLayout& l, uint32_t i, bool write)
+      : ps_(ps),
+        page_(pages[i / l.per_page]),
+        write_(write),
+        bytes_(ps.Pin(page_, write) + (i % l.per_page) * l.record_bytes) {}
+  ~RecordPin() { ps_.Unpin(page_, /*dirty=*/write_); }
+  RecordPin(const RecordPin&) = delete;
+  RecordPin& operator=(const RecordPin&) = delete;
+
+  uint8_t* get() const { return bytes_; }
+
+ private:
+  PageStore& ps_;
+  PageId page_;
+  bool write_;
+  uint8_t* bytes_;
+};
+
+/// A dense array of fixed-width records across PageStore pages.
+/// Operations take the store and layout as parameters so the struct itself
+/// stays a pair of plain fields (cheap to hold as a DenseMap value).
 /// Copying the struct aliases the pages — use Clone for a deep copy and
 /// FreeAll before dropping the last reference.
 struct PageChain {
   std::vector<PageId> pages;
   uint32_t size = 0;
 
-  static size_t PerPage(const PageStore& ps, size_t record_bytes) {
-    return ps.page_bytes() / record_bytes;
+  RecordPin Pin(PageStore& ps, const PageLayout& l, uint32_t i,
+                bool write) const {
+    return RecordPin(ps, pages, l, i, write);
   }
 
-  /// Pins the page of record `i` and returns the record's bytes; pair with
-  /// Unpin(ps, rb, i, dirty). Pinning one page twice nests.
-  uint8_t* Pin(PageStore& ps, size_t rb, uint32_t i, bool write) const {
-    const size_t per = PerPage(ps, rb);
-    return ps.Pin(pages[i / per], write) + (i % per) * rb;
-  }
-  void Unpin(PageStore& ps, size_t rb, uint32_t i, bool dirty) const {
-    ps.Unpin(pages[i / PerPage(ps, rb)], dirty);
-  }
-
-  /// Appends a new last record and returns its bytes pinned for writing;
-  /// pair with Unpin(ps, rb, size - 1, /*dirty=*/true).
-  uint8_t* PinNew(PageStore& ps, size_t rb) {
-    if (size % PerPage(ps, rb) == 0) pages.push_back(ps.Alloc());
-    return Pin(ps, rb, size++, /*write=*/true);
+  /// Appends a record and returns it pinned for writing.
+  RecordPin Append(PageStore& ps, const PageLayout& l) {
+    if (size % l.per_page == 0) pages.push_back(ps.Alloc());
+    return RecordPin(ps, pages, l, size++, /*write=*/true);
   }
 
   /// Moves the last record into position `i` (if it is not already last)
   /// and drops the last position, freeing a page that empties.
-  void SwapRemove(PageStore& ps, size_t rb, uint32_t i) {
+  void SwapRemove(PageStore& ps, const PageLayout& l, uint32_t i) {
     INCR_DCHECK(i < size);
     const uint32_t last = size - 1;
     if (i != last) {
-      const uint8_t* s = Pin(ps, rb, last, /*write=*/false);
-      std::memmove(Pin(ps, rb, i, /*write=*/true), s, rb);
-      Unpin(ps, rb, i, /*dirty=*/true);
-      Unpin(ps, rb, last, /*dirty=*/false);
+      const RecordPin src = Pin(ps, l, last, /*write=*/false);
+      const RecordPin dst = Pin(ps, l, i, /*write=*/true);
+      std::memmove(dst.get(), src.get(), l.record_bytes);
     }
     --size;
-    if (size % PerPage(ps, rb) == 0) {
+    if (size % l.per_page == 0) {
       ps.Free(pages.back());
       pages.pop_back();
     }
@@ -93,12 +125,11 @@ struct PageChain {
   /// fn(const uint8_t* record) for every record in chain order, pinning
   /// each page once across its records.
   template <typename Fn>
-  void ForEach(PageStore& ps, size_t rb, Fn&& fn) const {
-    const size_t per = PerPage(ps, rb);
+  void ForEach(PageStore& ps, const PageLayout& l, Fn&& fn) const {
     for (size_t pi = 0; pi < pages.size(); ++pi) {
-      const size_t n = std::min<size_t>(per, size - pi * per);
+      const size_t n = std::min<size_t>(l.per_page, size - pi * l.per_page);
       const uint8_t* base = ps.Pin(pages[pi], /*for_write=*/false);
-      for (size_t r = 0; r < n; ++r) fn(base + r * rb);
+      for (size_t r = 0; r < n; ++r) fn(base + r * l.record_bytes);
       ps.Unpin(pages[pi], /*dirty=*/false);
     }
   }
@@ -140,31 +171,23 @@ inline Tuple DecodeTuple(const uint8_t* p, size_t arity) {
   return t;
 }
 
-/// A group's member tuples: a PageChain of `arity`-value records.
+/// A group's member tuples: a PageChain of key-only records.
 struct PagedTupleChain : PageChain {
-  static size_t RecordBytes(size_t arity) {
-    return arity == 0 ? sizeof(Value) : arity * sizeof(Value);
+  void Push(PageStore& ps, const PageLayout& l, const Tuple& t) {
+    std::memcpy(Append(ps, l).get(), t.data(), l.key_bytes());
   }
 
-  void Push(PageStore& ps, size_t arity, const Tuple& t) {
-    const size_t rb = RecordBytes(arity);
-    std::memcpy(PinNew(ps, rb), t.data(), arity * sizeof(Value));
-    Unpin(ps, rb, size - 1, /*dirty=*/true);
-  }
-
-  Tuple At(PageStore& ps, size_t arity, uint32_t i) const {
+  Tuple At(PageStore& ps, const PageLayout& l, uint32_t i) const {
     INCR_DCHECK(i < size);
-    const size_t rb = RecordBytes(arity);
-    Tuple t = DecodeTuple(Pin(ps, rb, i, /*write=*/false), arity);
-    Unpin(ps, rb, i, /*dirty=*/false);
-    return t;
+    return DecodeTuple(Pin(ps, l, i, /*write=*/false).get(), l.arity);
   }
 
   /// Decodes every member, appending to `out` in chain order.
-  void AppendTo(PageStore& ps, size_t arity, std::vector<Tuple>* out) const {
+  void AppendTo(PageStore& ps, const PageLayout& l,
+                std::vector<Tuple>* out) const {
     out->reserve(out->size() + size);
-    ForEach(ps, RecordBytes(arity),
-            [&](const uint8_t* p) { out->push_back(DecodeTuple(p, arity)); });
+    ForEach(ps, l,
+            [&](const uint8_t* p) { out->push_back(DecodeTuple(p, l.arity)); });
   }
 
   PagedTupleChain Clone(PageStore& ps) const {
@@ -185,29 +208,23 @@ class PagedRecords {
   static constexpr bool kHashScreen = true;
 
   PagedRecords(std::shared_ptr<PageStore> store, size_t arity)
-      : store_(std::move(store)),
-        arity_(arity),
-        record_bytes_(arity * sizeof(incr::Value) + sizeof(V)) {
+      : store_(std::move(store)), layout_(*store_, arity, sizeof(V)) {
     static_assert(std::is_trivially_copyable_v<V>);
-    INCR_CHECK(PageChain::PerPage(*store_, record_bytes_) > 0);
   }
   PagedRecords(const PagedRecords& o)
       : store_(o.store_),
-        arity_(o.arity_),
-        record_bytes_(o.record_bytes_),
+        layout_(o.layout_),
         chain_(o.chain_.Clone(*store_)) {}
   PagedRecords(PagedRecords&& o) noexcept
       : store_(std::move(o.store_)),
-        arity_(o.arity_),
-        record_bytes_(o.record_bytes_),
+        layout_(o.layout_),
         chain_(std::exchange(o.chain_, {})) {}
   PagedRecords& operator=(const PagedRecords&) = delete;
   PagedRecords& operator=(PagedRecords&& o) noexcept {
     if (this != &o) {
       clear();
       store_ = std::move(o.store_);
-      arity_ = o.arity_;
-      record_bytes_ = o.record_bytes_;
+      layout_ = o.layout_;
       chain_ = std::exchange(o.chain_, {});
     }
     return *this;
@@ -217,44 +234,39 @@ class PagedRecords {
   size_t size() const { return chain_.size; }
 
   bool KeyEquals(uint32_t i, const Tuple& key) const {
-    const bool eq = std::memcmp(Pin(i, false), key.data(), KeyBytes()) == 0;
-    Unpin(i, false);
-    return eq;
+    return std::memcmp(Pin(i, false).get(), key.data(),
+                       layout_.key_bytes()) == 0;
   }
   V Value(uint32_t i) const {
     V v;
-    std::memcpy(&v, Pin(i, false) + KeyBytes(), sizeof(V));
-    Unpin(i, false);
+    std::memcpy(&v, Pin(i, false).get() + layout_.key_bytes(), sizeof(V));
     return v;
   }
   void SetValue(uint32_t i, const V& v) {
-    std::memcpy(Pin(i, true) + KeyBytes(), &v, sizeof(V));
-    Unpin(i, true);
+    std::memcpy(Pin(i, true).get() + layout_.key_bytes(), &v, sizeof(V));
   }
   void Append(const Tuple& key, const V& v) {
-    INCR_DCHECK(key.size() == arity_);
-    uint8_t* p = chain_.PinNew(*store_, record_bytes_);
-    std::memcpy(p, key.data(), KeyBytes());
-    std::memcpy(p + KeyBytes(), &v, sizeof(V));
-    Unpin(chain_.size - 1, true);
+    INCR_DCHECK(key.size() == layout_.arity);
+    const RecordPin rec = chain_.Append(*store_, layout_);
+    std::memcpy(rec.get(), key.data(), layout_.key_bytes());
+    std::memcpy(rec.get() + layout_.key_bytes(), &v, sizeof(V));
   }
-  void SwapRemove(uint32_t i) { chain_.SwapRemove(*store_, record_bytes_, i); }
+  void SwapRemove(uint32_t i) { chain_.SwapRemove(*store_, layout_, i); }
 
   /// fn(const Tuple&, const V&) in dense record order. `fn` must not
   /// mutate this store (pinning other pages is fine).
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     V value;
-    chain_.ForEach(*store_, record_bytes_, [&](const uint8_t* p) {
-      const Tuple key = DecodeTuple(p, arity_);
-      std::memcpy(&value, p + KeyBytes(), sizeof(V));
+    chain_.ForEach(*store_, layout_, [&](const uint8_t* p) {
+      const Tuple key = DecodeTuple(p, layout_.arity);
+      std::memcpy(&value, p + layout_.key_bytes(), sizeof(V));
       fn(key, static_cast<const V&>(value));
     });
   }
 
   void Reserve(size_t n) {
-    const size_t per = PageChain::PerPage(*store_, record_bytes_);
-    chain_.pages.reserve((n + per - 1) / per);
+    chain_.pages.reserve((n + layout_.per_page - 1) / layout_.per_page);
   }
   void clear() {
     if (store_ != nullptr) chain_.FreeAll(*store_);
@@ -266,17 +278,12 @@ class PagedRecords {
   }
 
  private:
-  size_t KeyBytes() const { return arity_ * sizeof(incr::Value); }
-  uint8_t* Pin(uint32_t i, bool write) const {
-    return chain_.Pin(*store_, record_bytes_, i, write);
-  }
-  void Unpin(uint32_t i, bool dirty) const {
-    chain_.Unpin(*store_, record_bytes_, i, dirty);
+  RecordPin Pin(uint32_t i, bool write) const {
+    return chain_.Pin(*store_, layout_, i, write);
   }
 
   std::shared_ptr<PageStore> store_;
-  size_t arity_;
-  size_t record_bytes_;
+  PageLayout layout_;
   PageChain chain_;
 };
 

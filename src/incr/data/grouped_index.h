@@ -112,14 +112,13 @@ class GroupedIndex {
       const Tuple key = KeyOf(t);
       auto* members = groups.Find(key);
       INCR_DCHECK(members != nullptr);
-      // Swap-remove: the last member moves into the hole, so its position
-      // is re-pointed first. `slot` survives — SetAt never moves a slot.
-      const uint32_t last = Size(*members) - 1;
-      if (idx != last) {
-        const Tuple& moved = Member(*members, last);
+      // Swap-remove: the last member moves into the hole and its position
+      // is re-pointed. `slot` survives — SetAt never moves a slot.
+      if (idx + 1 != Size(*members)) {
+        const Tuple& moved = MoveLastTo(*members, idx);
         positions.SetAt(positions.FindSlot(moved), idx);
       }
-      SwapRemove(*members, idx);
+      PopBack(*members);
       positions.EraseSlot(slot);
       if (Size(*members) == 0) groups.Erase(key);
       return true;
@@ -226,20 +225,18 @@ class GroupedIndex {
   void Push(PagedTupleChain& c, const Tuple& t) {
     c.Push(*store_, member_layout_, t);
   }
-  static const Tuple& Member(const std::vector<Tuple>& g, uint32_t i) {
+  /// Moves the last member into position `i` (not last); returns it.
+  static const Tuple& MoveLastTo(std::vector<Tuple>& g, uint32_t i) {
+    g[i] = std::move(g.back());
     return g[i];
   }
-  Tuple Member(const PagedTupleChain& c, uint32_t i) const {
-    return c.At(*store_, member_layout_, i);
+  Tuple MoveLastTo(PagedTupleChain& c, uint32_t i) {
+    Tuple moved;
+    c.MoveLastTo(*store_, member_layout_, i, &moved);
+    return moved;
   }
-  /// Moves the last member into position `i`, dropping the last position.
-  static void SwapRemove(std::vector<Tuple>& g, uint32_t i) {
-    if (i + 1 != g.size()) g[i] = std::move(g.back());
-    g.pop_back();
-  }
-  void SwapRemove(PagedTupleChain& c, uint32_t i) {
-    c.SwapRemove(*store_, member_layout_, i);
-  }
+  static void PopBack(std::vector<Tuple>& g) { g.pop_back(); }
+  void PopBack(PagedTupleChain& c) { c.PopBack(*store_, member_layout_); }
   static size_t HeapBytes(const std::vector<Tuple>& g) {
     return g.capacity() * sizeof(Tuple);
   }

@@ -4,8 +4,8 @@
 //
 //   PageChain        a dense array of fixed-width records (PageLayout)
 //                    spread across a chain of pages — append, pinned
-//                    access (RecordPin), swap-remove, deep copy. The two
-//                    stores below are built on it.
+//                    access (RecordPin), move-last/pop-back, deep copy.
+//                    The two stores below are built on it.
 //
 //   PagedRecords<V>  DenseMap's paged record store: {key values, payload}
 //                    records of fixed width. DenseMap keeps its slot table
@@ -62,6 +62,13 @@ struct PageLayout {
   size_t per_page = 0;
 };
 
+/// Decodes the `arity` key values at the front of a record into *t
+/// (records need not be 8-byte aligned, hence the memcpy).
+inline void DecodeKey(const uint8_t* p, size_t arity, Tuple* t) {
+  t->resize(arity);
+  std::memcpy(t->data(), p, arity * sizeof(Value));
+}
+
 /// Pins the page holding record `i` of a chain for the guard's lifetime.
 /// Pinning one page twice nests.
 class RecordPin {
@@ -105,18 +112,21 @@ struct PageChain {
     return RecordPin(ps, pages, l, size++, /*write=*/true);
   }
 
-  /// Moves the last record into position `i` (if it is not already last)
-  /// and drops the last position, freeing a page that empties.
-  void SwapRemove(PageStore& ps, const PageLayout& l, uint32_t i) {
-    INCR_DCHECK(i < size);
-    const uint32_t last = size - 1;
-    if (i != last) {
-      const RecordPin src = Pin(ps, l, last, /*write=*/false);
-      const RecordPin dst = Pin(ps, l, i, /*write=*/true);
-      std::memmove(dst.get(), src.get(), l.record_bytes);
-    }
-    --size;
-    if (size % l.per_page == 0) {
+  /// Moves the last record into position `i` (which must not be last);
+  /// with `moved_key`, also decodes the moved record's key into it.
+  void MoveLastTo(PageStore& ps, const PageLayout& l, uint32_t i,
+                  Tuple* moved_key = nullptr) {
+    INCR_DCHECK(i + 1 < size);
+    const RecordPin src = Pin(ps, l, size - 1, /*write=*/false);
+    const RecordPin dst = Pin(ps, l, i, /*write=*/true);
+    std::memmove(dst.get(), src.get(), l.record_bytes);
+    if (moved_key != nullptr) DecodeKey(src.get(), l.arity, moved_key);
+  }
+
+  /// Drops the last record, freeing a page that empties.
+  void PopBack(PageStore& ps, const PageLayout& l) {
+    INCR_DCHECK(size > 0);
+    if (--size % l.per_page == 0) {
       ps.Free(pages.back());
       pages.pop_back();
     }
@@ -159,35 +169,20 @@ struct PageChain {
   size_t HeapBytes() const { return pages.capacity() * sizeof(PageId); }
 };
 
-/// Decodes `arity` values from raw record bytes.
-inline Tuple DecodeTuple(const uint8_t* p, size_t arity) {
-  Tuple t;
-  t.reserve(arity);
-  for (size_t k = 0; k < arity; ++k) {
-    Value v;
-    std::memcpy(&v, p + k * sizeof(Value), sizeof(Value));
-    t.push_back(v);
-  }
-  return t;
-}
-
 /// A group's member tuples: a PageChain of key-only records.
 struct PagedTupleChain : PageChain {
   void Push(PageStore& ps, const PageLayout& l, const Tuple& t) {
     std::memcpy(Append(ps, l).get(), t.data(), l.key_bytes());
   }
 
-  Tuple At(PageStore& ps, const PageLayout& l, uint32_t i) const {
-    INCR_DCHECK(i < size);
-    return DecodeTuple(Pin(ps, l, i, /*write=*/false).get(), l.arity);
-  }
-
   /// Decodes every member, appending to `out` in chain order.
   void AppendTo(PageStore& ps, const PageLayout& l,
                 std::vector<Tuple>* out) const {
     out->reserve(out->size() + size);
-    ForEach(ps, l,
-            [&](const uint8_t* p) { out->push_back(DecodeTuple(p, l.arity)); });
+    ForEach(ps, l, [&](const uint8_t* p) {
+      out->emplace_back();
+      DecodeKey(p, l.arity, &out->back());
+    });
   }
 
   PagedTupleChain Clone(PageStore& ps) const {
@@ -251,15 +246,19 @@ class PagedRecords {
     std::memcpy(rec.get(), key.data(), layout_.key_bytes());
     std::memcpy(rec.get() + layout_.key_bytes(), &v, sizeof(V));
   }
-  void SwapRemove(uint32_t i) { chain_.SwapRemove(*store_, layout_, i); }
+  void SwapRemove(uint32_t i) {
+    if (i + 1 != size()) chain_.MoveLastTo(*store_, layout_, i);
+    chain_.PopBack(*store_, layout_);
+  }
 
   /// fn(const Tuple&, const V&) in dense record order. `fn` must not
   /// mutate this store (pinning other pages is fine).
   template <typename Fn>
   void ForEach(Fn&& fn) const {
+    Tuple key;
     V value;
     chain_.ForEach(*store_, layout_, [&](const uint8_t* p) {
-      const Tuple key = DecodeTuple(p, layout_.arity);
+      DecodeKey(p, layout_.arity, &key);
       std::memcpy(&value, p + layout_.key_bytes(), sizeof(V));
       fn(key, static_cast<const V&>(value));
     });

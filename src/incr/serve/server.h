@@ -156,8 +156,9 @@ class IvmServer {
   sql::SqlCatalog catalog_;
   int next_query_id_ = 0;
 
-  // String interning for non-numeric delta values (the REPL's convention:
-  // codes offset by 1e9 so they stay apart from small integers).
+  // String interning for non-numeric delta values (the shared token codec
+  // in data/value.h: codes offset by kStringCodeBase, integer literals at
+  // or above it rejected).
   std::mutex dict_mu_;
   Dictionary dict_;
 };

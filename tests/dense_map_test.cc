@@ -1,6 +1,7 @@
 // DenseMap unit + property tests: oracle comparison against
 // std::unordered_map under random operation streams (DESIGN.md invariant 2),
-// over both record stores (heap vector and paged records).
+// over both record stores (heap vector and paged records) and, for the heap
+// store, both APIs (pointer-level and slot-level).
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -108,10 +109,12 @@ TEST(DenseMapTest, ReserveDoesNotLoseEntries) {
 // ---------------------------------------------------------------------------
 // Adversarial probing: hash functors chosen to break the group-probing
 // slot table — every key in one probe chain, false-positive control
-// matches, tombstone-saturated chains. Each suite runs against both record
-// stores: the heap vector and PagedRecords on a 4-frame pool of 512-byte
-// pages, so the paged runs also evict and reload records constantly.
-// Both go through the slot-level API, the one the paged store supports.
+// matches, tombstone-saturated chains. Each suite runs three arms: the heap
+// store through the pointer-level API (GetOrInsert/Find, which share one
+// walk for match and insert-slot choice), the heap store through the
+// slot-level API, and PagedRecords through the slot-level API (the only one
+// it supports) on a 4-frame pool of 512-byte pages, so the paged arm also
+// evicts and reloads records constantly.
 
 // Every key lands in group 0 with H2 fragment 0: inserts form one long
 // probe chain across consecutive groups, and every lookup walks it.
@@ -135,6 +138,15 @@ template <typename Hash>
 using PagedRecordMap =
     DenseMap<Tuple, int64_t, Hash, TupleEq, PagedRecords<int64_t>>;
 
+// A heap map the helpers below drive through the pointer-level API.
+template <typename Hash>
+struct PointerApiMap : HeapMap<Hash> {};
+
+template <typename Map>
+struct UsesPointerApi : std::false_type {};
+template <typename Hash>
+struct UsesPointerApi<PointerApiMap<Hash>> : std::true_type {};
+
 std::shared_ptr<PageStore> TinyPool() {
   StorageOptions so;
   so.backend = StorageBackend::kPaged;
@@ -147,16 +159,23 @@ std::shared_ptr<PageStore> TinyPool() {
   return ctx->store;
 }
 
-/// Runs `body(map)` on a fresh empty map over each record store.
+/// Runs `body(map)` on a fresh empty map for each arm: heap records via
+/// the pointer-level API, heap records via the slot-level API, paged
+/// records via the slot-level API.
 template <typename Hash = TupleHash, typename Body>
-void OnBothStores(Body&& body) {
+void OnEachArm(Body&& body) {
   {
-    SCOPED_TRACE("heap records");
+    SCOPED_TRACE("heap records, pointer API");
+    PointerApiMap<Hash> m;
+    body(m);
+  }
+  {
+    SCOPED_TRACE("heap records, slot API");
     HeapMap<Hash> m;
     body(m);
   }
   {
-    SCOPED_TRACE("paged records");
+    SCOPED_TRACE("paged records, slot API");
     PagedRecordMap<Hash> m(PagedRecords<int64_t>(TinyPool(), /*arity=*/1));
     body(m);
   }
@@ -166,30 +185,44 @@ Tuple K(int64_t k) { return Tuple{k}; }
 
 template <typename Map>
 std::optional<int64_t> Get(const Map& m, int64_t k) {
-  const size_t slot = m.FindSlot(K(k));
-  if (slot == Map::kNoSlot) return std::nullopt;
-  return m.ValueAt(slot);
+  if constexpr (UsesPointerApi<Map>::value) {
+    const int64_t* v = m.Find(K(k));
+    if (v == nullptr) return std::nullopt;
+    return *v;
+  } else {
+    const size_t slot = m.FindSlot(K(k));
+    if (slot == Map::kNoSlot) return std::nullopt;
+    return m.ValueAt(slot);
+  }
 }
 
 template <typename Map>
 void Put(Map& m, int64_t k, int64_t v) {
-  const size_t slot = m.FindSlot(K(k));
-  if (slot == Map::kNoSlot) {
-    m.InsertNew(K(k), v);
+  if constexpr (UsesPointerApi<Map>::value) {
+    m.GetOrInsert(K(k), 0) = v;
   } else {
-    m.SetAt(slot, v);
+    const size_t slot = m.FindSlot(K(k));
+    if (slot == Map::kNoSlot) {
+      m.InsertNew(K(k), v);
+    } else {
+      m.SetAt(slot, v);
+    }
   }
 }
 
 template <typename Map>
 std::vector<std::pair<Tuple, int64_t>> Dense(const Map& m) {
   std::vector<std::pair<Tuple, int64_t>> out;
-  m.ForEach([&](const Tuple& k, int64_t v) { out.emplace_back(k, v); });
+  if constexpr (UsesPointerApi<Map>::value) {
+    for (const auto& e : m) out.emplace_back(e.key, e.value);
+  } else {
+    m.ForEach([&](const Tuple& k, int64_t v) { out.emplace_back(k, v); });
+  }
   return out;
 }
 
 TEST(DenseMapAdversarialTest, CollidingHashChainStaysCorrect) {
-  OnBothStores<CollidingHash>([](auto& m) {
+  OnEachArm<CollidingHash>([](auto& m) {
     for (int64_t i = 0; i < 500; ++i) Put(m, i, i * 3);
     EXPECT_EQ(m.size(), 500u);
     for (int64_t i = 0; i < 500; ++i) ASSERT_EQ(Get(m, i), i * 3) << i;
@@ -207,7 +240,7 @@ TEST(DenseMapAdversarialTest, CollidingHashChainStaysCorrect) {
 }
 
 TEST(DenseMapAdversarialTest, FalsePositiveControlMatchesAreRejected) {
-  OnBothStores<TwoFragmentHash>([](auto& m) {
+  OnEachArm<TwoFragmentHash>([](auto& m) {
     Rng rng(77);
     std::unordered_map<int64_t, int64_t> oracle;
     for (int step = 0; step < 5000; ++step) {
@@ -231,7 +264,7 @@ TEST(DenseMapAdversarialTest, TombstoneChurnTriggersPurgeNotUnboundedGrowth) {
   // and cannot be reused in place — they pile up until load crosses 7/8
   // and a same-size purge rebuild collects them. The table must keep
   // answering correctly and must not grow without bound.
-  OnBothStores([](auto& m) {
+  OnEachArm([](auto& m) {
     for (int64_t i = 0; i < 100; ++i) Put(m, i, i);
     const size_t baseline = m.MemoryBytes();
     const size_t rehashes_before = m.rehashes();
@@ -254,7 +287,7 @@ TEST(DenseMapAdversarialTest, TombstonesOnTheProbeChainAreReusedInPlace) {
   // The mirror image: with every key in ONE probe chain, an insert always
   // walks past the freshest tombstone and must reuse it — 1:1 erase/insert
   // churn then needs no rebuild at all, and the table stays at its size.
-  OnBothStores<CollidingHash>([](auto& m) {
+  OnEachArm<CollidingHash>([](auto& m) {
     for (int64_t i = 0; i < 64; ++i) Put(m, i, i);
     const size_t baseline = m.MemoryBytes();
     const size_t rehashes_before = m.rehashes();
@@ -275,7 +308,7 @@ TEST(DenseMapAdversarialTest, EraseDuringHighLoadKeepsChainsReachable) {
   // Drive the table to its load ceiling, then erase from the middle of
   // long chains while inserting replacements — tombstones must keep probe
   // chains alive for keys displaced past them.
-  OnBothStores<CollidingHash>([](auto& m) {
+  OnEachArm<CollidingHash>([](auto& m) {
     m.Reserve(256);
     const size_t cap_before = m.MemoryBytes();
     for (int64_t i = 0; i < 200; ++i) Put(m, i, i);
@@ -303,7 +336,7 @@ TEST(DenseMapAdversarialTest, EraseDuringHighLoadKeepsChainsReachable) {
 }
 
 TEST(DenseMapAdversarialTest, DeepCopyIsIndependentAndEqual) {
-  OnBothStores([](auto& m) {
+  OnEachArm([](auto& m) {
     using Map = std::remove_reference_t<decltype(m)>;
     for (int64_t i = 0; i < 300; ++i) Put(m, i, i);
     for (int64_t i = 0; i < 100; ++i) m.Erase(K(i * 3));
@@ -332,8 +365,8 @@ TEST(DenseMapAdversarialTest, DeepCopyIsIndependentAndEqual) {
 TEST(DenseMapAdversarialTest, GoldenEnumerationOrderIsDenseArrayOrder) {
   // Snapshot serialization depends on enumeration being exactly the dense
   // array: insertion order with swap-remove holes. Golden sequence check —
-  // identical for both record stores.
-  OnBothStores([](auto& m) {
+  // identical for every arm.
+  OnEachArm([](auto& m) {
     auto order = [&] {
       std::vector<int64_t> keys;
       for (const auto& [key, val] : Dense(m)) keys.push_back(key[0]);
@@ -356,11 +389,11 @@ TEST(DenseMapAdversarialTest, GoldenEnumerationOrderIsDenseArrayOrder) {
 }
 
 // Property test: random streams of insert/update/erase against an oracle,
-// on both record stores.
+// on every arm.
 class DenseMapPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DenseMapPropertyTest, MatchesUnorderedMapOracle) {
-  OnBothStores([](auto& m) {
+  OnEachArm([](auto& m) {
     Rng rng(GetParam());
     std::unordered_map<int64_t, int64_t> oracle;
     const int64_t kKeySpace = 200;  // small key space => collisions/reuse

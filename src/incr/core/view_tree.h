@@ -68,6 +68,8 @@ struct ViewTreeMetricHandles {
   obs::Counter* snapshot_replays;    // logged batches replayed for catch-up
   obs::Gauge* snapshot_versions;     // retained published versions
   obs::Gauge* snapshot_bytes;        // sampled bytes across retained versions
+  obs::Histogram* snapshot_clone_ns;  // duration of each deep copy
+  obs::Histogram* snapshot_wait_ns;   // writer stalls at the retention cap
 };
 inline const ViewTreeMetricHandles& ViewTreeMetrics() {
   static const ViewTreeMetricHandles h = [] {
@@ -84,6 +86,8 @@ inline const ViewTreeMetricHandles& ViewTreeMetrics() {
         r.GetCounter("viewtree.snapshot_replays"),
         r.GetGauge("viewtree.snapshot_versions"),
         r.GetGauge("viewtree.snapshot_bytes"),
+        r.GetHistogram("viewtree.snapshot_clone_ns"),
+        r.GetHistogram("viewtree.snapshot_wait_ns"),
     };
   }();
   return h;
@@ -734,10 +738,12 @@ class ViewTree {
   /// a reclaimed retired version caught up by replaying the logged batches
   /// it missed (identical op sequence => bit-identical state), else a deep
   /// copy. Blocks (yield-spin) while the retention cap is reached and
-  /// every retirable version is still pinned by a reader.
+  /// every retirable version is still pinned by a reader. With obs on, the
+  /// stall and the copy time land in viewtree.snapshot_{wait,clone}_ns.
   void AcquireBuild() {
     SnapshotCtl& s = *snap_;
     std::unique_ptr<TreeState> candidate;
+    uint64_t wait_start = 0;  // set on the first yield, if obs is on
     for (;;) {
       const uint64_t min_active = s.epochs.MinActive();
       while (s.versions.size() > 1 && s.versions.front()->epoch < min_active) {
@@ -745,7 +751,12 @@ class ViewTree {
         s.versions.pop_front();
       }
       if (candidate != nullptr || s.versions.size() < s.max_retained) break;
+      if (wait_start == 0 && obs::Enabled()) wait_start = obs::NowNs();
       std::this_thread::yield();
+    }
+    if (wait_start != 0) {
+      detail::ViewTreeMetrics().snapshot_wait_ns->Record(obs::NowNs() -
+                                                         wait_start);
     }
     const uint64_t head_epoch = s.versions.back()->epoch;
     if (candidate != nullptr) {
@@ -776,8 +787,13 @@ class ViewTree {
       }
     }
     if (build_ == nullptr) {
+      const uint64_t t0 = obs::Enabled() ? obs::NowNs() : 0;
       build_ = CloneState(*s.versions.back());
-      if (obs::Enabled()) detail::ViewTreeMetrics().snapshot_clones->Inc();
+      if (t0 != 0) {
+        const auto& m = detail::ViewTreeMetrics();
+        m.snapshot_clones->Inc();
+        m.snapshot_clone_ns->Record(obs::NowNs() - t0);
+      }
     }
     // Entries at or below the oldest retained epoch can never be needed.
     while (!s.log.empty() &&

@@ -47,6 +47,7 @@
 #ifndef INCR_DATA_DENSE_MAP_H_
 #define INCR_DATA_DENSE_MAP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -212,11 +213,18 @@ class DenseMap {
     tombstones_ = 0;
   }
 
+  /// Room for `n` records without a rehash or a record-array move. Grows
+  /// geometrically: batch paths call this with size() + batch size, and an
+  /// exact reserve would move every record on each batch past the last
+  /// high (and on the first growth of a freshly copied map).
   void Reserve(size_t n) {
     size_t needed = NextPow2(n * 8 / 7 + 1);
     if (needed > Capacity()) Rebuild(needed);
-    records_.Reserve(n);
-    hashes_.reserve(n);
+    if (n > hashes_.capacity()) {
+      n = std::max(n, 2 * hashes_.capacity());
+      records_.Reserve(n);
+      hashes_.reserve(n);
+    }
   }
 
   /// Number of slot-table rebuilds (growth, tombstone purges, and Reserve)

@@ -16,12 +16,21 @@ const std::string* Dictionary::Lookup(Value code) const {
   return &strings_[static_cast<size_t>(code)];
 }
 
-std::string RenderToken(Value v, const Dictionary& dict) {
+void AppendToken(std::string& out, Value v, const Dictionary& dict) {
   if (v >= kStringCodeBase) {
     const std::string* s = dict.Lookup(v - kStringCodeBase);
-    if (s != nullptr) return *s;
+    if (s != nullptr) {
+      out += *s;
+      return;
+    }
   }
-  return std::to_string(v);
+  AppendInt(out, v);
+}
+
+std::string RenderToken(Value v, const Dictionary& dict) {
+  std::string out;
+  AppendToken(out, v, dict);
+  return out;
 }
 
 }  // namespace incr

@@ -5,6 +5,7 @@
 #define INCR_DATA_VALUE_H_
 
 #include <cerrno>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -68,7 +69,19 @@ inline StatusOr<Value> ParseToken(const std::string& tok, Dictionary& dict) {
   return ParseToken(tok, [&](const std::string& s) { return dict.Intern(s); });
 }
 
-/// Inverse of ParseToken: the string of a string code, else the integer.
+/// Appends the decimal digits of `v` to `out` (std::to_chars, no
+/// temporary string).
+inline void AppendInt(std::string& out, int64_t v) {
+  char buf[20];  // "-9223372036854775808"
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+/// Inverse of ParseToken, appended to `out`: the string of a string code,
+/// else the integer.
+void AppendToken(std::string& out, Value v, const Dictionary& dict);
+
+/// AppendToken into a fresh string.
 std::string RenderToken(Value v, const Dictionary& dict);
 
 }  // namespace incr

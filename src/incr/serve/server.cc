@@ -20,6 +20,7 @@
 #include <functional>
 #include <span>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "incr/core/view_tree.h"
@@ -71,8 +72,6 @@ std::string RenderDouble(double v) {
   return buf;
 }
 
-std::string RenderPayload(const int64_t& v) { return std::to_string(v); }
-
 std::string RenderPayload(const std::pair<int64_t, int64_t>& v) {
   return "count=" + std::to_string(v.first) +
          " sum=" + std::to_string(v.second);
@@ -93,6 +92,13 @@ std::string RenderPayload(const CovarValue<2>& v) {
   return out;
 }
 
+void AppendPayload(std::string& out, const int64_t& v) { AppendInt(out, v); }
+
+template <typename P>
+void AppendPayload(std::string& out, const P& v) {
+  out += RenderPayload(v);
+}
+
 std::string HistJson(const obs::HistogramStats& s) {
   char buf[160];
   std::snprintf(buf, sizeof buf,
@@ -101,6 +107,89 @@ std::string HistJson(const obs::HistogramStats& s) {
                 s.Quantile(99));
   return buf;
 }
+
+/// Appends value tokens for ENUMERATE: integers straight from to_chars,
+/// string codes through the shared codec under the dictionary lock (other
+/// workers intern concurrently).
+class TokenWriter {
+ public:
+  TokenWriter(const Dictionary& dict, std::mutex& mu) : dict_(dict), mu_(mu) {}
+
+  void Append(std::string& out, Value v) const {
+    if (v < kStringCodeBase) {
+      AppendInt(out, v);
+      return;
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    AppendToken(out, v, dict_);
+  }
+
+ private:
+  const Dictionary& dict_;
+  std::mutex& mu_;
+};
+
+/// ENUMERATE's rows, rendered back to back into one buffer; each row is an
+/// (offset, length) span of it. Collecting n rows costs amortized O(1)
+/// allocations, and selecting the smallest k moves spans, not strings.
+class RowArena {
+ public:
+  /// The buffer a row is rendered into; call EndRow(start) after it, with
+  /// `start` the buffer size before the row.
+  std::string& bytes() { return bytes_; }
+  void EndRow(size_t start) {
+    const size_t len = bytes_.size() - start;
+    uint64_t prefix = 0;
+    for (size_t i = 0; i < sizeof prefix; ++i) {
+      prefix = prefix << 8 |
+               (i < len ? static_cast<unsigned char>(bytes_[start + i]) : 0u);
+    }
+    spans_.push_back(Span{prefix, start, len});
+  }
+
+  /// "OK rows=<n>" plus the `limit` smallest rows in std::string byte
+  /// order, one per line: O(n log k) for k = min(limit, n).
+  std::string Reply(size_t limit) {
+    const size_t n = spans_.size();
+    const size_t k = std::min(limit, n);
+    auto less = [this](const Span& a, const Span& b) {
+      if (a.prefix != b.prefix) return a.prefix < b.prefix;
+      return View(a) < View(b);
+    };
+    if (k == n) {
+      std::sort(spans_.begin(), spans_.end(), less);
+    } else if (k > 0) {
+      std::partial_sort(spans_.begin(), spans_.begin() + k, spans_.end(),
+                        less);
+    }
+    std::string out = "OK rows=" + std::to_string(n);
+    size_t bytes = out.size();
+    for (size_t i = 0; i < k; ++i) bytes += 1 + spans_[i].len;
+    out.reserve(bytes);
+    for (size_t i = 0; i < k; ++i) {
+      out += '\n';
+      out += View(spans_[i]);
+    }
+    return out;
+  }
+
+ private:
+  struct Span {
+    // The first 8 bytes, big-endian and zero-padded: unequal prefixes
+    // order two rows exactly as their bytes do (a zero pad byte only
+    // differs from a real byte when one row ends early, i.e. is the
+    // smaller), so most comparisons never touch the buffer.
+    uint64_t prefix;
+    size_t off;
+    size_t len;
+  };
+  std::string_view View(const Span& s) const {
+    return std::string_view(bytes_.data() + s.off, s.len);
+  }
+
+  std::string bytes_;
+  std::vector<Span> spans_;
+};
 
 }  // namespace
 
@@ -148,18 +237,14 @@ class RegisteredQuery {
   }
 
   /// "OK rows=<n>" plus up to `limit` sorted "v1 v2 -> payload" rows, off
-  /// an epoch snapshot (no maintenance mutex: readers are lock-free).
-  std::string EnumerateText(size_t limit,
-                            const std::function<std::string(Value)>& render) {
+  /// an epoch snapshot (no maintenance mutex: readers are lock-free). Every
+  /// row is rendered into one arena while the snapshot is pinned; the pin
+  /// ends before the top-`limit` selection.
+  std::string EnumerateText(size_t limit, const TokenWriter& tokens) {
     const uint64_t t0 = NowNs();
-    std::vector<std::string> rows = CollectRows(render);
-    std::sort(rows.begin(), rows.end());
-    std::string out = "OK rows=" + std::to_string(rows.size());
-    const size_t n = std::min(limit, rows.size());
-    for (size_t i = 0; i < n; ++i) {
-      out += "\n";
-      out += rows[i];
-    }
+    RowArena rows;
+    CollectRows(tokens, &rows);
+    std::string out = rows.Reply(limit);
     enum_ns_->Record(NowNs() - t0);
     return out;
   }
@@ -190,8 +275,8 @@ class RegisteredQuery {
 
  protected:
   virtual void ApplyImpl(std::span<const NamedDelta> deltas) = 0;
-  virtual std::vector<std::string> CollectRows(
-      const std::function<std::string(Value)>& render) = 0;
+  /// Renders every output row of a pinned snapshot into `rows`.
+  virtual void CollectRows(const TokenWriter& tokens, RowArena* rows) = 0;
   virtual obs::ExplainReport Explain(bool analyze) = 0;
 
  private:
@@ -228,22 +313,25 @@ class TypedQuery : public RegisteredQuery {
     engine_.ApplyBatch(batch);
   }
 
-  std::vector<std::string> CollectRows(
-      const std::function<std::string(Value)>& render) override {
-    std::vector<std::string> rows;
+  void CollectRows(const TokenWriter& tokens, RowArena* rows) override {
+    std::string& out = rows->bytes();
     if (compiled().query.free().empty()) {
       // Scalar aggregate: one row from the snapshot's root product.
-      rows.push_back("-> " +
-                     RenderPayload(engine_.tree().Snapshot().Aggregate()));
-      return rows;
+      out += "-> ";
+      AppendPayload(out, engine_.tree().Snapshot().Aggregate());
+      rows->EndRow(0);
+      return;
     }
     engine_.EnumerateSnapshot([&](const Tuple& t, const typename R::Value& p) {
-      std::string row;
-      for (Value v : t) row += render(v) + " ";
-      row += "-> " + RenderPayload(p);
-      rows.push_back(std::move(row));
+      const size_t start = out.size();
+      for (Value v : t) {
+        tokens.Append(out, v);
+        out += ' ';
+      }
+      out += "-> ";
+      AppendPayload(out, p);
+      rows->EndRow(start);
     });
-    return rows;
   }
 
   obs::ExplainReport Explain(bool analyze) override {
@@ -629,12 +717,6 @@ StatusOr<Value> IvmServer::ParseValue(const std::string& tok) {
   });
 }
 
-std::string IvmServer::RenderValue(Value v) {
-  if (v < kStringCodeBase) return std::to_string(v);
-  std::lock_guard<std::mutex> lock(dict_mu_);
-  return RenderToken(v, dict_);
-}
-
 namespace {
 
 /// Parses "Rel v1 .. vn [xN]" (optional +/- prefix) — the REPL's delta
@@ -776,8 +858,7 @@ std::string IvmServer::CmdEnumerate(const std::string& args) {
   std::shared_lock<std::shared_mutex> lock(reg_mu_);
   RegisteredQuery* q = FindQuery(token);
   if (q == nullptr) return "ERR no such query '" + token + "'";
-  return q->EnumerateText(limit,
-                          [this](Value v) { return RenderValue(v); });
+  return q->EnumerateText(limit, TokenWriter(dict_, dict_mu_));
 }
 
 std::string IvmServer::CmdStats(const std::string& args) {

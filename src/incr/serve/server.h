@@ -16,6 +16,10 @@
 //                                                  parse, one engine batch
 //                                                  per affected query)
 //   ENUMERATE q<N> [limit]    -> OK rows=<n>\n<sorted "v.. -> payload" rows>
+//                                 (O(n) to enumerate and render every row
+//                                  into one arena, then O(n log k) to pick
+//                                  the k = min(limit, n) smallest; the
+//                                  snapshot pin ends before the selection)
 //   STATS q<N>                -> OK {json}        (update/enumerate counts,
 //                                                  p50/p99 latencies)
 //   EXPLAIN q<N> [analyze]    -> OK {json}        (obs/explain.h report)
@@ -130,7 +134,6 @@ class IvmServer {
   RegisteredQuery* FindQuery(const std::string& token);
 
   StatusOr<Value> ParseValue(const std::string& tok);
-  std::string RenderValue(Value v);
 
   ServerOptions opts_;
   uint16_t bound_port_ = 0;

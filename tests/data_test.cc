@@ -2,6 +2,7 @@
 // (DESIGN.md invariants 2-3).
 #include <map>
 #include <set>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -219,6 +220,33 @@ TEST(MemoryBytesTest, RelationFootprintIsMapPlusIndexes) {
   r.ForEachEntry([&](const Tuple& t, const int64_t&) { shadow.Insert(t); });
   EXPECT_EQ(r.MemoryBytes(), bare + shadow.MemoryBytes());
   EXPECT_EQ(r.index(0).MemoryBytes(), shadow.MemoryBytes());
+}
+
+TEST(MemoryBytesTest, OneInsertBatchesGrowStorageGeometrically) {
+  // ApplyBatch reserves size() + batch size before applying. That reserve
+  // must grow geometrically: one-insert batches would otherwise move the
+  // whole dense array on every call.
+  constexpr Value kN = 2000;
+  Relation<IntRing> r(Schema{0, 1});
+  const Relation<IntRing>::Entry* data = nullptr;
+  size_t footprint = r.MemoryBytes();
+  size_t moves = 0, footprint_changes = 0;
+  for (Value i = 0; i < kN; ++i) {
+    const Relation<IntRing>::Entry e{Tuple{i, i + 1}, 1};
+    r.ApplyBatch(std::span<const Relation<IntRing>::Entry>(&e, 1));
+    if (r.begin() != data) {
+      ++moves;
+      data = r.begin();
+    }
+    if (r.MemoryBytes() != footprint) {
+      ++footprint_changes;
+      footprint = r.MemoryBytes();
+    }
+  }
+  ASSERT_EQ(r.size(), static_cast<size_t>(kN));
+  const size_t log2n = 11;  // ceil(log2(2000))
+  EXPECT_LE(moves, 2 * log2n);
+  EXPECT_LE(footprint_changes, 2 * log2n);
 }
 
 TEST(DatabaseTest, NamedRelations) {

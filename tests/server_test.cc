@@ -167,6 +167,58 @@ TEST_F(ServerTest, IntegerLiteralsNeverAliasInternedStrings) {
   EXPECT_EQ(Call(c, "ENUMERATE q0"), "OK rows=2\n999999999 -> 1\nfoo -> 1");
 }
 
+/// Checks that `ENUMERATE <q> k` is `OK rows=n` plus the first k lines of
+/// the unlimited `ENUMERATE <q>`, for k around both ends, and that the
+/// unlimited list is in std::string byte order. Returns n.
+size_t ExpectLimitsAreHeadsOfFullList(Client& c, const std::string& q) {
+  auto full = c.Call("ENUMERATE " + q);
+  EXPECT_TRUE(full.ok()) << full.status().ToString();
+  if (!full.ok()) return 0;
+  std::vector<std::string> lines;
+  std::istringstream in(*full);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  const size_t n = lines.size() - 1;
+  EXPECT_EQ(lines[0], "OK rows=" + std::to_string(n));
+  EXPECT_TRUE(std::is_sorted(lines.begin() + 1, lines.end()));
+  for (size_t k : {size_t{0}, size_t{1}, size_t{7}, n - 1, n, n + 5}) {
+    std::string want = lines[0];
+    for (size_t i = 1; i <= std::min(k, n); ++i) want += "\n" + lines[i];
+    auto got = c.Call("ENUMERATE " + q + " " + std::to_string(k));
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.ok() ? *got : "", want) << "limit " << k;
+  }
+  return n;
+}
+
+TEST_F(ServerTest, LimitedEnumerateIsTheHeadOfTheFullList) {
+  // Group keys mix interned strings with integers of 1 to 4 digits (and a
+  // few negatives), so byte order differs from numeric order ("10" < "9").
+  Client c = Connect();
+  EXPECT_EQ(Call(c, "REGISTER CREATE TABLE R (a, b); CREATE TABLE S (b, c); "
+                    "SELECT R.a, R.b, COUNT(*) FROM R, S WHERE R.b = S.b "
+                    "GROUP BY R.a, R.b;"),
+            "OK q0");
+  EXPECT_EQ(Call(c, "REGISTER SELECT R.a, R.b, AVG(S.c) FROM R, S "
+                    "WHERE R.b = S.b GROUP BY R.a, R.b;"),
+            "OK q1");
+  std::string batch = "BATCH";
+  constexpr int kRows = 330, kKeysB = 23;
+  for (int i = 0; i < kRows; ++i) {
+    const std::string a = i % 3 == 0   ? "name" + std::to_string(i % 41)
+                          : i % 7 == 0 ? std::to_string(-i)
+                                       : std::to_string(i * 37 % 2000);
+    batch += "\nR " + a + " " + std::to_string(i % kKeysB);
+  }
+  for (int b = 0; b < kKeysB; ++b) {
+    for (int j = 0; j <= b % 4; ++j) {
+      batch += "\nS " + std::to_string(b) + " " + std::to_string(b * 10 + j);
+    }
+  }
+  EXPECT_EQ(Call(c, batch).rfind("OK deltas=", 0), 0u);
+  EXPECT_GE(ExpectLimitsAreHeadsOfFullList(c, "q0"), 300u);  // IntRing
+  EXPECT_GE(ExpectLimitsAreHeadsOfFullList(c, "q1"), 300u);  // ProductRing
+}
+
 TEST_F(ServerTest, RegisterRejectsBadSqlWithPreciseError) {
   Client c = Connect();
   auto reply = Call(c, "REGISTER SELECT * FROM R;");

@@ -4,6 +4,7 @@
 // immutable versions while ONE maintainer thread keeps writing. The
 // multi-threaded tests here are the TSan targets for the feature.
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -252,8 +253,55 @@ TEST(SnapshotTest, ThreadSwitchMidStreamStaysCorrect) {
   EXPECT_EQ(snap.epoch(), e.tree().published_epoch());
 }
 
+TEST(SnapshotTest, HeadPinnedAcrossPublishIsADeepCopy) {
+  // A reader on the head leaves no retired version to recycle, so the
+  // maintainer deep-copies the head; obs counts the copy and times it.
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  const auto& m = detail::ViewTreeMetrics();
+  ViewTreeEngine<IntRing> e = MakeEngine();
+  e.Configure(SnapshotOpts(4));
+  ApplyBatches(e, DrawUpdates(100, 11), 50);
+  const uint64_t clones = m.snapshot_clones->Value();
+  const uint64_t timed = m.snapshot_clone_ns->Stats().count;
+  {
+    ViewTreeSnapshot<IntRing> held = e.tree().Snapshot();
+    ApplyBatches(e, DrawUpdates(10, 12), 10);  // one publish under the pin
+  }
+  EXPECT_GT(m.snapshot_clones->Value(), clones);
+  EXPECT_GT(m.snapshot_clone_ns->Stats().count, timed);
+  obs::SetEnabled(was_enabled);
+}
+
 // ----------------------------------------------------------------------
 // Serving: readers under a live maintainer (TSan coverage)
+
+TEST(ServingTest, WriterStallAtRetentionCapIsRecorded) {
+  // Cap 2 = head + one retirable version. With the head pinned, the next
+  // publish finds both retained versions unretirable and yield-spins until
+  // the reader lets go; obs records that stall.
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  obs::Histogram* waits = detail::ViewTreeMetrics().snapshot_wait_ns;
+  ViewTreeEngine<IntRing> e = MakeEngine();
+  e.Configure(SnapshotOpts(2));
+  ApplyBatches(e, DrawUpdates(100, 13), 50);
+  const uint64_t stalls = waits->Stats().count;
+
+  std::atomic<bool> pinned{false};
+  std::thread reader([&] {
+    ViewTreeSnapshot<IntRing> held = e.tree().Snapshot();
+    pinned.store(true, std::memory_order_release);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  });
+  while (!pinned.load(std::memory_order_acquire)) std::this_thread::yield();
+  ApplyBatches(e, DrawUpdates(10, 14), 10);  // blocks until the unpin
+  reader.join();
+
+  EXPECT_GT(waits->Stats().count, stalls);
+  EXPECT_EQ(SnapEnumMap(e), EnumMap(e));
+  obs::SetEnabled(was_enabled);
+}
 
 TEST(ServingTest, ReaderHoldsSnapshotAcrossThousandBatches) {
   ViewTreeEngine<IntRing> e = MakeEngine();

@@ -1,5 +1,6 @@
 #include "incr/check/differ.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include "incr/obs/recorder.h"
 #include "incr/query/cqap.h"
 #include "incr/query/parser.h"
+#include "incr/serve/session.h"
 #include "incr/sql/sql.h"
 #include "incr/store/recover.h"
 #include "incr/store/serde.h"
@@ -52,6 +54,38 @@ std::string DumpOf(IvmEngine<IntRing>& e) {
   Status st = e.DumpState(w);
   INCR_CHECK(st.ok());
   return w.Take();
+}
+
+/// One stream step as a BATCH command of the wire language.
+std::string BatchCommand(const StreamStep& s) {
+  std::string cmd = "BATCH";
+  for (const Delta<IntRing>& d : s.deltas) {
+    cmd += "\n" + d.relation;
+    for (Value v : d.tuple) cmd += " " + std::to_string(v);
+    cmd += " x" + std::to_string(d.delta);
+  }
+  return cmd;
+}
+
+/// The reply serve::Session gives to `ENUMERATE q<N>` for a COUNT query
+/// maintained by `e`: "OK rows=<n>" plus every "v.. -> payload" row in
+/// byte order; a query with no free variables has the one row
+/// "-> <aggregate>".
+std::string EnumerateReply(ViewTreeEngine<IntRing>& e, bool scalar) {
+  std::vector<std::string> rows;
+  if (scalar) {
+    rows.push_back("-> " + std::to_string(e.tree().Aggregate()));
+  } else {
+    e.Enumerate([&](const Tuple& t, const int64_t& p) {
+      std::string row;
+      for (Value v : t) row += std::to_string(v) + " ";
+      rows.push_back(row + "-> " + std::to_string(p));
+    });
+  }
+  std::sort(rows.begin(), rows.end());
+  std::string out = "OK rows=" + std::to_string(rows.size());
+  for (const std::string& row : rows) out += "\n" + row;
+  return out;
 }
 
 /// Drives one stream step through an engine. Batch-mode engines take batch
@@ -488,7 +522,11 @@ DiffResult RunDiffer(const GenQuery& q, const Stream& stream,
   // both twins pick their order via the shared EnumerableOrderFor rule,
   // the two trees must serialize to the same bytes at every checkpoint of
   // the stream. A divergence means the lowering (or the unparser) broke
-  // the id-parity contract.
+  // the id-parity contract. The same SQL text also goes through the
+  // command interpreter the server runs (serve::Session): REGISTER, one
+  // BATCH per step, and at every checkpoint its ENUMERATE reply must equal
+  // the SQL twin's output rendered the same way — parse, route, lift,
+  // apply and render, without the transport.
   if (opts.sql && !q.sql_text.empty()) {
     obs::RecordEvent(obs::EventKind::kDifferPass, 5, applied);
     auto fail_sql = [&](size_t step, std::string detail) {
@@ -536,11 +574,29 @@ DiffResult RunDiffer(const GenQuery& q, const Stream& stream,
                       cq->ToString(cq_vars));
       return res;
     }
+    serve::Session session;
+    bool close = false;
+    auto fail_session = [&](size_t step, std::string detail) {
+      res.ok = false;
+      res.failures.push_back({"sql:session", step, std::move(detail)});
+    };
+    const std::string registered =
+        session.Execute("REGISTER " + q.sql_text, &close);
+    if (registered != "OK q0") {
+      fail_session(0, "REGISTER replied " + registered);
+      return res;
+    }
+    const bool scalar = sq->query.free().empty();
     size_t step = 0;
     for (const StreamStep& s : stream.steps) {
       ApplyStep(*a, s, /*batch_mode=*/true);
       ApplyStep(*b, s, /*batch_mode=*/true);
+      const std::string batch = session.Execute(BatchCommand(s), &close);
       ++step;
+      if (batch.rfind("OK deltas=", 0) != 0) {
+        fail_session(step, "BATCH replied " + batch);
+        return res;
+      }
       const bool checkpoint =
           (opts.check_every != 0 && step % opts.check_every == 0) ||
           step == stream.steps.size();
@@ -550,6 +606,13 @@ DiffResult RunDiffer(const GenQuery& q, const Stream& stream,
       if (da != db) {
         fail_sql(step, "SQL twin state diverged from CQ twin: " +
                            FirstByteDiff(db, da));
+        return res;
+      }
+      const std::string want = EnumerateReply(*b, scalar);
+      const std::string got = session.Execute("ENUMERATE q0", &close);
+      if (got != want) {
+        fail_session(step, "ENUMERATE q0 differs from the SQL twin: " +
+                               FirstByteDiff(got, want));
         return res;
       }
     }

@@ -93,7 +93,10 @@ struct DifferOptions {
   /// (GenQuery::sql_text) compiled through sql/CompileSql must build a
   /// view tree whose DumpState bytes are identical to the CQ-parsed
   /// twin's after every checkpoint of the stream — the "one query, two
-  /// dialects, one state" property the SQL front door promises.
+  /// dialects, one state" property the SQL front door promises. A
+  /// serve::Session fed the same SQL text and one BATCH per step must
+  /// answer `ENUMERATE q0` with the SQL twin's rendered output at every
+  /// checkpoint.
   bool sql = true;
   std::string scratch_dir;
   /// Seed for the differ's own randomness (checkpoint step, kill offset).

@@ -20,29 +20,31 @@
 #include "incr/data/tuple.h"
 #include "incr/obs/metrics.h"
 #include "incr/ring/ring.h"
+#include "incr/util/env.h"
 #include "incr/util/hash.h"
 
 namespace incr {
 
+/// Upper bound of a shard count (INCR_SHARDS, EngineOptions::shards).
+inline constexpr size_t kMaxShards = size_t{1} << 16;
+
 /// Process-wide shard count for delta partitioning and sharded W storage
 /// (DeltaShards, ShardedRelation, ViewTree::DefaultDeltaShards): the
-/// INCR_SHARDS environment variable if set to a positive integer, else 16.
-/// Read once at first use, then fixed for the process — results must never
-/// depend on shard count changing mid-run — and recorded as the
-/// "config.shards" gauge so every StatsSnapshot documents it.
+/// INCR_SHARDS environment variable if set to an integer in
+/// [1, kMaxShards], else 16 (other values are ignored with a warning, as
+/// EngineOptions::FromEnv ignores them). Read once at first use, then fixed
+/// for the process — results must never depend on shard count changing
+/// mid-run — and recorded as the "config.shards" gauge so every
+/// StatsSnapshot documents it.
 inline size_t NumShards() {
   static const size_t kNumShards = [] {
-    size_t shards = 16;
+    long long shards = 16;
     if (const char* env = std::getenv("INCR_SHARDS")) {
-      char* end = nullptr;
-      long v = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && v > 0) {
-        shards = static_cast<size_t>(v);
-      }
+      ParseEnvInt("INCR_SHARDS", env, 1, static_cast<long long>(kMaxShards),
+                  &shards);
     }
-    obs::MetricsRegistry::Global().GetGauge("config.shards")->Set(
-        static_cast<int64_t>(shards));
-    return shards;
+    obs::MetricsRegistry::Global().GetGauge("config.shards")->Set(shards);
+    return static_cast<size_t>(shards);
   }();
   return kNumShards;
 }

@@ -27,10 +27,4 @@ void AppendToken(std::string& out, Value v, const Dictionary& dict) {
   AppendInt(out, v);
 }
 
-std::string RenderToken(Value v, const Dictionary& dict) {
-  std::string out;
-  AppendToken(out, v, dict);
-  return out;
-}
-
 }  // namespace incr

@@ -36,12 +36,15 @@ class Dictionary {
   std::vector<std::string> strings_;
 };
 
-/// The text-token codec of the REPL and the wire protocol. An integer
-/// literal below kStringCodeBase stands for itself; any other token is a
-/// string, encoded as kStringCodeBase + its dictionary code. Literals at or
-/// above the base, and literals outside int64, are rejected, so an integer
-/// can never alias an interned string.
-inline constexpr Value kStringCodeBase = 1'000'000'000;
+/// The text-token codec of the command language (serve/session.h). An
+/// integer literal below kStringCodeBase stands for itself; any other token
+/// is a string, encoded as kStringCodeBase + its dictionary code. Literals
+/// at or above the base, and literals outside int64, are rejected, so an
+/// integer can never alias an interned string. At 2^62 the base leaves
+/// every 10-digit ID and every Unix timestamp, in seconds through
+/// nanoseconds, to stand for itself. Encoded strings live only in a
+/// session's memory: nothing persists them, so the base may move again.
+inline constexpr Value kStringCodeBase = Value{1} << 62;
 
 /// Parses one value token; `intern(const std::string&) -> Value` supplies
 /// the dictionary code of a string token (callers sharing a Dictionary
@@ -65,10 +68,6 @@ StatusOr<Value> ParseToken(const std::string& tok, Intern&& intern) {
   return Value{v};
 }
 
-inline StatusOr<Value> ParseToken(const std::string& tok, Dictionary& dict) {
-  return ParseToken(tok, [&](const std::string& s) { return dict.Intern(s); });
-}
-
 /// Appends the decimal digits of `v` to `out` (std::to_chars, no
 /// temporary string).
 inline void AppendInt(std::string& out, int64_t v) {
@@ -80,9 +79,6 @@ inline void AppendInt(std::string& out, int64_t v) {
 /// Inverse of ParseToken, appended to `out`: the string of a string code,
 /// else the integer.
 void AppendToken(std::string& out, Value v, const Dictionary& dict);
-
-/// AppendToken into a fresh string.
-std::string RenderToken(Value v, const Dictionary& dict);
 
 }  // namespace incr
 

@@ -3,31 +3,11 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "incr/util/env.h"
+
 namespace incr {
 
 namespace {
-
-// Parses a non-negative integer environment value in [min, max]. Returns
-// false (leaving *out untouched) with a stderr warning when the variable is
-// malformed or out of range — the caller keeps its default.
-bool ParseEnvInt(const char* name, const char* value, long long min,
-                 long long max, long long* out) {
-  char* end = nullptr;
-  long long v = std::strtoll(value, &end, 10);
-  if (end == value || *end != '\0') {
-    std::fprintf(stderr, "incr: ignoring %s='%s' (not an integer)\n", name,
-                 value);
-    return false;
-  }
-  if (v < min || v > max) {
-    std::fprintf(stderr,
-                 "incr: ignoring %s=%lld (outside [%lld, %lld])\n", name, v,
-                 min, max);
-    return false;
-  }
-  *out = v;
-  return true;
-}
 
 bool EnvFlagOff(const char* value) {
   std::string v(value);

@@ -12,6 +12,7 @@
 #include <optional>
 #include <string>
 
+#include "incr/data/delta.h"
 #include "incr/data/page_store.h"
 
 namespace incr {
@@ -108,7 +109,7 @@ struct EngineOptions {
   // to catch unit mistakes (e.g. a byte count in a microsecond knob), not
   // to police reasonable configurations.
   static constexpr size_t kMaxThreads = 1024;
-  static constexpr size_t kMaxShards = 1 << 16;
+  static constexpr size_t kMaxShards = ::incr::kMaxShards;
   static constexpr size_t kMaxMorselBytes = size_t{1} << 30;  // 1 GiB
   static constexpr size_t kMaxWalBufferBytes = size_t{1} << 30;  // 1 GiB
   static constexpr uint32_t kMaxGroupCommitUs = 60 * 1000 * 1000;  // 1 min

@@ -1,0 +1,608 @@
+#include "incr/serve/session.h"
+
+#include <algorithm>
+#include <cctype>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <span>
+#include <sstream>
+#include <utility>
+#include <vector>
+
+#include "incr/core/view_tree.h"
+#include "incr/core/view_tree_plan.h"
+#include "incr/engines/engine.h"
+#include "incr/obs/explain.h"
+#include "incr/obs/metrics.h"
+#include "incr/ring/int_ring.h"
+#include "incr/ring/product_ring.h"
+
+namespace incr {
+namespace serve {
+
+namespace {
+
+uint64_t NowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+using AvgRing = ProductRing<IntRing, IntRing>;
+
+/// The ring payload of a named delta, per the compiled statement's lifting
+/// functions (sql/sql.h).
+template <RingType R>
+typename R::Value LiftPayload(const sql::CompiledSql& c, const std::string& rel,
+                              const Tuple& t, int64_t m) {
+  if constexpr (std::is_same_v<R, IntRing>) {
+    return sql::LiftInt(c, rel, t, m);
+  } else if constexpr (std::is_same_v<R, AvgRing>) {
+    return sql::LiftPair(c, rel, t, m);
+  } else {
+    static_assert(std::is_same_v<R, CovarRing<2>>);
+    return sql::LiftCovar(c, rel, t, m);
+  }
+}
+
+std::string RenderDouble(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+std::string RenderPayload(const std::pair<int64_t, int64_t>& v) {
+  return "count=" + std::to_string(v.first) +
+         " sum=" + std::to_string(v.second);
+}
+
+std::string RenderPayload(const CovarValue<2>& v) {
+  std::string out = "count=" + std::to_string(v.count) + " sum=[";
+  for (size_t i = 0; i < 2; ++i) {
+    if (i > 0) out += " ";
+    out += RenderDouble(v.sum[i]);
+  }
+  out += "] prod=[";
+  for (size_t i = 0; i < 4; ++i) {
+    if (i > 0) out += " ";
+    out += RenderDouble(v.prod[i]);
+  }
+  out += "]";
+  return out;
+}
+
+void AppendPayload(std::string& out, const int64_t& v) { AppendInt(out, v); }
+
+template <typename P>
+void AppendPayload(std::string& out, const P& v) {
+  out += RenderPayload(v);
+}
+
+std::string HistJson(const obs::HistogramStats& s) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "{\"count\":%llu,\"p50_ns\":%.0f,\"p99_ns\":%.0f}",
+                static_cast<unsigned long long>(s.count), s.Quantile(50),
+                s.Quantile(99));
+  return buf;
+}
+
+/// Appends value tokens for ENUMERATE: integers straight from to_chars,
+/// string codes through the shared codec under the dictionary lock (other
+/// workers intern concurrently).
+class TokenWriter {
+ public:
+  TokenWriter(const Dictionary& dict, std::mutex& mu) : dict_(dict), mu_(mu) {}
+
+  void Append(std::string& out, Value v) const {
+    if (v < kStringCodeBase) {
+      AppendInt(out, v);
+      return;
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    AppendToken(out, v, dict_);
+  }
+
+ private:
+  const Dictionary& dict_;
+  std::mutex& mu_;
+};
+
+/// ENUMERATE's rows, rendered back to back into one buffer; each row is an
+/// (offset, length) span of it. Collecting n rows costs amortized O(1)
+/// allocations, and selecting the smallest k moves spans, not strings.
+class RowArena {
+ public:
+  /// The buffer a row is rendered into; call EndRow(start) after it, with
+  /// `start` the buffer size before the row.
+  std::string& bytes() { return bytes_; }
+  void EndRow(size_t start) {
+    const size_t len = bytes_.size() - start;
+    uint64_t prefix = 0;
+    for (size_t i = 0; i < sizeof prefix; ++i) {
+      prefix = prefix << 8 |
+               (i < len ? static_cast<unsigned char>(bytes_[start + i]) : 0u);
+    }
+    spans_.push_back(Span{prefix, start, len});
+  }
+
+  /// "OK rows=<n>" plus the `limit` smallest rows in std::string byte
+  /// order, one per line: O(n log k) for k = min(limit, n).
+  std::string Reply(size_t limit) {
+    const size_t n = spans_.size();
+    const size_t k = std::min(limit, n);
+    auto less = [this](const Span& a, const Span& b) {
+      if (a.prefix != b.prefix) return a.prefix < b.prefix;
+      return View(a) < View(b);
+    };
+    if (k == n) {
+      std::sort(spans_.begin(), spans_.end(), less);
+    } else if (k > 0) {
+      std::partial_sort(spans_.begin(), spans_.begin() + k, spans_.end(),
+                        less);
+    }
+    std::string out = "OK rows=" + std::to_string(n);
+    size_t bytes = out.size();
+    for (size_t i = 0; i < k; ++i) bytes += 1 + spans_[i].len;
+    out.reserve(bytes);
+    for (size_t i = 0; i < k; ++i) {
+      out += '\n';
+      out += View(spans_[i]);
+    }
+    return out;
+  }
+
+ private:
+  struct Span {
+    // The first 8 bytes, big-endian and zero-padded: unequal prefixes
+    // order two rows exactly as their bytes do (a zero pad byte only
+    // differs from a real byte when one row ends early, i.e. is the
+    // smaller), so most comparisons never touch the buffer.
+    uint64_t prefix;
+    size_t off;
+    size_t len;
+  };
+  std::string_view View(const Span& s) const {
+    return std::string_view(bytes_.data() + s.off, s.len);
+  }
+
+  std::string bytes_;
+  std::vector<Span> spans_;
+};
+
+}  // namespace
+
+/// One delta as the wire names it: relation, tuple, Z multiplicity. Each
+/// registered query lifts the multiplicity into its own ring payload.
+struct NamedDelta {
+  std::string relation;
+  Tuple tuple;
+  int64_t mult = 1;
+};
+
+class RegisteredQuery {
+ public:
+  RegisteredQuery(int id, sql::CompiledSql compiled, VarRegistry vars)
+      : id_(id), compiled_(std::move(compiled)), vars_(std::move(vars)) {
+    auto& reg = obs::MetricsRegistry::Global();
+    const std::string prefix = "server.q" + std::to_string(id_) + ".";
+    updates_ = reg.GetCounter(prefix + "updates");
+    update_ns_ = reg.GetHistogram(prefix + "update_ns");
+    enum_ns_ = reg.GetHistogram(prefix + "enum_ns");
+  }
+  virtual ~RegisteredQuery() = default;
+
+  int id() const { return id_; }
+  const sql::CompiledSql& compiled() const { return compiled_; }
+
+  /// True if a delta to `rel` with `arity` columns feeds this query.
+  bool Matches(const std::string& rel, size_t arity) const {
+    for (const Atom& a : compiled_.query.atoms()) {
+      if (a.relation == rel && a.schema.size() == arity) return true;
+    }
+    return false;
+  }
+
+  /// Applies `deltas` as one engine batch. Serialized per query by the
+  /// maintenance mutex — the ONE-maintainer shape the snapshot path wants.
+  void Apply(std::span<const NamedDelta> deltas) {
+    const uint64_t t0 = NowNs();
+    {
+      std::lock_guard<std::mutex> lock(maintain_mu_);
+      ApplyImpl(deltas);
+    }
+    update_ns_->Record(NowNs() - t0);
+    updates_->Add(deltas.size());
+  }
+
+  /// "OK rows=<n>" plus up to `limit` sorted "v1 v2 -> payload" rows, off
+  /// an epoch snapshot (no maintenance mutex: readers are lock-free). Every
+  /// row is rendered into one arena while the snapshot is pinned; the pin
+  /// ends before the top-`limit` selection.
+  std::string EnumerateText(size_t limit, const TokenWriter& tokens) {
+    const uint64_t t0 = NowNs();
+    RowArena rows;
+    CollectRows(tokens, &rows);
+    std::string out = rows.Reply(limit);
+    enum_ns_->Record(NowNs() - t0);
+    return out;
+  }
+
+  std::string StatsJson() const {
+    std::string out = "{\"id\":\"q" + std::to_string(id_) + "\",";
+    out += "\"aggregate\":\"" +
+           std::string(sql::SqlAggregateName(compiled_.agg)) + "\",";
+    out += "\"updates\":" + std::to_string(updates_->Value()) + ",";
+    out += "\"update_ns\":" + HistJson(update_ns_->Stats()) + ",";
+    out += "\"enumerate_ns\":" + HistJson(enum_ns_->Stats()) + "}";
+    return out;
+  }
+
+  std::string ExplainJson(bool analyze) {
+    obs::ExplainReport report = Explain(analyze);
+    // Swap the v<N> fallbacks for the statement's names and re-render the
+    // query text with them.
+    for (Var v : compiled_.query.AllVars()) {
+      if (static_cast<size_t>(v) >= report.var_names.size()) {
+        report.var_names.resize(static_cast<size_t>(v) + 1);
+      }
+      report.var_names[static_cast<size_t>(v)] = vars_.Name(v);
+    }
+    report.query = obs::RenderQuery(compiled_.query, report.var_names);
+    return report.ToJson();
+  }
+
+ protected:
+  virtual void ApplyImpl(std::span<const NamedDelta> deltas) = 0;
+  /// Renders every output row of a pinned snapshot into `rows`.
+  virtual void CollectRows(const TokenWriter& tokens, RowArena* rows) = 0;
+  virtual obs::ExplainReport Explain(bool analyze) = 0;
+
+ private:
+  const int id_;
+  const sql::CompiledSql compiled_;
+  const VarRegistry vars_;
+  std::mutex maintain_mu_;
+  obs::Counter* updates_;
+  obs::Histogram* update_ns_;
+  obs::Histogram* enum_ns_;
+};
+
+namespace {
+
+template <RingType R>
+class TypedQuery : public RegisteredQuery {
+ public:
+  TypedQuery(int id, sql::CompiledSql compiled, VarRegistry vars,
+             ViewTree<R> tree)
+      : RegisteredQuery(id, std::move(compiled), std::move(vars)),
+        engine_(std::move(tree)) {}
+
+  ViewTreeEngine<R>& engine() { return engine_; }
+
+ protected:
+  void ApplyImpl(std::span<const NamedDelta> deltas) override {
+    std::vector<Delta<R>> batch;
+    batch.reserve(deltas.size());
+    for (const NamedDelta& d : deltas) {
+      batch.push_back(Delta<R>{
+          d.relation, d.tuple,
+          LiftPayload<R>(compiled(), d.relation, d.tuple, d.mult)});
+    }
+    engine_.ApplyBatch(batch);
+  }
+
+  void CollectRows(const TokenWriter& tokens, RowArena* rows) override {
+    std::string& out = rows->bytes();
+    if (compiled().query.free().empty()) {
+      // Scalar aggregate: one row from the snapshot's root product.
+      out += "-> ";
+      AppendPayload(out, engine_.tree().Snapshot().Aggregate());
+      rows->EndRow(0);
+      return;
+    }
+    engine_.EnumerateSnapshot([&](const Tuple& t, const typename R::Value& p) {
+      const size_t start = out.size();
+      for (Value v : t) {
+        tokens.Append(out, v);
+        out += ' ';
+      }
+      out += "-> ";
+      AppendPayload(out, p);
+      rows->EndRow(start);
+    });
+  }
+
+  obs::ExplainReport Explain(bool analyze) override {
+    return engine_.Explain(analyze);
+  }
+
+ private:
+  ViewTreeEngine<R> engine_;
+};
+
+template <RingType R>
+StatusOr<std::unique_ptr<RegisteredQuery>> MakeTyped(int id,
+                                                     sql::CompiledSql compiled,
+                                                     VarRegistry vars,
+                                                     EngineOptions eopts) {
+  auto vo = EnumerableOrderFor(compiled.query);
+  if (!vo.ok()) return vo.status();
+  auto tree = ViewTree<R>::Make(compiled.query, *std::move(vo), eopts.storage);
+  if (!tree.ok()) return tree.status();
+  auto q = std::make_unique<TypedQuery<R>>(id, std::move(compiled),
+                                           std::move(vars), *std::move(tree));
+  // The ENUMERATE path reads epoch snapshots concurrently with the
+  // maintainers; snapshots are therefore not optional here.
+  eopts.snapshot_reads = true;
+  q->engine().Configure(eopts);
+  return std::unique_ptr<RegisteredQuery>(std::move(q));
+}
+
+}  // namespace
+
+Session::Session(EngineOptions engine) : engine_opts_(std::move(engine)) {}
+
+Session::~Session() = default;
+
+size_t Session::num_queries() const {
+  std::shared_lock<std::shared_mutex> lock(reg_mu_);
+  return queries_.size();
+}
+
+std::string Session::Execute(std::string_view cmd, bool* close_after) {
+  const size_t nl = cmd.find('\n');
+  std::string_view first = cmd.substr(0, nl);
+  if (!first.empty() && first.back() == '\r') first.remove_suffix(1);
+  std::istringstream in{std::string(first)};
+  std::string word;
+  in >> word;
+  if (word.empty()) return "ERR empty command";
+  std::string upper = word;
+  for (char& c : upper) c = static_cast<char>(std::toupper(c));
+  // Rest of the first line (single-line commands' arguments).
+  std::string args;
+  std::getline(in, args);
+  size_t start = args.find_first_not_of(" \t");
+  args = start == std::string::npos ? "" : args.substr(start);
+
+  if (upper == "PING") return "OK pong";
+  if (upper == "QUIT") {
+    *close_after = true;
+    return "OK bye";
+  }
+  if (upper == "REGISTER") {
+    // SQL may span lines: everything after the command word is the text.
+    size_t pos = cmd.find(word) + word.size();
+    return CmdRegister(std::string(cmd.substr(pos)));
+  }
+  if (upper == "UPDATE") return CmdUpdate(args);
+  if (upper == "BATCH") {
+    return CmdBatch(nl == std::string_view::npos
+                        ? ""
+                        : std::string(cmd.substr(nl + 1)));
+  }
+  if (upper == "ENUMERATE") return CmdEnumerate(args);
+  if (upper == "STATS") return CmdStats(args);
+  if (upper == "EXPLAIN") return CmdExplain(args);
+  return "ERR unknown command '" + word +
+         "' (try REGISTER, UPDATE, BATCH, ENUMERATE, STATS, EXPLAIN, PING, "
+         "QUIT)";
+}
+
+std::string Session::CmdRegister(const std::string& sql_text) {
+  std::unique_lock<std::shared_mutex> lock(reg_mu_);
+  VarRegistry vars;
+  auto compiled = sql::CompileSql(sql_text, &vars, &catalog_);
+  if (!compiled.ok()) return "ERR " + compiled.status().message();
+  const int id = next_query_id_;
+  StatusOr<std::unique_ptr<RegisteredQuery>> q =
+      Status::Internal("unreachable");
+  switch (compiled->agg) {
+    case sql::SqlAggregate::kNone:
+    case sql::SqlAggregate::kCount:
+    case sql::SqlAggregate::kSum:
+      q = MakeTyped<IntRing>(id, *std::move(compiled), std::move(vars),
+                             engine_opts_);
+      break;
+    case sql::SqlAggregate::kAvg:
+      q = MakeTyped<AvgRing>(id, *std::move(compiled), std::move(vars),
+                             engine_opts_);
+      break;
+    case sql::SqlAggregate::kCovar:
+      q = MakeTyped<CovarRing<2>>(id, *std::move(compiled), std::move(vars),
+                                  engine_opts_);
+      break;
+  }
+  if (!q.ok()) return "ERR " + q.status().message();
+  queries_.emplace(id, *std::move(q));
+  ++next_query_id_;
+  return "OK q" + std::to_string(id);
+}
+
+StatusOr<Value> Session::ParseValue(const std::string& tok) {
+  return ParseToken(tok, [this](const std::string& s) {
+    std::lock_guard<std::mutex> lock(dict_mu_);
+    return dict_.Intern(s);
+  });
+}
+
+bool Session::ParseNamedDelta(const std::string& line, NamedDelta* out,
+                              std::string* err) {
+  std::istringstream in(line);
+  std::string rel, tok;
+  in >> rel;
+  int64_t sign = 1;
+  if (!rel.empty() && (rel[0] == '+' || rel[0] == '-')) {
+    if (rel[0] == '-') sign = -1;
+    rel = rel.substr(1);
+  }
+  if (rel.empty()) {
+    *err = "missing relation name";
+    return false;
+  }
+  Tuple t;
+  int64_t mult = 1;
+  while (in >> tok) {
+    if (tok.size() > 1 && tok[0] == 'x') {
+      char* end = nullptr;
+      long long m = std::strtoll(tok.c_str() + 1, &end, 10);
+      if (end != tok.c_str() + 1 && *end == '\0') {
+        mult = m;
+        continue;
+      }
+    }
+    StatusOr<Value> v = ParseValue(tok);
+    if (!v.ok()) {
+      *err = v.status().message();
+      return false;
+    }
+    t.push_back(*v);
+  }
+  if (t.empty()) {
+    *err = "delta for " + rel + " has no values";
+    return false;
+  }
+  out->relation = std::move(rel);
+  out->tuple = std::move(t);
+  out->mult = sign * mult;
+  return true;
+}
+
+std::string Session::CmdUpdate(const std::string& args) {
+  NamedDelta d;
+  std::string err;
+  if (!ParseNamedDelta(args, &d, &err)) return "ERR " + err;
+  std::shared_lock<std::shared_mutex> lock(reg_mu_);
+  auto it = catalog_.tables.find(d.relation);
+  if (it != catalog_.tables.end() && it->second.size() != d.tuple.size()) {
+    return "ERR arity mismatch: " + d.relation + " has " +
+           std::to_string(it->second.size()) + " columns, got " +
+           std::to_string(d.tuple.size());
+  }
+  size_t routed = 0;
+  std::span<const NamedDelta> one(&d, 1);
+  for (auto& [id, q] : queries_) {
+    if (q->Matches(d.relation, d.tuple.size())) {
+      q->Apply(one);
+      ++routed;
+    }
+  }
+  return "OK routed=" + std::to_string(routed);
+}
+
+std::string Session::CmdBatch(const std::string& body) {
+  std::vector<NamedDelta> deltas;
+  size_t lineno = 1;  // line 1 is the BATCH command itself
+  std::istringstream in(body);
+  std::string line;
+  while (std::getline(in, line)) {
+    ++lineno;
+    size_t start = line.find_first_not_of(" \t\r");
+    if (start == std::string::npos || line[start] == '#') continue;
+    NamedDelta d;
+    std::string err;
+    if (!ParseNamedDelta(line.substr(start), &d, &err)) {
+      // All-or-nothing: a malformed line rejects the whole batch before
+      // anything is applied.
+      return "ERR line " + std::to_string(lineno) + ": " + err;
+    }
+    deltas.push_back(std::move(d));
+  }
+  std::shared_lock<std::shared_mutex> lock(reg_mu_);
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    auto it = catalog_.tables.find(deltas[i].relation);
+    if (it != catalog_.tables.end() &&
+        it->second.size() != deltas[i].tuple.size()) {
+      return "ERR arity mismatch: " + deltas[i].relation + " has " +
+             std::to_string(it->second.size()) + " columns";
+    }
+  }
+  size_t routed = 0;
+  std::vector<NamedDelta> mine;
+  for (auto& [id, q] : queries_) {
+    mine.clear();
+    for (const NamedDelta& d : deltas) {
+      if (q->Matches(d.relation, d.tuple.size())) mine.push_back(d);
+    }
+    if (mine.empty()) continue;
+    q->Apply(mine);
+    ++routed;
+  }
+  return "OK deltas=" + std::to_string(deltas.size()) +
+         " routed=" + std::to_string(routed);
+}
+
+RegisteredQuery* Session::FindQuery(const std::string& token) {
+  if (token.size() < 2 || (token[0] != 'q' && token[0] != 'Q')) return nullptr;
+  char* end = nullptr;
+  long id = std::strtol(token.c_str() + 1, &end, 10);
+  if (end == token.c_str() + 1 || *end != '\0') return nullptr;
+  auto it = queries_.find(static_cast<int>(id));
+  return it == queries_.end() ? nullptr : it->second.get();
+}
+
+std::string Session::CmdEnumerate(const std::string& args) {
+  std::istringstream in(args);
+  std::string token, limit_tok;
+  in >> token >> limit_tok;
+  size_t limit = std::numeric_limits<size_t>::max();
+  if (!limit_tok.empty()) {
+    char* end = nullptr;
+    long long v = std::strtoll(limit_tok.c_str(), &end, 10);
+    if (end == limit_tok.c_str() || *end != '\0' || v < 0) {
+      return "ERR bad limit '" + limit_tok + "'";
+    }
+    limit = static_cast<size_t>(v);
+  }
+  std::shared_lock<std::shared_mutex> lock(reg_mu_);
+  RegisteredQuery* q = FindQuery(token);
+  if (q == nullptr) return "ERR no such query '" + token + "'";
+  return q->EnumerateText(limit, TokenWriter(dict_, dict_mu_));
+}
+
+std::string Session::CmdStats(const std::string& args) {
+  std::istringstream in(args);
+  std::string token;
+  in >> token;
+  std::shared_lock<std::shared_mutex> lock(reg_mu_);
+  RegisteredQuery* q = FindQuery(token);
+  if (q == nullptr) return "ERR no such query '" + token + "'";
+  return "OK " + q->StatsJson();
+}
+
+std::string Session::CmdExplain(const std::string& args) {
+  std::istringstream in(args);
+  std::string token, mode;
+  in >> token >> mode;
+  bool analyze = false;
+  if (mode == "analyze") {
+    analyze = true;
+  } else if (!mode.empty()) {
+    return "ERR usage: EXPLAIN q<N> [analyze]";
+  }
+  std::shared_lock<std::shared_mutex> lock(reg_mu_);
+  RegisteredQuery* q = FindQuery(token);
+  if (q == nullptr) return "ERR no such query '" + token + "'";
+  return "OK " + q->ExplainJson(analyze);
+}
+
+std::string UnescapeNewlines(std::string_view line) {
+  std::string out;
+  out.reserve(line.size());
+  for (size_t i = 0; i < line.size(); ++i) {
+    if (line[i] == '\\' && i + 1 < line.size() && line[i + 1] == 'n') {
+      out += '\n';
+      ++i;
+    } else {
+      out += line[i];
+    }
+  }
+  return out;
+}
+
+}  // namespace serve
+}  // namespace incr

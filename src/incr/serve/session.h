@@ -1,0 +1,121 @@
+// Session: the one command interpreter of the continuous-query service —
+// a socket-free map from a command to its reply over a registry of SQL
+// queries (compiled by sql/sql.h into ring-typed view trees), a shared
+// table catalog and a value dictionary. IvmServer's workers call it for
+// every frame; the REPL (examples/ivm_repl.cpp) calls it for every line.
+//
+// Command language (one command per protocol frame or script line;
+// replies are UTF-8 text):
+//
+//   REGISTER <sql>            -> OK q<N>          (DDL may be inline; the
+//                                                  catalog persists across
+//                                                  registrations)
+//   UPDATE [+|-]<rel> v.. [xN]-> OK routed=<q>    (one delta, fanned out)
+//   BATCH\n<delta lines>      -> OK deltas=<k> routed=<q>  (all-or-nothing
+//                                                  parse, one engine batch
+//                                                  per affected query)
+//   ENUMERATE q<N> [limit]    -> OK rows=<n>\n<sorted "v.. -> payload" rows>
+//                                 (O(n) to enumerate and render every row
+//                                  into one arena, then O(n log k) to pick
+//                                  the k = min(limit, n) smallest; the
+//                                  snapshot pin ends before the selection)
+//   STATS q<N>                -> OK {json}        (update/enumerate counts,
+//                                                  p50/p99 latencies)
+//   EXPLAIN q<N> [analyze]    -> OK {json}        (obs/explain.h report)
+//   PING                      -> OK pong
+//   QUIT                      -> OK bye           (*close_after is set)
+//
+// Errors reply "ERR <reason>" and leave the session unchanged. Values are
+// integers or identifiers, through the token codec of data/value.h.
+//
+// Thread safety: Execute may be called from many threads at once.
+// REGISTER takes the registry lock exclusively; UPDATE/BATCH/ENUMERATE/
+// STATS/EXPLAIN take it shared. Each registered query additionally has a
+// maintenance mutex serializing its writers — the snapshot contract wants
+// ONE maintainer per tree, and serialized maintainers are exactly that.
+// ENUMERATE never takes the maintenance mutex: it pins an epoch snapshot
+// and reads lock-free. The dictionary has a lock of its own.
+#ifndef INCR_SERVE_SESSION_H_
+#define INCR_SERVE_SESSION_H_
+
+#include <map>
+#include <memory>
+#include <mutex>
+#include <shared_mutex>
+#include <string>
+#include <string_view>
+
+#include "incr/data/value.h"
+#include "incr/engines/engine_options.h"
+#include "incr/sql/sql.h"
+#include "incr/util/status.h"
+
+namespace incr {
+namespace serve {
+
+/// One registered continuous query: the compiled SQL, its variable names,
+/// and a ring-typed view-tree engine behind a type-erasing interface (the
+/// ring is picked by the aggregate, so the session cannot name it
+/// statically). Implemented by TypedQuery<R> in session.cc.
+class RegisteredQuery;
+struct NamedDelta;
+
+class Session {
+ public:
+  /// `engine` configures every registered query's engine; snapshot_reads
+  /// is forced on, since ENUMERATE reads epoch snapshots.
+  explicit Session(EngineOptions engine = {});
+  ~Session();
+
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+
+  /// Executes one command, returns the reply ("OK ..." / "ERR ...").
+  /// Sets *close_after when the reply should be the last one (QUIT).
+  std::string Execute(std::string_view cmd, bool* close_after);
+
+  /// Registered queries so far (monotonic ids q0, q1, ...).
+  size_t num_queries() const;
+
+ private:
+  std::string CmdRegister(const std::string& sql_text);
+  std::string CmdUpdate(const std::string& args);
+  std::string CmdBatch(const std::string& body);
+  std::string CmdEnumerate(const std::string& args);
+  std::string CmdStats(const std::string& args);
+  std::string CmdExplain(const std::string& args);
+
+  /// Parses "Rel v1 .. vn [xN]" (optional +/- prefix) into *out; on
+  /// failure returns false with the reason in *err.
+  bool ParseNamedDelta(const std::string& line, NamedDelta* out,
+                       std::string* err);
+
+  /// Resolves "q<N>" under a caller-held shared registry lock.
+  RegisteredQuery* FindQuery(const std::string& token);
+
+  StatusOr<Value> ParseValue(const std::string& tok);
+
+  const EngineOptions engine_opts_;
+
+  // Query registry + shared SQL catalog (tables declared once per session).
+  mutable std::shared_mutex reg_mu_;
+  std::map<int, std::unique_ptr<RegisteredQuery>> queries_;
+  sql::SqlCatalog catalog_;
+  int next_query_id_ = 0;
+
+  // String interning for non-numeric delta values (the shared token codec
+  // in data/value.h: codes offset by kStringCodeBase, integer literals at
+  // or above it rejected).
+  std::mutex dict_mu_;
+  Dictionary dict_;
+};
+
+/// Scripts (ivm_server --script, the REPL) hold one command per line and
+/// spell the newlines inside a command (BATCH bodies) as a literal "\n":
+/// returns `line` with each "\n" escape turned into a newline.
+std::string UnescapeNewlines(std::string_view line);
+
+}  // namespace serve
+}  // namespace incr
+
+#endif  // INCR_SERVE_SESSION_H_

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "incr/engines/engine_options.h"
+#include "incr/util/env.h"
 
 namespace incr {
 namespace {
@@ -134,6 +135,23 @@ TEST_F(EngineOptionsEnvTest, BoundaryValuesAreAccepted) {
   opts = EngineOptions::FromEnv();
   EXPECT_EQ(opts.threads, EngineOptions::kMaxThreads);
   EXPECT_EQ(opts.shards, EngineOptions::kMaxShards);
+}
+
+// NumShards() and FromEnv read INCR_SHARDS through this one parser and
+// range. Only the parser is exercised: no tree is built at these values.
+TEST(ParseEnvIntTest, ShardCountsOutsideOneToMaxShardsAreRejected) {
+  const long long max = static_cast<long long>(kMaxShards);
+  for (const char* bad : {"999999999", "0", "-4", "16x", ""}) {
+    long long v = 7;
+    EXPECT_FALSE(ParseEnvInt("INCR_SHARDS", bad, 1, max, &v)) << bad;
+    EXPECT_EQ(v, 7) << bad;  // untouched
+  }
+  long long v = 0;
+  EXPECT_TRUE(ParseEnvInt("INCR_SHARDS", "1", 1, max, &v));
+  EXPECT_EQ(v, 1);
+  EXPECT_TRUE(
+      ParseEnvInt("INCR_SHARDS", std::to_string(max).c_str(), 1, max, &v));
+  EXPECT_EQ(v, max);
 }
 
 TEST_F(EngineOptionsEnvTest, FlagVariablesAcceptTheOffSpellings) {

@@ -144,27 +144,36 @@ TEST_F(ServerTest, StringValuesInternConsistently) {
 }
 
 TEST_F(ServerTest, IntegerLiteralsNeverAliasInternedStrings) {
-  // Strings are encoded as kStringCodeBase + dictionary code, so integer
-  // literals in that range (or past int64) must be refused: otherwise
-  // 1000000000 would silently mean the first interned string.
+  // Strings are encoded as kStringCodeBase (2^62) + dictionary code, so
+  // integer literals in that range (or past int64) must be refused:
+  // otherwise 4611686018427387904 would silently mean the first interned
+  // string. Everything below the base, such as 10-digit IDs and Unix
+  // timestamps, stands for itself.
   Client c = Connect();
   EXPECT_EQ(Call(c, "REGISTER CREATE TABLE R (a, b); "
                     "SELECT R.a, COUNT(*) FROM R GROUP BY R.a;"),
             "OK q0");
   EXPECT_EQ(Call(c, "UPDATE R foo 1"), "OK routed=1");
-  const std::string reserved = Call(c, "UPDATE R 1000000000 1");
+  EXPECT_EQ(Call(c, "UPDATE R 1000000000 1"), "OK routed=1");
+  EXPECT_EQ(Call(c, "UPDATE R 1700000000000 1"), "OK routed=1");
+  EXPECT_EQ(Call(c, "ENUMERATE q0"),
+            "OK rows=3\n1000000000 -> 1\n1700000000000 -> 1\nfoo -> 1");
+  const std::string reserved = Call(c, "UPDATE R 4611686018427387904 1");
   EXPECT_EQ(reserved.rfind("ERR", 0), 0u) << reserved;
   EXPECT_NE(reserved.find("reserved"), std::string::npos) << reserved;
   const std::string overflow = Call(c, "UPDATE R 99999999999999999999 1");
   EXPECT_EQ(overflow.rfind("ERR", 0), 0u) << overflow;
   EXPECT_NE(overflow.find("out of range"), std::string::npos) << overflow;
   // A bad literal rejects the whole batch, before anything is applied.
-  const std::string batch = Call(c, "BATCH\nR 7 1\nR 1000000000 1");
+  const std::string batch = Call(c, "BATCH\nR 7 1\nR 4611686018427387904 1");
   EXPECT_EQ(batch.rfind("ERR line 3", 0), 0u) << batch;
-  EXPECT_EQ(Call(c, "ENUMERATE q0"), "OK rows=1\nfoo -> 1");
+  EXPECT_EQ(Call(c, "ENUMERATE q0"),
+            "OK rows=3\n1000000000 -> 1\n1700000000000 -> 1\nfoo -> 1");
   // The largest plain integer still stands for itself.
-  EXPECT_EQ(Call(c, "UPDATE R 999999999 1"), "OK routed=1");
-  EXPECT_EQ(Call(c, "ENUMERATE q0"), "OK rows=2\n999999999 -> 1\nfoo -> 1");
+  EXPECT_EQ(Call(c, "UPDATE R 4611686018427387903 1"), "OK routed=1");
+  EXPECT_EQ(Call(c, "ENUMERATE q0"),
+            "OK rows=4\n1000000000 -> 1\n1700000000000 -> 1\n"
+            "4611686018427387903 -> 1\nfoo -> 1");
 }
 
 /// Checks that `ENUMERATE <q> k` is `OK rows=n` plus the first k lines of

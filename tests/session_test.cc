@@ -1,0 +1,152 @@
+// serve::Session is the one command interpreter: IvmServer's workers and
+// the REPL both call Session::Execute. One script runs through a Session in
+// process and through a loopback IvmServer, and every deterministic reply
+// must be byte-identical — the transport adds framing, nothing else.
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+#include "incr/serve/client.h"
+#include "incr/serve/server.h"
+#include "incr/serve/session.h"
+
+namespace incr {
+namespace serve {
+namespace {
+
+// Covers REGISTER of each ring (COUNT, AVG, COVAR), UPDATE with both signs,
+// a good BATCH and one with a malformed line, ENUMERATE with and without a
+// limit, EXPLAIN, PING, an unknown command, bad q<N> tokens and QUIT (last:
+// the server closes the connection after it).
+const char* const kScript[] = {
+    "PING",
+    "REGISTER CREATE TABLE R (a, b); CREATE TABLE S (b, c); "
+    "SELECT R.a, COUNT(*) FROM R, S WHERE R.b = S.b GROUP BY R.a;",
+    "REGISTER SELECT R.a, AVG(S.c) FROM R, S WHERE R.b = S.b GROUP BY R.a;",
+    "REGISTER CREATE TABLE P (x, y); SELECT COVAR(P.x, P.y) FROM P;",
+    "UPDATE R 1 2",
+    "UPDATE +R alice 2",
+    "UPDATE S 2 7 x3",
+    "UPDATE R 9 9",
+    "UPDATE -R 9 9",
+    "UPDATE P 1 2",
+    "BATCH\nR 3 2\n# a comment\n-S 2 7\nS 2 9\n\nP 3 4 x2",
+    "BATCH\nR 5 2\nR\nS 2 1",
+    "BATCH\nR 6 2\nR 4611686018427387904 2",
+    "UPDATE R 1",
+    "ENUMERATE q0",
+    "ENUMERATE q0 1",
+    "ENUMERATE q0 0",
+    "ENUMERATE q1",
+    "ENUMERATE q2",
+    "EXPLAIN q0",
+    "EXPLAIN q0 sideways",
+    "ENUMERATE q0 -1",
+    "FROB q0",
+    "ENUMERATE q9",
+    "ENUMERATE x0",
+    "ENUMERATE q",
+    "STATS q0x",
+    "EXPLAIN",
+    "ping",
+    "QUIT",
+};
+
+std::vector<std::string> RunInProcess(std::vector<bool>* close_after) {
+  Session session;
+  std::vector<std::string> replies;
+  for (const char* cmd : kScript) {
+    bool close = false;
+    replies.push_back(session.Execute(cmd, &close));
+    close_after->push_back(close);
+  }
+  return replies;
+}
+
+TEST(SessionTest, InProcessRepliesEqualLoopbackServerReplies) {
+  std::vector<bool> close_after;
+  const std::vector<std::string> local = RunInProcess(&close_after);
+
+  IvmServer server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  std::vector<std::string> wire;
+  for (const char* cmd : kScript) {
+    auto reply = client->Call(cmd);
+    ASSERT_TRUE(reply.ok()) << cmd << ": " << reply.status().ToString();
+    wire.push_back(*reply);
+  }
+  // QUIT's reply was the connection's last frame.
+  EXPECT_FALSE(client->Call("PING").ok());
+  EXPECT_EQ(server.num_queries(), 3u);
+  server.Stop();
+
+  ASSERT_EQ(local.size(), wire.size());
+  for (size_t i = 0; i < local.size(); ++i) {
+    EXPECT_EQ(local[i], wire[i]) << "command: " << kScript[i];
+    EXPECT_EQ(close_after[i], i + 1 == local.size()) << kScript[i];
+  }
+
+  // Pin the replies too, so the two paths cannot agree on a wrong answer.
+  auto reply_to = [&](const std::string& cmd) {
+    for (size_t i = 0; i < local.size(); ++i) {
+      if (cmd == kScript[i]) return local[i];
+    }
+    ADD_FAILURE() << "not in the script: " << cmd;
+    return std::string();
+  };
+  EXPECT_EQ(reply_to("PING"), "OK pong");
+  EXPECT_EQ(reply_to("ping"), "OK pong");
+  EXPECT_EQ(reply_to("UPDATE R 1 2"), "OK routed=2");
+  EXPECT_EQ(reply_to("UPDATE P 1 2"), "OK routed=1");
+  EXPECT_EQ(reply_to("BATCH\nR 3 2\n# a comment\n-S 2 7\nS 2 9\n\nP 3 4 x2"),
+            "OK deltas=4 routed=3");
+  EXPECT_EQ(reply_to("BATCH\nR 5 2\nR\nS 2 1").rfind("ERR line 3: ", 0), 0u);
+  EXPECT_EQ(reply_to("BATCH\nR 6 2\nR 4611686018427387904 2")
+                .rfind("ERR line 3: ", 0),
+            0u);
+  EXPECT_EQ(reply_to("UPDATE R 1").rfind("ERR arity mismatch", 0), 0u);
+  // S(2, 7) x3 was retracted once; S(2, 9) added: S(2, .) holds 7 x2, 9.
+  // The rejected batches left no trace.
+  EXPECT_EQ(reply_to("ENUMERATE q0"), "OK rows=3\n1 -> 3\n3 -> 3\nalice -> 3");
+  EXPECT_EQ(reply_to("ENUMERATE q0 1"), "OK rows=3\n1 -> 3");
+  EXPECT_EQ(reply_to("ENUMERATE q0 0"), "OK rows=3");
+  EXPECT_EQ(reply_to("ENUMERATE q1"),
+            "OK rows=3\n1 -> count=3 sum=23\n3 -> count=3 sum=23\n"
+            "alice -> count=3 sum=23");
+  // (1, 2) + 2 x (3, 4): count 3, sums [7 10], products [19 26 26 36].
+  EXPECT_EQ(reply_to("ENUMERATE q2"),
+            "OK rows=1\n-> count=3 sum=[7 10] prod=[19 26 26 36]");
+  EXPECT_EQ(reply_to("EXPLAIN q0").rfind("OK {", 0), 0u);
+  EXPECT_EQ(reply_to("EXPLAIN q0 sideways"),
+            "ERR usage: EXPLAIN q<N> [analyze]");
+  EXPECT_EQ(reply_to("ENUMERATE q0 -1"), "ERR bad limit '-1'");
+  EXPECT_EQ(reply_to("FROB q0").rfind("ERR unknown command 'FROB'", 0), 0u);
+  EXPECT_EQ(reply_to("ENUMERATE q9"), "ERR no such query 'q9'");
+  EXPECT_EQ(reply_to("ENUMERATE x0"), "ERR no such query 'x0'");
+  EXPECT_EQ(reply_to("ENUMERATE q"), "ERR no such query 'q'");
+  EXPECT_EQ(reply_to("STATS q0x"), "ERR no such query 'q0x'");
+  EXPECT_EQ(reply_to("EXPLAIN"), "ERR no such query ''");
+  EXPECT_EQ(reply_to("QUIT"), "OK bye");
+}
+
+TEST(SessionTest, EmptyAndBlankCommandsAreErrors) {
+  Session session;
+  bool close = false;
+  EXPECT_EQ(session.Execute("", &close), "ERR empty command");
+  EXPECT_EQ(session.Execute(" \t\r\nPING", &close), "ERR empty command");
+  EXPECT_FALSE(close);
+}
+
+TEST(SessionTest, ScriptEscapesBecomeNewlines) {
+  EXPECT_EQ(UnescapeNewlines("BATCH\\nR 1 2\\nS 2 3"), "BATCH\nR 1 2\nS 2 3");
+  EXPECT_EQ(UnescapeNewlines("no escapes"), "no escapes");
+  EXPECT_EQ(UnescapeNewlines("trailing \\"), "trailing \\");
+  EXPECT_EQ(UnescapeNewlines("\\t stays"), "\\t stays");
+}
+
+}  // namespace
+}  // namespace serve
+}  // namespace incr

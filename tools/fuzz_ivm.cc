@@ -79,7 +79,8 @@ void Usage(const char* argv0) {
       "  --no-durable    skip the WAL kill/recovery passes\n"
       "  --sql / --no-sql  run / skip the SQL round-trip tier (default on):\n"
       "                  CompileSql over the query's SQL rendering must\n"
-      "                  dump bytes identical to the CQ-parsed twin\n"
+      "                  dump bytes identical to the CQ-parsed twin, and a\n"
+      "                  serve::Session fed it must ENUMERATE the same rows\n"
       "  --no-shrink     report failures unshrunk\n"
       "  --out-dir DIR   where .repro files and WAL scratch go (default .)\n"
       "  --replay FILE   re-run a .repro file instead of generating\n"

@@ -24,30 +24,17 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "incr/serve/client.h"
 #include "incr/serve/server.h"
+#include "incr/serve/session.h"
 
 namespace {
 
 std::atomic<bool> g_stop{false};
 
 void HandleSignal(int) { g_stop.store(true); }
-
-// Turns the script's literal "\n" escapes into newlines (BATCH bodies).
-std::string Unescape(const std::string& line) {
-  std::string out;
-  out.reserve(line.size());
-  for (size_t i = 0; i < line.size(); ++i) {
-    if (line[i] == '\\' && i + 1 < line.size() && line[i + 1] == 'n') {
-      out += '\n';
-      ++i;
-    } else {
-      out += line[i];
-    }
-  }
-  return out;
-}
 
 int RunScript(const std::string& path, const std::string& host,
               uint16_t port) {
@@ -70,7 +57,8 @@ int RunScript(const std::string& path, const std::string& host,
     bool expect_err = line[start] == '!';
     if (expect_err) start = line.find_first_not_of(" \t", start + 1);
     if (start == std::string::npos) continue;
-    std::string cmd = Unescape(line.substr(start));
+    std::string cmd =
+        incr::serve::UnescapeNewlines(std::string_view(line).substr(start));
     std::printf("<<< %s\n", cmd.c_str());
     auto reply = client->Call(cmd);
     if (!reply.ok()) {

@@ -2,7 +2,9 @@
 // is gated on one relaxed obs::Enabled() load; when on, the engine facade
 // adds two clock reads plus a histogram record per *batch* (not per
 // delta), the view tree accumulates NodeObs per node per batch, and the
-// flight recorder drops two ring events per batch. E19 measures what that
+// flight recorder drops a span begin and end (two ring events, no clock
+// read of their own) per batch, per view-tree node, and per engine facade
+// call. E19 measures what that
 // actually costs: the same workloads as E15 (retailer O(1) deltas,
 // retailer fan-out, triangle) at threads=1, obs-off vs obs-on, interleaved
 // min-of-reps per mode so the comparison sees the same thermal/cache

@@ -22,7 +22,8 @@
 // INCR_STORAGE_BACKEND, INCR_STORAGE_POOL_BYTES, INCR_STORAGE_PAGE_BYTES
 // and INCR_STORAGE_SPILL_DIR for paged view state; INCR_METRICS_PATH and
 // INCR_METRICS_INTERVAL_MS for a Prometheus textfile export (written once
-// more at exit); INCR_TRACE=<file> for a Chrome trace of the session.
+// more at exit); INCR_TRACE=<file> for a Chrome trace, written at exit
+// from the flight recorder's rings (the last 256 events per thread).
 #include <cstdio>
 #include <iostream>
 #include <iterator>

@@ -43,7 +43,6 @@
 #include "incr/obs/explain.h"
 #include "incr/obs/metrics.h"
 #include "incr/obs/recorder.h"
-#include "incr/obs/trace.h"
 #include "incr/ring/ring.h"
 #include "incr/store/serde.h"
 #include "incr/util/check.h"
@@ -70,6 +69,9 @@ struct ViewTreeMetricHandles {
   obs::Gauge* snapshot_bytes;        // sampled bytes across retained versions
   obs::Histogram* snapshot_clone_ns;  // duration of each deep copy
   obs::Histogram* snapshot_wait_ns;   // writer stalls at the retention cap
+  obs::SpanId apply_batch_span;  // viewtree.apply_batch (deltas)
+  obs::SpanId node_span;         // viewtree.node, one per node per batch
+  obs::SpanId rebuild_span;      // viewtree.rebuild (nodes)
 };
 inline const ViewTreeMetricHandles& ViewTreeMetrics() {
   static const ViewTreeMetricHandles h = [] {
@@ -88,6 +90,9 @@ inline const ViewTreeMetricHandles& ViewTreeMetrics() {
         r.GetGauge("viewtree.snapshot_bytes"),
         r.GetHistogram("viewtree.snapshot_clone_ns"),
         r.GetHistogram("viewtree.snapshot_wait_ns"),
+        obs::InternSpan("viewtree.apply_batch", "deltas"),
+        obs::InternSpan("viewtree.node", "node"),
+        obs::InternSpan("viewtree.rebuild", "nodes"),
     };
   }();
   return h;
@@ -363,19 +368,17 @@ class ViewTree {
       return;
     }
     const bool obs_on = obs::Enabled();
-    obs::TraceSpan span("viewtree.apply_batch");
-    span.AddArg("deltas", static_cast<uint64_t>(batch.size()));
-    uint64_t rec_t0 = 0;
+    const auto& m = detail::ViewTreeMetrics();
+    uint64_t t0 = 0;
     if (obs_on) {
-      detail::ViewTreeMetrics().batches->Inc();
-      detail::ViewTreeMetrics().batch_deltas->Add(batch.size());
-      rec_t0 = obs::NowNs();
-      obs::RecordEvent(obs::EventKind::kBatchStart, batch.size());
+      m.batches->Inc();
+      m.batch_deltas->Add(batch.size());
+      t0 = obs::NowNs();
+      obs::SpanBegin(m.apply_batch_span, t0, batch.size());
     }
     ApplyBatchTo(batch);
     if (obs_on) {
-      obs::RecordEvent(obs::EventKind::kBatchEnd, batch.size(),
-                       obs::NowNs() - rec_t0);
+      obs::SpanEnd(m.apply_batch_span, t0, obs::NowNs() - t0, batch.size());
     }
     if (snap_ != nullptr) {
       snap_->log.emplace_back(snap_->epochs.published() + 1, batch);
@@ -485,14 +488,18 @@ class ViewTree {
   /// Rebuilds every view bottom-up from the base relations. In snapshot
   /// mode the rebuilt state is published as a fresh epoch.
   void Rebuild() {
-    obs::TraceSpan span("viewtree.rebuild");
+    const bool obs_on = obs::Enabled();
+    const obs::SpanId span = detail::ViewTreeMetrics().rebuild_span;
+    const auto& pre = plan_.vo().preorder();
+    const uint64_t t0 = obs_on ? obs::NowNs() : 0;
+    if (obs_on) obs::SpanBegin(span, t0, pre.size());
     for (auto& w : build_->w) w->Clear();
     for (auto& m : build_->m) m->Clear();
     // Children before parents: reverse preorder visits leaves first.
-    const auto& pre = plan_.vo().preorder();
     for (size_t k = pre.size(); k-- > 0;) {
       BuildNode(pre[k]);
     }
+    if (obs_on) obs::SpanEnd(span, t0, obs::NowNs() - t0, pre.size());
     if (snap_ != nullptr) {
       snap_->log.clear();  // bulk rebuild is not reachable by batch replay
       PublishVersion();
@@ -816,26 +823,20 @@ class ViewTree {
     // from each node to its parent (or folded into M at the roots).
     std::vector<std::unique_ptr<Relation<R>>> pending(plan_.nodes().size());
     const auto& pre = plan_.vo().preorder();
+    const obs::SpanId node_span = detail::ViewTreeMetrics().node_span;
     for (size_t k = pre.size(); k-- > 0;) {
       const int node = pre[k];
       const uint64_t t0 = obs_on ? obs::NowNs() : 0;
-      if (stats_muted_) {
-        if (!par) {
-          ProcessNodeBatch(node, batch, &pending);
-        } else {
-          ProcessNodeBatchParallel(node, batch, &pending);
-        }
-        continue;
-      }
-      obs::TraceSpan node_span("viewtree.node");
-      node_span.AddArg("node", static_cast<uint64_t>(node));
+      if (obs_on) obs::SpanBegin(node_span, t0, static_cast<uint64_t>(node));
       if (!par) {
         ProcessNodeBatch(node, batch, &pending);
       } else {
         ProcessNodeBatchParallel(node, batch, &pending);
       }
       if (obs_on) {
-        node_stats_[static_cast<size_t>(node)].apply_ns += obs::NowNs() - t0;
+        const uint64_t dur = obs::NowNs() - t0;
+        node_stats_[static_cast<size_t>(node)].apply_ns += dur;
+        obs::SpanEnd(node_span, t0, dur, static_cast<uint64_t>(node));
       }
     }
   }

@@ -40,7 +40,7 @@
 #include "incr/obs/explain.h"
 #include "incr/obs/export.h"
 #include "incr/obs/metrics.h"
-#include "incr/obs/trace.h"
+#include "incr/obs/recorder.h"
 #include "incr/query/query.h"
 #include "incr/ring/ring.h"
 #include "incr/store/serde.h"
@@ -165,12 +165,13 @@ class IvmEngine {
       return;
     }
     EnsureObsHandles();
-    obs::TraceSpan span(batch_span_name_.c_str());
-    span.AddArg("deltas", static_cast<uint64_t>(batch.size()));
     const uint64_t t0 = obs::NowNs();
+    obs::SpanBegin(batch_span_, t0, batch.size());
     ApplyBatchImpl(batch);
-    batch_ns_->Record(obs::NowNs() - t0);
+    const uint64_t dur = obs::NowNs() - t0;
+    batch_ns_->Record(dur);
     batch_deltas_->Add(batch.size());
+    obs::SpanEnd(batch_span_, t0, dur, batch.size());
   }
 
   /// Enumerates the engine's current output; returns the number of tuples.
@@ -180,13 +181,13 @@ class IvmEngine {
   size_t Enumerate(const Sink& sink) {
     if (!obs::Enabled()) return EnumerateImpl(sink);
     EnsureObsHandles();
-    obs::TraceSpan span(enum_span_name_.c_str());
     const uint64_t t0 = obs::NowNs();
+    obs::SpanBegin(enum_span_, t0, 0);
     size_t n = EnumerateImpl(sink);
     const uint64_t dur = obs::NowNs() - t0;
     enum_ns_->Record(dur);
     if (n > 0) enum_delay_ns_->Record(dur / n);
-    span.AddArg("tuples", static_cast<uint64_t>(n));
+    obs::SpanEnd(enum_span_, t0, dur, n);
     return n;
   }
 
@@ -318,10 +319,8 @@ class IvmEngine {
       snapshot_enum_ns_ = r.GetHistogram(prefix + "snapshot_enum_ns");
       snapshot_enum_delay_ns_ =
           r.GetHistogram(prefix + "snapshot_enum_delay_ns");
-      // Span names live in the engine so TraceSpan's const char* stays
-      // valid for the span's (scope-bound) lifetime.
-      batch_span_name_ = prefix + "apply_batch";
-      enum_span_name_ = prefix + "enumerate";
+      batch_span_ = obs::InternSpan(prefix + "apply_batch", "deltas");
+      enum_span_ = obs::InternSpan(prefix + "enumerate", "tuples");
     });
   }
 
@@ -333,8 +332,8 @@ class IvmEngine {
   obs::Histogram* enum_delay_ns_ = nullptr;
   obs::Histogram* snapshot_enum_ns_ = nullptr;
   obs::Histogram* snapshot_enum_delay_ns_ = nullptr;
-  std::string batch_span_name_;
-  std::string enum_span_name_;
+  obs::SpanId batch_span_ = 0;
+  obs::SpanId enum_span_ = 0;
 };
 
 /// The plainest engine: a bare view tree driven eagerly. Unlike

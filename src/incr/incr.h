@@ -64,7 +64,7 @@
 
 // Observability.
 #include "incr/obs/metrics.h"  // IWYU pragma: export
-#include "incr/obs/trace.h"    // IWYU pragma: export
+#include "incr/obs/recorder.h"  // IWYU pragma: export
 
 // Concurrency utilities.
 #include "incr/util/epoch.h"  // IWYU pragma: export

@@ -146,7 +146,6 @@ StatsSnapshot MetricsRegistry::Snapshot() const {
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->Reset();
-  for (auto& [name, g] : gauges_) g->Reset();
   for (auto& [name, h] : histograms_) h->Reset();
 }
 

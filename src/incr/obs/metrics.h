@@ -93,7 +93,6 @@ class Gauge {
  public:
   void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
   int64_t Value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { Set(0); }
 
  private:
   std::atomic<int64_t> v_{0};
@@ -168,7 +167,9 @@ class MetricsRegistry {
   /// empty histograms are included — presence documents the hook.
   StatsSnapshot Snapshot() const;
 
-  /// Zeroes every metric (gauges too). Registration is preserved.
+  /// Zeroes every counter and histogram. Gauges keep their values: they
+  /// are levels their owners set (config.shards is set once per process).
+  /// Registration is preserved.
   void Reset();
 
   MetricsRegistry(const MetricsRegistry&) = delete;

@@ -5,7 +5,6 @@
 
 #include "incr/obs/metrics.h"
 #include "incr/obs/recorder.h"
-#include "incr/obs/trace.h"
 
 namespace incr {
 
@@ -22,6 +21,8 @@ struct PoolMetrics {
   obs::Histogram* job_ns;
   obs::Histogram* task_ns;
   obs::Histogram* wake_ns;
+  obs::SpanId parallel_for;
+  obs::SpanId parallel_morsels;
 };
 
 const PoolMetrics& Metrics() {
@@ -36,9 +37,19 @@ const PoolMetrics& Metrics() {
         r.GetHistogram("threadpool.job_ns"),
         r.GetHistogram("threadpool.task_ns"),
         r.GetHistogram("threadpool.wake_ns"),
+        obs::InternSpan("threadpool.parallel_for", "n"),
+        obs::InternSpan("threadpool.parallel_morsels", "morsels"),
     };
   }();
   return m;
+}
+
+// Closes a job opened at `start`: its job_ns sample and its span's end
+// share one clock read.
+void EndJob(obs::SpanId span, uint64_t start, uint64_t arg) {
+  const uint64_t dur = obs::NowNs() - start;
+  Metrics().job_ns->Record(dur);
+  obs::SpanEnd(span, start, dur, arg);
 }
 
 // How many relaxed polls a worker makes for a fresh job before parking on
@@ -79,18 +90,18 @@ void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& fn) {
   if (n == 0) return;
   const bool obs_on = obs::Enabled();
-  obs::TraceSpan span("threadpool.parallel_for");
-  span.AddArg("n", static_cast<uint64_t>(n));
+  const obs::SpanId span = Metrics().parallel_for;
   const uint64_t job_start = obs_on ? obs::NowNs() : 0;
   if (obs_on) {
     Metrics().jobs->Inc();
     Metrics().tasks->Add(n);
+    obs::SpanBegin(span, job_start, n);
   }
   if (workers_.empty() || n == 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     if (obs_on) {
       Metrics().caller_tasks->Add(n);
-      Metrics().job_ns->Record(obs::NowNs() - job_start);
+      EndJob(span, job_start, n);
     }
     return;
   }
@@ -128,7 +139,7 @@ void ThreadPool::ParallelFor(size_t n,
     job_error_ = nullptr;
   }
   idle_cv_.notify_all();
-  if (obs_on) Metrics().job_ns->Record(obs::NowNs() - job_start);
+  if (obs_on) EndJob(span, job_start, n);
   if (err) std::rethrow_exception(err);
 }
 
@@ -138,13 +149,12 @@ void ThreadPool::ParallelMorsels(
   if (morsel == 0 || morsel > n) morsel = n;
   const size_t num_morsels = (n + morsel - 1) / morsel;
   const bool obs_on = obs::Enabled();
-  obs::TraceSpan span("threadpool.parallel_morsels");
-  span.AddArg("n", static_cast<uint64_t>(n));
-  span.AddArg("morsels", static_cast<uint64_t>(num_morsels));
+  const obs::SpanId span = Metrics().parallel_morsels;
   const uint64_t job_start = obs_on ? obs::NowNs() : 0;
   if (obs_on) {
     Metrics().jobs->Inc();
     Metrics().tasks->Add(num_morsels);
+    obs::SpanBegin(span, job_start, num_morsels);
   }
   if (workers_.empty() || num_morsels == 1) {
     // Degenerate path: no ranges, no atomics — an inline sweep of the
@@ -154,7 +164,7 @@ void ThreadPool::ParallelMorsels(
     }
     if (obs_on) {
       Metrics().caller_tasks->Add(num_morsels);
-      Metrics().job_ns->Record(obs::NowNs() - job_start);
+      EndJob(span, job_start, num_morsels);
     }
     return;
   }
@@ -203,7 +213,7 @@ void ThreadPool::ParallelMorsels(
     job_error_ = nullptr;
   }
   idle_cv_.notify_all();
-  if (obs_on) Metrics().job_ns->Record(obs::NowNs() - job_start);
+  if (obs_on) EndJob(span, job_start, num_morsels);
   if (err) std::rethrow_exception(err);
 }
 

@@ -4,7 +4,12 @@
 //   ivm_server [--port P] [--host H] [--workers N]
 //       Serve until SIGINT/SIGTERM. Prints "listening on <host>:<port>"
 //       (the resolved port — useful with --port 0) and, on shutdown,
-//       "bye" after a graceful Stop().
+//       "bye" after a graceful Stop(). Engine configuration comes from
+//       the environment (EngineOptions::FromEnv), as in the REPL:
+//       INCR_THREADS, INCR_SHARDS, INCR_MORSEL_BYTES, INCR_STORAGE_*,
+//       INCR_METRICS_PATH and INCR_METRICS_INTERVAL_MS (the file is
+//       written once more before "bye"), INCR_TRACE=<file> for a Chrome
+//       trace of the recorder's rings at exit, INCR_OBS=off.
 //
 //   ivm_server --script FILE --port P [--host H]
 //       Client mode: send each non-empty, non-'#' line of FILE as one
@@ -26,6 +31,8 @@
 #include <string>
 #include <string_view>
 
+#include "incr/engines/engine_options.h"
+#include "incr/obs/export.h"
 #include "incr/serve/client.h"
 #include "incr/serve/server.h"
 #include "incr/serve/session.h"
@@ -120,7 +127,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: ivm_server [--host H] [--port P] [--workers N]\n"
-          "       ivm_server --script FILE --port P [--host H]\n");
+          "       ivm_server --script FILE --port P [--host H]\n"
+          "environment (server mode): INCR_THREADS INCR_SHARDS\n"
+          "  INCR_MORSEL_BYTES INCR_STORAGE_BACKEND INCR_STORAGE_POOL_BYTES\n"
+          "  INCR_STORAGE_PAGE_BYTES INCR_STORAGE_SPILL_DIR INCR_METRICS_PATH\n"
+          "  INCR_METRICS_INTERVAL_MS INCR_MAX_RETAINED_EPOCHS INCR_TRACE\n"
+          "  INCR_OBS\n");
       return 0;
     } else {
       std::fprintf(stderr, "unknown flag '%s' (try --help)\n", arg.c_str());
@@ -136,6 +148,7 @@ int main(int argc, char** argv) {
     return RunScript(script, opts.host, opts.port);
   }
 
+  opts.engine = incr::EngineOptions::FromEnv();
   incr::serve::IvmServer server(opts);
   incr::Status st = server.Start();
   if (!st.ok()) {
@@ -154,6 +167,7 @@ int main(int argc, char** argv) {
     nanosleep(&ts, nullptr);
   }
   server.Stop();
+  incr::obs::StopExporter();  // the final metrics write, when exporting
   std::printf("bye\n");
   return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
@@ -67,16 +68,22 @@ std::string BatchCommand(const StreamStep& s) {
   return cmd;
 }
 
-/// The reply serve::Session gives to `ENUMERATE q<N>` for a COUNT query
-/// maintained by `e`: "OK rows=<n>" plus every "v.. -> payload" row in
-/// byte order; a query with no free variables has the one row
-/// "-> <aggregate>".
-std::string EnumerateReply(ViewTreeEngine<IntRing>& e, bool scalar) {
+/// The reply serve::Session gives to `ENUMERATE q<N> [limit]` for a COUNT
+/// query maintained by `e`: "OK rows=<k>" plus the first k = min(limit, n)
+/// "v.. -> payload" rows of the enumeration order, in byte order; a query
+/// with no free variables has the one row "-> <aggregate>". The session's
+/// snapshots and `e`'s live tree share that order: it depends only on the
+/// sequence of updates.
+std::string EnumerateReply(ViewTreeEngine<IntRing>& e, bool scalar,
+                           size_t limit = SIZE_MAX) {
   std::vector<std::string> rows;
   if (scalar) {
-    rows.push_back("-> " + std::to_string(e.tree().Aggregate()));
+    if (limit > 0) {
+      rows.push_back("-> " + std::to_string(e.tree().Aggregate()));
+    }
   } else {
     e.Enumerate([&](const Tuple& t, const int64_t& p) {
+      if (rows.size() == limit) return;
       std::string row;
       for (Value v : t) row += std::to_string(v) + " ";
       rows.push_back(row + "-> " + std::to_string(p));
@@ -613,6 +620,15 @@ DiffResult RunDiffer(const GenQuery& q, const Stream& stream,
       if (got != want) {
         fail_session(step, "ENUMERATE q0 differs from the SQL twin: " +
                                FirstByteDiff(got, want));
+        return res;
+      }
+      const std::string want3 = EnumerateReply(*b, scalar, 3);
+      const std::string got3 = session.Execute("ENUMERATE q0 3", &close);
+      if (got3 != want3) {
+        res.ok = false;
+        res.failures.push_back({"sql:session-limit", step,
+                                "ENUMERATE q0 3 differs from the SQL twin: " +
+                                    FirstByteDiff(got3, want3)});
         return res;
       }
     }

@@ -112,8 +112,8 @@ class TokenWriter {
 };
 
 /// ENUMERATE's rows, rendered back to back into one buffer; each row is an
-/// (offset, length) span of it. Collecting n rows costs amortized O(1)
-/// allocations, and selecting the smallest k moves spans, not strings.
+/// (offset, length) span of it. Collecting k rows costs amortized O(1)
+/// allocations, and sorting them moves spans, not strings.
 class RowArena {
  public:
   /// The buffer a row is rendered into; call EndRow(start) after it, with
@@ -129,28 +129,21 @@ class RowArena {
     spans_.push_back(Span{prefix, start, len});
   }
 
-  /// "OK rows=<n>" plus the `limit` smallest rows in std::string byte
-  /// order, one per line: O(n log k) for k = min(limit, n).
-  std::string Reply(size_t limit) {
-    const size_t n = spans_.size();
-    const size_t k = std::min(limit, n);
-    auto less = [this](const Span& a, const Span& b) {
-      if (a.prefix != b.prefix) return a.prefix < b.prefix;
-      return View(a) < View(b);
-    };
-    if (k == n) {
-      std::sort(spans_.begin(), spans_.end(), less);
-    } else if (k > 0) {
-      std::partial_sort(spans_.begin(), spans_.begin() + k, spans_.end(),
-                        less);
-    }
-    std::string out = "OK rows=" + std::to_string(n);
+  /// "OK rows=<k>" plus the k collected rows in std::string byte order,
+  /// one per line: O(k log k).
+  std::string Reply() {
+    std::sort(spans_.begin(), spans_.end(),
+              [this](const Span& a, const Span& b) {
+                if (a.prefix != b.prefix) return a.prefix < b.prefix;
+                return View(a) < View(b);
+              });
+    std::string out = "OK rows=" + std::to_string(spans_.size());
     size_t bytes = out.size();
-    for (size_t i = 0; i < k; ++i) bytes += 1 + spans_[i].len;
+    for (const Span& s : spans_) bytes += 1 + s.len;
     out.reserve(bytes);
-    for (size_t i = 0; i < k; ++i) {
+    for (const Span& s : spans_) {
       out += '\n';
-      out += View(spans_[i]);
+      out += View(s);
     }
     return out;
   }
@@ -218,15 +211,15 @@ class RegisteredQuery {
     updates_->Add(deltas.size());
   }
 
-  /// "OK rows=<n>" plus up to `limit` sorted "v1 v2 -> payload" rows, off
-  /// an epoch snapshot (no maintenance mutex: readers are lock-free). Every
-  /// row is rendered into one arena while the snapshot is pinned; the pin
-  /// ends before the top-`limit` selection.
+  /// "OK rows=<k>" plus the first k = min(limit, n) "v1 v2 -> payload" rows
+  /// of an epoch snapshot's enumeration order, sorted by bytes (no
+  /// maintenance mutex: readers are lock-free). The k rows are rendered into
+  /// one arena while the snapshot is pinned; the pin ends before the sort.
   std::string EnumerateText(size_t limit, const TokenWriter& tokens) {
     const uint64_t t0 = NowNs();
     RowArena rows;
-    CollectRows(tokens, &rows);
-    std::string out = rows.Reply(limit);
+    CollectRows(limit, tokens, &rows);
+    std::string out = rows.Reply();
     enum_ns_->Record(NowNs() - t0);
     return out;
   }
@@ -257,8 +250,9 @@ class RegisteredQuery {
 
  protected:
   virtual void ApplyImpl(std::span<const NamedDelta> deltas) = 0;
-  /// Renders every output row of a pinned snapshot into `rows`.
-  virtual void CollectRows(const TokenWriter& tokens, RowArena* rows) = 0;
+  /// Renders the first `limit` output rows of a pinned snapshot into `rows`.
+  virtual void CollectRows(size_t limit, const TokenWriter& tokens,
+                           RowArena* rows) = 0;
   virtual obs::ExplainReport Explain(bool analyze) = 0;
 
  private:
@@ -295,25 +289,30 @@ class TypedQuery : public RegisteredQuery {
     engine_.ApplyBatch(batch);
   }
 
-  void CollectRows(const TokenWriter& tokens, RowArena* rows) override {
+  void CollectRows(size_t limit, const TokenWriter& tokens,
+                   RowArena* rows) override {
+    if (limit == 0) return;
     std::string& out = rows->bytes();
+    const ViewTreeSnapshot<R> snap = engine_.tree().Snapshot();
     if (compiled().query.free().empty()) {
       // Scalar aggregate: one row from the snapshot's root product.
       out += "-> ";
-      AppendPayload(out, engine_.tree().Snapshot().Aggregate());
+      AppendPayload(out, snap.Aggregate());
       rows->EndRow(0);
       return;
     }
-    engine_.EnumerateSnapshot([&](const Tuple& t, const typename R::Value& p) {
+    size_t n = 0;
+    for (ViewTreeEnumerator<R> it = snap.Enumerate(); it.Valid(); it.Next()) {
       const size_t start = out.size();
-      for (Value v : t) {
+      for (Value v : it.tuple()) {
         tokens.Append(out, v);
         out += ' ';
       }
       out += "-> ";
-      AppendPayload(out, p);
+      AppendPayload(out, it.payload());
       rows->EndRow(start);
-    });
+      if (++n == limit) break;
+    }
   }
 
   obs::ExplainReport Explain(bool analyze) override {

@@ -14,11 +14,12 @@
 //   BATCH\n<delta lines>      -> OK deltas=<k> routed=<q>  (all-or-nothing
 //                                                  parse, one engine batch
 //                                                  per affected query)
-//   ENUMERATE q<N> [limit]    -> OK rows=<n>\n<sorted "v.. -> payload" rows>
-//                                 (O(n) to enumerate and render every row
-//                                  into one arena, then O(n log k) to pick
-//                                  the k = min(limit, n) smallest; the
-//                                  snapshot pin ends before the selection)
+//   ENUMERATE q<N> [limit]    -> OK rows=<k>\n<sorted "v.. -> payload" rows>
+//                                 (the first k = min(limit, n) rows of the
+//                                  snapshot's enumeration order, and k counts
+//                                  them: O(k) to enumerate and render under
+//                                  the pin, then O(k log k) to sort by bytes
+//                                  after it; no limit means all n rows)
 //   STATS q<N>                -> OK {json}        (update/enumerate counts,
 //                                                  p50/p99 latencies)
 //   EXPLAIN q<N> [analyze]    -> OK {json}        (obs/explain.h report)

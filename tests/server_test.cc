@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -176,30 +177,67 @@ TEST_F(ServerTest, IntegerLiteralsNeverAliasInternedStrings) {
             "4611686018427387903 -> 1\nfoo -> 1");
 }
 
-/// Checks that `ENUMERATE <q> k` is `OK rows=n` plus the first k lines of
-/// the unlimited `ENUMERATE <q>`, for k around both ends, and that the
-/// unlimited list is in std::string byte order. Returns n.
-size_t ExpectLimitsAreHeadsOfFullList(Client& c, const std::string& q) {
+/// A reply's header line followed by its row lines.
+std::vector<std::string> ReplyLines(const std::string& reply) {
+  std::vector<std::string> lines;
+  std::istringstream in(reply);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// True if `reply` is a limited ENUMERATE's: `OK rows=m` with m <= limit,
+/// then exactly m row lines.
+bool IsLimitedReply(const std::string& reply, size_t limit) {
+  if (reply.rfind("OK rows=", 0) != 0) return false;
+  const size_t m = std::stoul(reply.substr(8));
+  return m <= limit &&
+         static_cast<size_t>(std::count(reply.begin(), reply.end(), '\n')) == m;
+}
+
+/// Checks `ENUMERATE <q> k`, for k around both ends, against the unlimited
+/// `ENUMERATE <q>` of the same epoch (no writes run in between). The reply
+/// is `OK rows=min(k, n)` plus that many distinct rows of the full list in
+/// std::string byte order; a smaller limit's rows are a subset of a larger
+/// one's; a repeated read is byte-identical; and k >= n is the full reply.
+/// Also checks the full list is sorted. Returns n.
+size_t ExpectLimitsAreSortedSubsetsOfFullList(Client& c, const std::string& q) {
   auto full = c.Call("ENUMERATE " + q);
   EXPECT_TRUE(full.ok()) << full.status().ToString();
   if (!full.ok()) return 0;
-  std::vector<std::string> lines;
-  std::istringstream in(*full);
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  const std::vector<std::string> lines = ReplyLines(*full);
   const size_t n = lines.size() - 1;
   EXPECT_EQ(lines[0], "OK rows=" + std::to_string(n));
   EXPECT_TRUE(std::is_sorted(lines.begin() + 1, lines.end()));
+  const std::set<std::string> all(lines.begin() + 1, lines.end());
+  EXPECT_EQ(all.size(), n);
+  std::set<std::string> smaller;  // the previous (smaller) limit's rows
   for (size_t k : {size_t{0}, size_t{1}, size_t{7}, n - 1, n, n + 5}) {
-    std::string want = lines[0];
-    for (size_t i = 1; i <= std::min(k, n); ++i) want += "\n" + lines[i];
-    auto got = c.Call("ENUMERATE " + q + " " + std::to_string(k));
+    const std::string cmd = "ENUMERATE " + q + " " + std::to_string(k);
+    auto got = c.Call(cmd);
     EXPECT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(got.ok() ? *got : "", want) << "limit " << k;
+    if (!got.ok()) return n;
+    const std::vector<std::string> rows = ReplyLines(*got);
+    const size_t m = std::min(k, n);
+    EXPECT_EQ(rows[0], "OK rows=" + std::to_string(m)) << cmd;
+    EXPECT_EQ(rows.size(), m + 1) << cmd;
+    EXPECT_TRUE(std::is_sorted(rows.begin() + 1, rows.end())) << cmd;
+    const std::set<std::string> mine(rows.begin() + 1, rows.end());
+    EXPECT_EQ(mine.size(), rows.size() - 1) << cmd << ": repeated rows";
+    EXPECT_TRUE(std::includes(all.begin(), all.end(), mine.begin(),
+                              mine.end()))
+        << cmd << ": a row not in the full list";
+    EXPECT_TRUE(std::includes(mine.begin(), mine.end(), smaller.begin(),
+                              smaller.end()))
+        << cmd << ": misses a row of a smaller limit";
+    auto again = c.Call(cmd);
+    EXPECT_TRUE(again.ok() && *again == *got) << cmd << " read twice";
+    if (k >= n) EXPECT_EQ(*got, *full) << cmd;
+    smaller = mine;
   }
   return n;
 }
 
-TEST_F(ServerTest, LimitedEnumerateIsTheHeadOfTheFullList) {
+TEST_F(ServerTest, LimitedEnumerateIsASortedSubsetOfTheFullList) {
   // Group keys mix interned strings with integers of 1 to 4 digits (and a
   // few negatives), so byte order differs from numeric order ("10" < "9").
   Client c = Connect();
@@ -210,6 +248,9 @@ TEST_F(ServerTest, LimitedEnumerateIsTheHeadOfTheFullList) {
   EXPECT_EQ(Call(c, "REGISTER SELECT R.a, R.b, AVG(S.c) FROM R, S "
                     "WHERE R.b = S.b GROUP BY R.a, R.b;"),
             "OK q1");
+  EXPECT_EQ(Call(c, "REGISTER CREATE TABLE P (x, y); "
+                    "SELECT COVAR(P.x, P.y) FROM P;"),
+            "OK q2");
   std::string batch = "BATCH";
   constexpr int kRows = 330, kKeysB = 23;
   for (int i = 0; i < kRows; ++i) {
@@ -223,9 +264,16 @@ TEST_F(ServerTest, LimitedEnumerateIsTheHeadOfTheFullList) {
       batch += "\nS " + std::to_string(b) + " " + std::to_string(b * 10 + j);
     }
   }
+  batch += "\nP 1 2\nP 3 4";
   EXPECT_EQ(Call(c, batch).rfind("OK deltas=", 0), 0u);
-  EXPECT_GE(ExpectLimitsAreHeadsOfFullList(c, "q0"), 300u);  // IntRing
-  EXPECT_GE(ExpectLimitsAreHeadsOfFullList(c, "q1"), 300u);  // ProductRing
+  EXPECT_GE(ExpectLimitsAreSortedSubsetsOfFullList(c, "q0"), 300u);  // Int
+  EXPECT_GE(ExpectLimitsAreSortedSubsetsOfFullList(c, "q1"), 300u);  // Avg
+  // A scalar view has one row; a zero limit drops it.
+  const std::string covar =
+      "OK rows=1\n-> count=2 sum=[4 6] prod=[10 14 14 20]";
+  EXPECT_EQ(Call(c, "ENUMERATE q2"), covar);
+  EXPECT_EQ(Call(c, "ENUMERATE q2 1"), covar);
+  EXPECT_EQ(Call(c, "ENUMERATE q2 0"), "OK rows=0");
 }
 
 TEST_F(ServerTest, RegisterRejectsBadSqlWithPreciseError) {
@@ -337,10 +385,16 @@ TEST_F(ServerTest, ConcurrentClientsMatchSequentialShadow) {
           ++failures;
           return;
         }
-        // Interleave snapshot reads and stats with the writes.
+        // Interleave snapshot reads, full and limited, and stats with the
+        // writes.
         if (++round % 5 == i % 5) {
-          auto rows = c->Call("ENUMERATE q0");
-          if (!rows.ok() || rows->rfind("OK rows=", 0) != 0) ++failures;
+          if (round % 2 == 0) {
+            auto rows = c->Call("ENUMERATE q0");
+            if (!rows.ok() || rows->rfind("OK rows=", 0) != 0) ++failures;
+          } else {
+            auto rows = c->Call("ENUMERATE q0 5");
+            if (!rows.ok() || !IsLimitedReply(*rows, 5)) ++failures;
+          }
         }
         if (round % 11 == 0) {
           auto st = c->Call("STATS q0");

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "incr/obs/metrics.h"
 #include "incr/serve/client.h"
 #include "incr/serve/server.h"
 #include "incr/serve/session.h"
@@ -111,8 +113,10 @@ TEST(SessionTest, InProcessRepliesEqualLoopbackServerReplies) {
   // S(2, 7) x3 was retracted once; S(2, 9) added: S(2, .) holds 7 x2, 9.
   // The rejected batches left no trace.
   EXPECT_EQ(reply_to("ENUMERATE q0"), "OK rows=3\n1 -> 3\n3 -> 3\nalice -> 3");
-  EXPECT_EQ(reply_to("ENUMERATE q0 1"), "OK rows=3\n1 -> 3");
-  EXPECT_EQ(reply_to("ENUMERATE q0 0"), "OK rows=3");
+  // A limit takes the first rows of the snapshot's enumeration order, and
+  // rows= counts the rows returned.
+  EXPECT_EQ(reply_to("ENUMERATE q0 1"), "OK rows=1\n1 -> 3");
+  EXPECT_EQ(reply_to("ENUMERATE q0 0"), "OK rows=0");
   EXPECT_EQ(reply_to("ENUMERATE q1"),
             "OK rows=3\n1 -> count=3 sum=23\n3 -> count=3 sum=23\n"
             "alice -> count=3 sum=23");
@@ -130,6 +134,73 @@ TEST(SessionTest, InProcessRepliesEqualLoopbackServerReplies) {
   EXPECT_EQ(reply_to("STATS q0x"), "ERR no such query 'q0x'");
   EXPECT_EQ(reply_to("EXPLAIN"), "ERR no such query ''");
   EXPECT_EQ(reply_to("QUIT"), "OK bye");
+}
+
+/// Runs `script` through a fresh Session over `engine` and returns every
+/// reply.
+std::vector<std::string> RunScript(const std::vector<std::string>& script,
+                                   EngineOptions engine) {
+  Session session(std::move(engine));
+  std::vector<std::string> replies;
+  for (const std::string& cmd : script) {
+    bool close = false;
+    replies.push_back(session.Execute(cmd, &close));
+  }
+  return replies;
+}
+
+TEST(SessionTest, HeapAndPagedSessionsReplyIdentically) {
+  // A limited ENUMERATE returns the first k rows of the snapshot's dense
+  // order, which heap and paged storage share; a pool of four 512-byte
+  // pages makes the paged run evict and re-read throughout.
+  std::vector<std::string> script = {
+      "REGISTER CREATE TABLE R (a, b); CREATE TABLE S (b, c); "
+      "SELECT R.a, R.b, COUNT(*) FROM R, S WHERE R.b = S.b "
+      "GROUP BY R.a, R.b;",
+      "REGISTER SELECT R.a, AVG(S.c) FROM R, S WHERE R.b = S.b GROUP BY R.a;",
+      "REGISTER CREATE TABLE P (x, y); SELECT COVAR(P.x, P.y) FROM P;",
+  };
+  for (int round = 0; round < 4; ++round) {
+    std::string batch = "BATCH";
+    for (int i = 0; i < 120; ++i) {
+      const int v = round * 120 + i;
+      const std::string a = v % 5 == 0 ? "k" + std::to_string(v % 37)
+                                       : std::to_string(v * 13 % 500);
+      batch += "\nR " + a + " " + std::to_string(v % 17);
+      batch += "\nS " + std::to_string(v % 17) + " " + std::to_string(v % 9);
+      if (v % 3 == 0) batch += "\n-R " + a + " " + std::to_string(v % 17);
+      batch += "\nP " + std::to_string(v % 11) + " " + std::to_string(v % 7);
+    }
+    script.push_back(batch);
+    script.push_back("UPDATE -S " + std::to_string(round) + " 0");
+    for (const char* read :
+         {"ENUMERATE q0", "ENUMERATE q0 1", "ENUMERATE q0 7", "ENUMERATE q0 0",
+          "ENUMERATE q1", "ENUMERATE q1 5", "ENUMERATE q2 0",
+          "ENUMERATE q2 1"}) {
+      script.push_back(read);
+    }
+  }
+  const std::vector<std::string> heap = RunScript(script, EngineOptions{});
+  EngineOptions paged;
+  paged.storage.backend = StorageBackend::kPaged;
+  paged.storage.spill_dir = ::testing::TempDir() + "session_paged";
+  paged.storage.page_bytes = StorageOptions::kMinPageBytes;
+  paged.storage.buffer_pool_bytes =
+      StorageOptions::kMinPageBytes * StorageOptions::kMinFrames;
+  obs::Counter* evictions =
+      obs::MetricsRegistry::Global().GetCounter("pager.evictions");
+  const uint64_t evicted = evictions->Value();
+  const std::vector<std::string> pages = RunScript(script, paged);
+  if (obs::Enabled()) EXPECT_GT(evictions->Value(), evicted);
+  ASSERT_EQ(heap.size(), pages.size());
+  for (size_t i = 0; i < heap.size(); ++i) {
+    EXPECT_EQ(heap[i].rfind("OK", 0), 0u) << script[i] << ": " << heap[i];
+    EXPECT_EQ(heap[i], pages[i]) << "command: " << script[i];
+    // q0 has far more than 7 groups, so its limited reads are full.
+    if (script[i] == "ENUMERATE q0 7") {
+      EXPECT_EQ(heap[i].rfind("OK rows=7\n", 0), 0u) << heap[i];
+    }
+  }
 }
 
 TEST(SessionTest, EmptyAndBlankCommandsAreErrors) {

@@ -4,6 +4,7 @@
 // checkpoint. Catches integration drift that per-module suites can miss.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <thread>
@@ -223,6 +224,15 @@ TEST(StressTest, ParallelBatchEquivalenceLongHaul) {
   }
 }
 
+/// True if `reply` is a limited ENUMERATE's: `OK rows=m` with m <= limit,
+/// then exactly m row lines.
+bool IsLimitedReply(const std::string& reply, size_t limit) {
+  if (reply.rfind("OK rows=", 0) != 0) return false;
+  const size_t m = std::stoul(reply.substr(8));
+  return m <= limit &&
+         static_cast<size_t>(std::count(reply.begin(), reply.end(), '\n')) == m;
+}
+
 // The long server soak: 32 concurrent clients interleaving batched
 // updates, snapshot enumerations, stats probes, and abrupt mid-frame
 // disconnects against one IvmServer; the final enumeration must equal a
@@ -291,9 +301,15 @@ TEST(StressTest, ServerSoakThirtyTwoClients) {
           ++failures;
           return;
         }
+        // Full and limited snapshot reads alternate.
         if (++round % 7 == i % 7) {
-          auto rows = c->Call("ENUMERATE q0");
-          if (!rows.ok() || rows->rfind("OK rows=", 0) != 0) ++failures;
+          if (round % 2 == 0) {
+            auto rows = c->Call("ENUMERATE q0");
+            if (!rows.ok() || rows->rfind("OK rows=", 0) != 0) ++failures;
+          } else {
+            auto rows = c->Call("ENUMERATE q0 5");
+            if (!rows.ok() || !IsLimitedReply(*rows, 5)) ++failures;
+          }
         }
         if (round % 13 == 0) {
           auto st = c->Call("STATS q0");

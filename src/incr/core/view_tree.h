@@ -201,7 +201,7 @@ class ViewTree {
   /// Approximate bytes of live view state (atoms, W, M views) across both
   /// heap-resident structures and page storage — the measure the paging
   /// bench's "state >= 4x pool" acceptance bar uses.
-  size_t StateBytes() const { return StateBytes(*build_); }
+  size_t StateBytes() const { return StateBytes(Live()); }
 
   const ViewTreePlan& plan() const { return plan_; }
   const Query& query() const { return plan_.query(); }
@@ -220,6 +220,9 @@ class ViewTree {
   /// resharded in place — O(total W size) — so call this before bulk work.
   /// Single-tuple Update()s are unaffected either way.
   void SetThreads(size_t threads, size_t shards = 0) {
+    // Catch up under the old layout first: the pending replay runs with
+    // the shard count it was logged under.
+    EnsureBuild();
     if (threads == 0) threads = ThreadPool::DefaultThreads();
     if (threads <= 1) {
       pool_.reset();
@@ -264,6 +267,7 @@ class ViewTree {
   /// Sets the lifting function of variable `v`. Must be called while the
   /// tree is empty (lifted values are baked into the M views).
   void SetLifting(Var v, Lift fn) {
+    EnsureBuild();  // a pending replay must run under the old lifts
     int n = plan_.vo().NodeOf(v);
     INCR_CHECK(n >= 0);
     INCR_CHECK(build_->m[static_cast<size_t>(n)]->empty());
@@ -275,7 +279,7 @@ class ViewTree {
   void UpdateAtom(size_t atom_id, const Tuple& t, const RV& d) {
     if (R::IsZero(d)) return;
     if (snap_ != nullptr) {
-      DeltaBatch<R> one(build_->atoms.size());
+      DeltaBatch<R> one(query().atoms().size());
       one.Add(atom_id, t, d);
       ApplyBatch(one);
       return;
@@ -300,7 +304,7 @@ class ViewTree {
   void Update(const std::string& rel, const Tuple& t, const RV& d) {
     if (snap_ != nullptr) {
       if (R::IsZero(d)) return;
-      DeltaBatch<R> merged(build_->atoms.size());
+      DeltaBatch<R> merged(query().atoms().size());
       bool found = false;
       for (size_t a = 0; a < query().atoms().size(); ++a) {
         if (query().atoms()[a].relation == rel) {
@@ -344,7 +348,7 @@ class ViewTree {
       ApplyBatchPerTuple(batch);
       return;
     }
-    DeltaBatch<R> merged(build_->atoms.size());
+    DeltaBatch<R> merged(query().atoms().size());
     merged.AddAll(batch);
     ApplyBatch(merged);
   }
@@ -356,6 +360,7 @@ class ViewTree {
   /// it is applied to the off-side build state, then published as one
   /// atomic epoch bump — no reader ever sees a half-propagated batch.
   void ApplyBatch(const DeltaBatch<R>& batch) {
+    EnsureBuild();
     if (batch.empty()) {
       // Deltas that merged to zero still publish in snapshot mode: the
       // contract is one epoch per ApplyBatch call, so concurrent
@@ -390,22 +395,33 @@ class ViewTree {
   // Snapshot isolation
   //
   // Threading contract: ONE maintainer thread calls the mutating API
-  // (Update/ApplyBatch/Rebuild/LoadState/SetThreads/...); any number of
-  // reader threads call Snapshot() and enumerate the returned handles.
-  // Mutations build the next version on a private build state and publish
-  // it with a single atomic epoch bump; readers pin an epoch (RAII
-  // ReadGuard inside the handle) and the maintainer reclaims a retired
-  // version only once no reader can still reach it. Retired versions are
-  // recycled by replaying the batches they missed (the same delta
-  // machinery as live maintenance), so steady-state publishing costs one
-  // batch application — not one deep copy — per epoch.
+  // (Update/ApplyBatch/Rebuild/LoadState/SetThreads/...) and the
+  // maintainer-side reads (Aggregate, DumpState, DescribeTo, the live
+  // ViewTreeEnumerator, ...); a caller that spreads these over several
+  // threads must serialize them all under one lock. Any number of reader
+  // threads call Snapshot() and enumerate the returned handles.
+  //
+  // A mutation first acquires a private build state equal to the head
+  // (EnsureBuild), applies itself there and publishes it with a single
+  // atomic epoch bump; the build state is then empty until the next
+  // mutation, and maintainer-side reads see the head (Live()). Readers pin
+  // an epoch (RAII ReadGuard inside the handle) and the maintainer reclaims
+  // a retired version only once no reader can still reach it. Retired
+  // versions are recycled by replaying the batches they missed (the same
+  // delta machinery as live maintenance), so steady-state publishing costs
+  // one batch application — not one deep copy — per epoch. The recycle
+  // happens at the start of the next mutation, not right after a publish:
+  // a reader that pins the head and lets go before the next write leaves
+  // the retired version free, and the replay runs just before the next
+  // batch touches the same lines.
 
   /// Switches the tree into snapshot mode and publishes the current state
   /// as the first epoch. `max_retained` caps the retained published
   /// versions (clamped to >= 2: the head plus at least one retirable
-  /// version); when every retained version is still pinned by readers the
-  /// maintainer WAITS in ApplyBatch until one is released. Memory cost is
-  /// up to max_retained + 1 copies of the tree state (the +1 is the build
+  /// version); when the cap is reached and every retained version but the
+  /// head is still pinned by readers, the maintainer WAITS at the start of
+  /// the next mutation until one is released. Memory cost is up to
+  /// max_retained + 1 copies of the tree state (the +1 is the build
   /// state). Calling it again only adjusts `max_retained`.
   void EnableSnapshots(size_t max_retained = 3) {
     if (max_retained < 2) max_retained = 2;
@@ -479,6 +495,7 @@ class ViewTree {
   /// with Rebuild() for O(|D|)-style bulk preprocessing. Not published to
   /// snapshot readers until the next publish (normally the Rebuild()).
   void LoadAtom(size_t atom_id, const Tuple& t, const RV& d) {
+    EnsureBuild();
     build_->atoms[atom_id]->Apply(t, d);
     // Unlogged mutation: retired versions can no longer be caught up by
     // batch replay, so invalidate the recycle log.
@@ -488,6 +505,7 @@ class ViewTree {
   /// Rebuilds every view bottom-up from the base relations. In snapshot
   /// mode the rebuilt state is published as a fresh epoch.
   void Rebuild() {
+    EnsureBuild();
     const bool obs_on = obs::Enabled();
     const obs::SpanId span = detail::ViewTreeMetrics().rebuild_span;
     const auto& pre = plan_.vo().preorder();
@@ -511,19 +529,19 @@ class ViewTree {
   RV Aggregate() const {
     RV acc = R::One();
     for (int r : plan_.roots()) {
-      acc = R::Mul(acc, build_->m[static_cast<size_t>(r)]->Payload(Tuple{}));
+      acc = R::Mul(acc, Live().m[static_cast<size_t>(r)]->Payload(Tuple{}));
     }
     return acc;
   }
 
   const Relation<R>& AtomRelation(size_t atom_id) const {
-    return *build_->atoms[atom_id];
+    return *Live().atoms[atom_id];
   }
   const ShardedRelation<R>& NodeW(int node) const {
-    return *build_->w[static_cast<size_t>(node)];
+    return *Live().w[static_cast<size_t>(node)];
   }
   const Relation<R>& NodeM(int node) const {
-    return *build_->m[static_cast<size_t>(node)];
+    return *Live().m[static_cast<size_t>(node)];
   }
 
   /// The output schema: free variables in enumeration (preorder) order.
@@ -538,7 +556,7 @@ class ViewTree {
   /// Payload Q(t) of an output tuple over OutputSchema(): the product, over
   /// free nodes, of the anchored atoms' payloads and the bound children's
   /// marginalizations, times the M of fully-bound root trees.
-  RV OutputPayload(const Tuple& t) const { return OutputPayload(*build_, t); }
+  RV OutputPayload(const Tuple& t) const { return OutputPayload(Live(), t); }
 
   /// Per-node maintenance statistics, accumulated while obs::Enabled().
   /// All counts are plain integers written only by the coordinating thread
@@ -566,6 +584,7 @@ class ViewTree {
   /// view, so the node is the attribution unit).
   std::string NodeStatsJson() const {
     std::string out = "[";
+    const TreeState& live = Live();
     const auto& nodes = plan_.nodes();
     for (size_t i = 0; i < nodes.size(); ++i) {
       const PlanNode& pn = nodes[i];
@@ -576,8 +595,8 @@ class ViewTree {
       out += ", \"parent\": " + std::to_string(pn.parent);
       out += ", \"free\": " + std::string(pn.free ? "true" : "false");
       out += ", \"key_arity\": " + std::to_string(pn.key.size());
-      out += ", \"w_size\": " + std::to_string(build_->w[i]->size());
-      out += ", \"m_size\": " + std::to_string(build_->m[i]->size());
+      out += ", \"w_size\": " + std::to_string(live.w[i]->size());
+      out += ", \"m_size\": " + std::to_string(live.m[i]->size());
       out += ", \"batch_calls\": " + std::to_string(no.batch_calls);
       out += ", \"single_deltas\": " + std::to_string(no.single_deltas);
       out += ", \"tuples_in\": " + std::to_string(no.tuples_in);
@@ -601,12 +620,13 @@ class ViewTree {
     out->snapshots = snapshots_enabled();
     out->published_epoch = published_epoch();
     if (!analyze) return;
+    const TreeState& live = Live();
     for (size_t i = 0; i < out->nodes.size(); ++i) {
       obs::ExplainNode& n = out->nodes[i];
       const NodeObs& no = node_stats_[i];
       n.live = true;
-      n.w_size = build_->w[i]->size();
-      n.m_size = build_->m[i]->size();
+      n.w_size = live.w[i]->size();
+      n.m_size = live.m[i]->size();
       n.batch_calls = no.batch_calls;
       n.single_deltas = no.single_deltas;
       n.tuples_in = no.tuples_in;
@@ -621,15 +641,16 @@ class ViewTree {
   /// round-trip is bit-identical even for float rings, where Rebuild()'s
   /// summation order would differ from the incrementally-maintained values.
   void DumpState(store::ByteWriter& w) const {
-    // In snapshot mode the build state is always caught up to the published
-    // head between maintainer operations, so (on the maintainer thread)
-    // this serializes exactly the published epoch, never a mid-build one.
-    w.PutU32(static_cast<uint32_t>(build_->atoms.size()));
-    for (const auto& atom : build_->atoms) store::WriteRelation(w, *atom);
+    // Dumps Live(): in snapshot mode, between maintainer operations, that
+    // is the published head (plus any unpublished LoadAtom loads), so on
+    // the maintainer thread this never serializes a mid-build state.
+    const TreeState& live = Live();
+    w.PutU32(static_cast<uint32_t>(live.atoms.size()));
+    for (const auto& atom : live.atoms) store::WriteRelation(w, *atom);
     w.PutU32(static_cast<uint32_t>(plan_.nodes().size()));
     for (size_t i = 0; i < plan_.nodes().size(); ++i) {
-      store::WriteShardedRelation(w, *build_->w[i]);
-      store::WriteRelation(w, *build_->m[i]);
+      store::WriteShardedRelation(w, *live.w[i]);
+      store::WriteRelation(w, *live.m[i]);
     }
   }
 
@@ -638,6 +659,7 @@ class ViewTree {
   /// Existing contents are cleared; loaded entries are fresh inserts, so
   /// payloads round-trip byte-for-byte.
   Status LoadState(store::ByteReader& r) {
+    EnsureBuild();
     if (r.GetU32() != build_->atoms.size() || !r.ok()) {
       return Status::InvalidArgument("snapshot atom count mismatch");
     }
@@ -715,9 +737,9 @@ class ViewTree {
     return ts;
   }
 
-  /// Moves the build state into `versions` as the new head, bumps the
-  /// published epoch (the single atomic readers synchronize on), then
-  /// refills the build state via AcquireBuild.
+  /// Moves the build state into `versions` as the new head and bumps the
+  /// published epoch (the single atomic readers synchronize on). The build
+  /// state stays empty until the next mutation's EnsureBuild.
   void PublishVersion() {
     SnapshotCtl& s = *snap_;
     const uint64_t e = s.epochs.published() + 1;
@@ -728,7 +750,6 @@ class ViewTree {
     // util/epoch.h for why this pairing is race-free).
     s.head.store(s.versions.back().get(), std::memory_order_release);
     s.epochs.Publish(e);
-    AcquireBuild();
     if (obs::Enabled()) {
       const auto& m = detail::ViewTreeMetrics();
       m.snapshot_publishes->Inc();
@@ -741,13 +762,29 @@ class ViewTree {
     }
   }
 
+  /// The state maintainer-side reads see: the build state while one is
+  /// held (always, outside snapshot mode), else the published head. Only
+  /// the maintainer stores `head`, so its own relaxed load is exact.
+  const TreeState& Live() const {
+    return build_ != nullptr ? *build_
+                             : *snap_->head.load(std::memory_order_relaxed);
+  }
+
+  /// Called first by every mutator: refills an empty build state (snapshot
+  /// mode, after a publish). The refill is out of line so that mutators
+  /// and exclusive mode carry only the check (inlined, it slowed the
+  /// exclusive-mode paged-durable benchmark workload by about 8%).
+  void EnsureBuild() {
+    if (build_ == nullptr) AcquireBuild();
+  }
+
   /// Refills `build_` with a state equal to the published head: preferably
   /// a reclaimed retired version caught up by replaying the logged batches
   /// it missed (identical op sequence => bit-identical state), else a deep
   /// copy. Blocks (yield-spin) while the retention cap is reached and
   /// every retirable version is still pinned by a reader. With obs on, the
   /// stall and the copy time land in viewtree.snapshot_{wait,clone}_ns.
-  void AcquireBuild() {
+  [[gnu::noinline]] void AcquireBuild() {
     SnapshotCtl& s = *snap_;
     std::unique_ptr<TreeState> candidate;
     uint64_t wait_start = 0;  // set on the first yield, if obs is on
@@ -1291,7 +1328,8 @@ class ViewTree {
   StorageContext ctx_;
   /// The mutable state every maintenance path acts on. In exclusive mode
   /// it is the one and only state; in snapshot mode it is the private
-  /// build copy, caught up to the published head between operations.
+  /// build copy, acquired by EnsureBuild at the start of a mutation and
+  /// moved out by its publish (null in between).
   std::unique_ptr<TreeState> build_;
   std::vector<Lift> lifts_;
   /// Per node, per anchored atom / per child: how that source partitions.
@@ -1376,16 +1414,16 @@ class ViewTreeEnumerator {
   using RV = typename R::Value;
 
   explicit ViewTreeEnumerator(const ViewTree<R>& tree)
-      : ViewTreeEnumerator(tree, *tree.build_, Binding{}) {}
+      : ViewTreeEnumerator(tree, tree.Live(), Binding{}) {}
 
   ViewTreeEnumerator(const ViewTree<R>& tree, Binding binding)
-      : ViewTreeEnumerator(tree, *tree.build_, std::move(binding)) {}
+      : ViewTreeEnumerator(tree, tree.Live(), std::move(binding)) {}
 
  private:
   friend class ViewTreeSnapshot<R>;
 
   /// Enumerates one specific version. The public constructors pass the
-  /// live (build) state; ViewTreeSnapshot passes its pinned version.
+  /// tree's Live() state; ViewTreeSnapshot passes its pinned version.
   ViewTreeEnumerator(const ViewTree<R>& tree,
                      const typename ViewTree<R>::TreeState& state,
                      Binding binding)

@@ -415,7 +415,7 @@ class ViewTreeEngine : public IvmEngine<R> {
   }
 
   void ExplainImpl(obs::ExplainReport* out, bool analyze) override {
-    obs::ClassifyQuery(tree_.query(), out);
+    obs::ClassifyPlan(tree_.plan(), out);
     out->threads = tree_.pool() != nullptr ? tree_.pool()->num_threads() : 1;
     DescribeTreeForExplain(tree_, name(), out, analyze);
   }

@@ -123,7 +123,7 @@ class MixedStaticDynamicEngine : public IvmEngine<R> {
   }
 
   void ExplainImpl(obs::ExplainReport* out, bool analyze) override {
-    obs::ClassifyQuery(tree_.query(), out);
+    obs::ClassifyPlan(tree_.plan(), out);
     out->threads =
         tree_.pool() != nullptr ? tree_.pool()->num_threads() : 1;
     DescribeTreeForExplain(tree_, this->name(), out, analyze);

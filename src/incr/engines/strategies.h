@@ -147,7 +147,7 @@ class EagerFactStrategy : public IvmStrategy<R> {
   }
 
   void ExplainImpl(obs::ExplainReport* out, bool analyze) override {
-    obs::ClassifyQuery(tree_.query(), out);
+    obs::ClassifyPlan(tree_.plan(), out);
     out->threads =
         tree_.pool() != nullptr ? tree_.pool()->num_threads() : 1;
     DescribeTreeForExplain(tree_, this->name(), out, analyze);
@@ -217,7 +217,7 @@ class EagerListStrategy : public IvmStrategy<R> {
   }
 
   void ExplainImpl(obs::ExplainReport* out, bool analyze) override {
-    obs::ClassifyQuery(tree_.query(), out);
+    obs::ClassifyPlan(tree_.plan(), out);
     out->threads =
         tree_.pool() != nullptr ? tree_.pool()->num_threads() : 1;
     DescribeTreeForExplain(tree_, this->name(), out, analyze);
@@ -299,7 +299,7 @@ class LazyFactStrategy : public IvmStrategy<R> {
   }
 
   void ExplainImpl(obs::ExplainReport* out, bool analyze) override {
-    obs::ClassifyQuery(tree_.query(), out);
+    obs::ClassifyPlan(tree_.plan(), out);
     out->threads =
         tree_.pool() != nullptr ? tree_.pool()->num_threads() : 1;
     DescribeTreeForExplain(tree_, this->name(), out, analyze);
@@ -374,7 +374,7 @@ class LazyListStrategy : public IvmStrategy<R> {
   }
 
   void ExplainImpl(obs::ExplainReport* out, bool analyze) override {
-    obs::ClassifyQuery(tree_.query(), out);
+    obs::ClassifyPlan(tree_.plan(), out);
     out->threads =
         tree_.pool() != nullptr ? tree_.pool()->num_threads() : 1;
     DescribeTreeForExplain(tree_, this->name(), out, analyze);

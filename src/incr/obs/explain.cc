@@ -12,6 +12,10 @@ namespace incr::obs {
 
 namespace {
 
+// The regime of a plan with O(1) updates and O(1) delay.
+constexpr const char* kConstantRegime =
+    "O(1) single-tuple update and O(1)-delay enumeration (Thm 4.1)";
+
 std::string NameOf(const std::vector<std::string>& names, int v) {
   if (v >= 0 && static_cast<size_t>(v) < names.size() &&
       !names[static_cast<size_t>(v)].empty()) {
@@ -275,8 +279,7 @@ void ClassifyQuery(const Query& q, ExplainReport* report) {
   report->alpha_acyclic = IsAlphaAcyclic(q);
   report->free_connex = IsFreeConnex(q);
   if (report->q_hierarchical) {
-    report->regime =
-        "O(1) single-tuple update and O(1)-delay enumeration (Thm 4.1)";
+    report->regime = kConstantRegime;
   } else if (report->hierarchical) {
     report->regime =
         "O(1) single-tuple update on the canonical order; free variables "
@@ -285,6 +288,28 @@ void ClassifyQuery(const Query& q, ExplainReport* report) {
     report->regime =
         "not hierarchical: no canonical order exists, some delta programs "
         "fall back to partially bound scans (Thm 4.1 lower bound)";
+  }
+}
+
+void ClassifyPlan(const ViewTreePlan& plan, ExplainReport* report) {
+  ClassifyQuery(plan.query(), report);
+  const bool o1_updates = plan.AllProgramsConstantTime();
+  const bool o1_delay = plan.CanEnumerate().ok();
+  if (o1_updates && o1_delay) {
+    report->regime = kConstantRegime;
+  } else if (o1_updates) {
+    report->regime =
+        "O(1) single-tuple update on this order; free variables not "
+        "ancestor-closed, so enumeration is not constant-delay";
+  } else if (o1_delay) {
+    report->regime =
+        "O(1)-delay enumeration on this order; some delta programs scan "
+        "partially bound groups, so single-tuple updates are not O(1)";
+  } else {
+    report->regime =
+        "some delta programs scan partially bound groups and free variables "
+        "are not ancestor-closed on this order: neither O(1) updates nor "
+        "constant-delay enumeration";
   }
 }
 

@@ -117,8 +117,14 @@ struct ExplainReport {
 /// convention as ExplainReport::var_names).
 std::string RenderQuery(const Query& q, const std::vector<std::string>& names);
 
-/// Fills the classification flags, query text, and regime line from `q`.
+/// Fills the classification flags, query text, and regime line from `q`;
+/// the regime line describes the query's canonical order.
 void ClassifyQuery(const Query& q, ExplainReport* report);
+
+/// ClassifyQuery over the plan's query, with the regime line derived from
+/// the plan that runs — the o1_updates / o1_delay flags DescribePlan
+/// reports for it — rather than from the canonical order.
+void ClassifyPlan(const ViewTreePlan& plan, ExplainReport* report);
 
 /// Fills `out->nodes` and the o1_updates / o1_delay flags from a compiled
 /// plan (static side only; ANALYZE fields are joined by the view tree).

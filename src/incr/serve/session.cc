@@ -184,6 +184,7 @@ class RegisteredQuery {
     const std::string prefix = "server.q" + std::to_string(id_) + ".";
     updates_ = reg.GetCounter(prefix + "updates");
     update_ns_ = reg.GetHistogram(prefix + "update_ns");
+    lock_wait_ns_ = reg.GetHistogram(prefix + "lock_wait_ns");
     enum_ns_ = reg.GetHistogram(prefix + "enum_ns");
   }
   virtual ~RegisteredQuery() = default;
@@ -201,10 +202,13 @@ class RegisteredQuery {
 
   /// Applies `deltas` as one engine batch. Serialized per query by the
   /// maintenance mutex — the ONE-maintainer shape the snapshot path wants.
+  /// lock_wait_ns times entry to owning that mutex; update_ns the whole
+  /// call.
   void Apply(std::span<const NamedDelta> deltas) {
     const uint64_t t0 = NowNs();
     {
       std::lock_guard<std::mutex> lock(maintain_mu_);
+      lock_wait_ns_->Record(NowNs() - t0);
       ApplyImpl(deltas);
     }
     update_ns_->Record(NowNs() - t0);
@@ -230,12 +234,19 @@ class RegisteredQuery {
            std::string(sql::SqlAggregateName(compiled_.agg)) + "\",";
     out += "\"updates\":" + std::to_string(updates_->Value()) + ",";
     out += "\"update_ns\":" + HistJson(update_ns_->Stats()) + ",";
+    out += "\"lock_wait_ns\":" + HistJson(lock_wait_ns_->Stats()) + ",";
     out += "\"enumerate_ns\":" + HistJson(enum_ns_->Stats()) + "}";
     return out;
   }
 
+  /// Takes the maintenance mutex: the report reads the maintainer's live
+  /// state and per-node stats, which another worker's Apply mutates.
   std::string ExplainJson(bool analyze) {
-    obs::ExplainReport report = Explain(analyze);
+    obs::ExplainReport report;
+    {
+      std::lock_guard<std::mutex> lock(maintain_mu_);
+      report = Explain(analyze);
+    }
     // Swap the v<N> fallbacks for the statement's names and re-render the
     // query text with them.
     for (Var v : compiled_.query.AllVars()) {
@@ -262,6 +273,7 @@ class RegisteredQuery {
   std::mutex maintain_mu_;
   obs::Counter* updates_;
   obs::Histogram* update_ns_;
+  obs::Histogram* lock_wait_ns_;
   obs::Histogram* enum_ns_;
 };
 

@@ -20,8 +20,9 @@
 //                                  them: O(k) to enumerate and render under
 //                                  the pin, then O(k log k) to sort by bytes
 //                                  after it; no limit means all n rows)
-//   STATS q<N>                -> OK {json}        (update/enumerate counts,
-//                                                  p50/p99 latencies)
+//   STATS q<N>                -> OK {json}        (update count; update,
+//                                                  maintain-lock wait and
+//                                                  enumerate p50/p99)
 //   EXPLAIN q<N> [analyze]    -> OK {json}        (obs/explain.h report)
 //   PING                      -> OK pong
 //   QUIT                      -> OK bye           (*close_after is set)
@@ -32,10 +33,11 @@
 // Thread safety: Execute may be called from many threads at once.
 // REGISTER takes the registry lock exclusively; UPDATE/BATCH/ENUMERATE/
 // STATS/EXPLAIN take it shared. Each registered query additionally has a
-// maintenance mutex serializing its writers — the snapshot contract wants
-// ONE maintainer per tree, and serialized maintainers are exactly that.
-// ENUMERATE never takes the maintenance mutex: it pins an epoch snapshot
-// and reads lock-free. The dictionary has a lock of its own.
+// maintenance mutex serializing its writers and EXPLAIN (which reads the
+// maintainer's live state) — the snapshot contract wants ONE maintainer
+// per tree, and serialized maintainers are exactly that. ENUMERATE never
+// takes the maintenance mutex: it pins an epoch snapshot and reads
+// lock-free. The dictionary has a lock of its own.
 #ifndef INCR_SERVE_SESSION_H_
 #define INCR_SERVE_SESSION_H_
 

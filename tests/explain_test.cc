@@ -72,9 +72,8 @@ TEST(ObsExplainTest, GoldenTextHierarchicalNotQHierarchical) {
       "query: Q(v0) = R(v0, v1) * S(v1)\n"
       "class: hierarchical=yes q-hierarchical=no alpha-acyclic=yes "
       "free-connex=yes\n"
-      "regime: O(1) single-tuple update on the canonical order; free "
-      "variables not ancestor-closed, so enumeration is not "
-      "constant-delay\n"
+      "regime: O(1) single-tuple update on this order; free variables "
+      "not ancestor-closed, so enumeration is not constant-delay\n"
       "threads: 1\n"
       "tree view-tree: nodes=2 o1-updates=yes o1-delay=no shards=1 "
       "morsel=16384B snapshots=off\n"

@@ -399,6 +399,10 @@ TEST_F(ServerTest, ConcurrentClientsMatchSequentialShadow) {
         if (round % 11 == 0) {
           auto st = c->Call("STATS q0");
           if (!st.ok() || st->rfind("OK {", 0) != 0) ++failures;
+          // EXPLAIN analyze reads the maintainer's live state: it must
+          // serialize with the other clients' writes.
+          auto ex = c->Call("EXPLAIN q0 analyze");
+          if (!ex.ok() || ex->rfind("OK {", 0) != 0) ++failures;
         }
       }
       (void)c->Call("QUIT");

@@ -203,6 +203,72 @@ TEST(SessionTest, HeapAndPagedSessionsReplyIdentically) {
   }
 }
 
+/// The "count" of histogram `key` in a STATS reply, or -1 if it is absent.
+int64_t HistCount(const std::string& stats, const std::string& key) {
+  const std::string field = "\"" + key + "\":{\"count\":";
+  const size_t pos = stats.find(field);
+  if (pos == std::string::npos) return -1;
+  return std::stoll(stats.substr(pos + field.size()));
+}
+
+TEST(SessionTest, StatsTimesTheMaintainLockWaitOfEveryApply) {
+  // Metrics are process-global per query id, so count what this session
+  // adds; a BATCH or UPDATE that routes nowhere near q0 applies nothing.
+  Session session;
+  bool close = false;
+  auto run = [&](const std::string& cmd) {
+    return session.Execute(cmd, &close);
+  };
+  ASSERT_EQ(run("REGISTER CREATE TABLE R (a, b); CREATE TABLE S (b, c); "
+                "SELECT R.a, COUNT(*) FROM R, S WHERE R.b = S.b GROUP BY "
+                "R.a;"),
+            "OK q0");
+  ASSERT_EQ(run("REGISTER CREATE TABLE P (x); SELECT COUNT(*) FROM P;"),
+            "OK q1");
+  const std::string before = run("STATS q0");
+  const int64_t waits0 = HistCount(before, "lock_wait_ns");
+  const int64_t updates0 = HistCount(before, "update_ns");
+  ASSERT_GE(waits0, 0) << before;
+  ASSERT_GE(updates0, 0) << before;
+  EXPECT_EQ(run("UPDATE R 1 2"), "OK routed=1");
+  EXPECT_EQ(run("BATCH\nR 3 2\nS 2 7\nP 4"), "OK deltas=3 routed=2");
+  EXPECT_EQ(run("BATCH\nP 5\nP 6"), "OK deltas=2 routed=1");
+  EXPECT_EQ(run("UPDATE -S 2 7"), "OK routed=1");
+  const std::string after = run("STATS q0");
+  EXPECT_EQ(HistCount(after, "lock_wait_ns") - waits0, 3) << after;
+  EXPECT_EQ(HistCount(after, "update_ns") - updates0, 3) << after;
+}
+
+TEST(SessionTest, ExplainRegimeFollowsTheRunningPlan) {
+  // Hierarchical but not q-hierarchical: the canonical order would give
+  // O(1) updates, but the session runs a free-first order, which enumerates
+  // with O(1) delay and scans partially bound groups on updates. The
+  // regime sentence must describe that plan, as the tree's flags do.
+  Session session;
+  bool close = false;
+  ASSERT_EQ(session.Execute(
+                "REGISTER CREATE TABLE R (a, b); CREATE TABLE S (b); "
+                "SELECT R.a, COUNT(*) FROM R, S WHERE R.b = S.b GROUP BY "
+                "R.a;",
+                &close),
+            "OK q0");
+  const std::string json = session.Execute("EXPLAIN q0", &close);
+  ASSERT_EQ(json.rfind("OK {", 0), 0u) << json;
+  EXPECT_NE(json.find("\"q_hierarchical\": false"), std::string::npos);
+  EXPECT_NE(json.find("\"o1_updates\": false, \"o1_delay\": true"),
+            std::string::npos)
+      << json;
+  const size_t at = json.find("\"regime\": \"");
+  ASSERT_NE(at, std::string::npos) << json;
+  const std::string regime =
+      json.substr(at, json.find('"', at + 11) - at);
+  EXPECT_NE(regime.find("O(1)-delay enumeration"), std::string::npos)
+      << regime;
+  EXPECT_NE(regime.find("updates are not O(1)"), std::string::npos)
+      << regime;
+  EXPECT_EQ(regime.find("not constant-delay"), std::string::npos) << regime;
+}
+
 TEST(SessionTest, EmptyAndBlankCommandsAreErrors) {
   Session session;
   bool close = false;

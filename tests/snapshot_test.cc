@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <map>
 #include <span>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "incr/engines/engine.h"
+#include "incr/obs/explain.h"
 #include "incr/ring/int_ring.h"
 #include "incr/util/epoch.h"
 #include "incr/util/rng.h"
@@ -254,8 +256,12 @@ TEST(SnapshotTest, ThreadSwitchMidStreamStaysCorrect) {
 }
 
 TEST(SnapshotTest, HeadPinnedAcrossPublishIsADeepCopy) {
-  // A reader on the head leaves no retired version to recycle, so the
-  // maintainer deep-copies the head; obs counts the copy and times it.
+  // A reader that pins the head across two publishes leaves no retired
+  // version to recycle at the start of the second write (the pinned old
+  // head and the new head are all that is retained), so the maintainer
+  // deep-copies the head; obs counts the copy and times it. One publish
+  // under the pin is not enough: the first write still recycles the
+  // version retired before the pin.
   const bool was_enabled = obs::Enabled();
   obs::SetEnabled(true);
   const auto& m = detail::ViewTreeMetrics();
@@ -266,20 +272,119 @@ TEST(SnapshotTest, HeadPinnedAcrossPublishIsADeepCopy) {
   const uint64_t timed = m.snapshot_clone_ns->Stats().count;
   {
     ViewTreeSnapshot<IntRing> held = e.tree().Snapshot();
-    ApplyBatches(e, DrawUpdates(10, 12), 10);  // one publish under the pin
+    ApplyBatches(e, DrawUpdates(20, 12), 10);  // two publishes under the pin
   }
   EXPECT_GT(m.snapshot_clones->Value(), clones);
   EXPECT_GT(m.snapshot_clone_ns->Stats().count, timed);
   obs::SetEnabled(was_enabled);
 }
 
+TEST(SnapshotTest, PinAcrossOnePublishIsRecycledNotCopied) {
+  // Retired versions are recycled at the start of the next write, not
+  // right after a publish: a reader that pins the head across exactly one
+  // write and lets go before the next one leaves every version free again
+  // by the time the maintainer needs one, so no deep copy is made.
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  const auto& m = detail::ViewTreeMetrics();
+  ViewTreeEngine<IntRing> e = MakeEngine();
+  e.Configure(SnapshotOpts(3));
+  ApplyBatches(e, DrawUpdates(100, 15), 25);
+  const uint64_t clones = m.snapshot_clones->Value();
+  const uint64_t recycles = m.snapshot_recycles->Value();
+  auto updates = DrawUpdates(60, 16);
+  for (size_t off = 0; off < updates.size(); off += 20) {
+    ViewTreeSnapshot<IntRing> held = e.tree().Snapshot();
+    e.ApplyBatch(std::span<const Delta<IntRing>>(updates.data() + off, 10));
+    held = e.tree().Snapshot();  // drops the old pin, holds the new head
+    e.ApplyBatch(
+        std::span<const Delta<IntRing>>(updates.data() + off + 10, 10));
+  }
+  EXPECT_EQ(m.snapshot_clones->Value(), clones);
+  EXPECT_GE(m.snapshot_recycles->Value(), recycles + 6);
+  obs::SetEnabled(was_enabled);
+}
+
+// Everything a maintainer-side read reports — dump bytes, the aggregate,
+// the live enumeration and EXPLAIN ANALYZE's view sizes — for one engine.
+void ExpectSameLiveState(ViewTreeEngine<IntRing>& snap,
+                         ViewTreeEngine<IntRing>& plain, const char* step) {
+  SCOPED_TRACE(step);
+  EXPECT_EQ(DumpBytes(snap), DumpBytes(plain));
+  EXPECT_EQ(snap.tree().Aggregate(), plain.tree().Aggregate());
+  EXPECT_EQ(EnumMap(snap), EnumMap(plain));
+  obs::ExplainTree a, b;
+  snap.tree().DescribeTo(&a, /*analyze=*/true);
+  plain.tree().DescribeTo(&b, /*analyze=*/true);
+  ASSERT_EQ(a.nodes.size(), b.nodes.size());
+  for (size_t i = 0; i < a.nodes.size(); ++i) {
+    EXPECT_EQ(a.nodes[i].w_size, b.nodes[i].w_size) << "node " << i;
+    EXPECT_EQ(a.nodes[i].m_size, b.nodes[i].m_size) << "node " << i;
+  }
+}
+
+TEST(SnapshotTest, EveryMutatorCatchesUpBeforeItActs) {
+  // Between writes a snapshot-mode tree holds no build state: reads see
+  // the head, and each mutator first recycles or copies one. Drive every
+  // mutator through that path, next to a plain twin fed the same calls,
+  // and compare all maintainer-side reads after each step. A pin held
+  // across a reshard forces the copy path as well.
+  ViewTreeEngine<IntRing> snap = MakeEngine();
+  // The pin below spans 7 publishes on this thread; a cap it reached
+  // would make the writer wait for itself.
+  snap.Configure(SnapshotOpts(16));
+  ViewTreeEngine<IntRing> plain = MakeEngine();
+  ExpectSameLiveState(snap, plain, "enabled");
+
+  auto both = [&](auto&& fn) {
+    fn(snap);
+    fn(plain);
+  };
+  const auto first = DrawUpdates(120, 17);
+  both([&](auto& e) { ApplyBatches(e, first, 10); });
+  ExpectSameLiveState(snap, plain, "batches");
+  const std::string saved = DumpBytes(plain);
+
+  {
+    ViewTreeSnapshot<IntRing> held = snap.tree().Snapshot();
+    both([](auto& e) { e.tree().SetThreads(2, 4); });
+    ExpectSameLiveState(snap, plain, "SetThreads(2)");
+    both([&](auto& e) { ApplyBatches(e, DrawUpdates(60, 18), 10); });
+    ExpectSameLiveState(snap, plain, "parallel batches");
+  }
+
+  both([](auto& e) {
+    e.tree().LoadAtom(0, Tuple{9, 9}, 2);
+    e.tree().LoadAtom(1, Tuple{9, 4}, 1);
+  });
+  ExpectSameLiveState(snap, plain, "LoadAtom");
+  both([](auto& e) { e.tree().Rebuild(); });
+  ExpectSameLiveState(snap, plain, "Rebuild");
+  both([&](auto& e) { ApplyBatches(e, DrawUpdates(60, 19), 10); });
+  ExpectSameLiveState(snap, plain, "batches after Rebuild");
+
+  both([](auto& e) { e.tree().SetThreads(1); });
+  ExpectSameLiveState(snap, plain, "SetThreads(1)");
+  both([&](auto& e) {
+    store::ByteReader r(saved);
+    ASSERT_TRUE(e.LoadState(r).ok());
+  });
+  ExpectSameLiveState(snap, plain, "LoadState");
+  EXPECT_EQ(DumpBytes(snap), saved);
+  both([&](auto& e) { ApplyBatches(e, DrawUpdates(60, 20), 10); });
+  ExpectSameLiveState(snap, plain, "batches after LoadState");
+  EXPECT_EQ(SnapEnumMap(snap), EnumMap(plain));
+}
+
 // ----------------------------------------------------------------------
 // Serving: readers under a live maintainer (TSan coverage)
 
 TEST(ServingTest, WriterStallAtRetentionCapIsRecorded) {
-  // Cap 2 = head + one retirable version. With the head pinned, the next
-  // publish finds both retained versions unretirable and yield-spins until
-  // the reader lets go; obs records that stall.
+  // Cap 2 = head + one retirable version. With the head pinned, the first
+  // write recycles the version retired before the pin and publishes; the
+  // second finds both retained versions (the pinned old head and the new
+  // head) unretirable at its start and yield-spins until the reader lets
+  // go; obs records that stall.
   const bool was_enabled = obs::Enabled();
   obs::SetEnabled(true);
   obs::Histogram* waits = detail::ViewTreeMetrics().snapshot_wait_ns;
@@ -295,7 +400,7 @@ TEST(ServingTest, WriterStallAtRetentionCapIsRecorded) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   });
   while (!pinned.load(std::memory_order_acquire)) std::this_thread::yield();
-  ApplyBatches(e, DrawUpdates(10, 14), 10);  // blocks until the unpin
+  ApplyBatches(e, DrawUpdates(20, 14), 10);  // 2nd write waits for the unpin
   reader.join();
 
   EXPECT_GT(waits->Stats().count, stalls);

@@ -284,9 +284,15 @@ class ViewTree {
       ApplyBatch(one);
       return;
     }
-    if (obs::Enabled()) detail::ViewTreeMetrics().updates->Inc();
-    build_->atoms[atom_id]->Apply(t, d);
     int node = plan_.atom_node()[atom_id];
+    Relation<R>& atom = *build_->atoms[atom_id];
+    if (obs::Enabled()) {
+      detail::ViewTreeMetrics().updates->Inc();
+      if (atom.num_indexes() > 0) {
+        ++node_stats_[static_cast<size_t>(node)].indexed_writes;
+      }
+    }
+    atom.Apply(t, d);
     const PlanNode& pn = plan_.nodes()[static_cast<size_t>(node)];
     for (size_t k = 0; k < pn.atoms.size(); ++k) {
       if (pn.atoms[k] == atom_id) {
@@ -568,6 +574,13 @@ class ViewTree {
     uint64_t tuples_in = 0;      // source deltas folded at this node
     uint64_t tuples_out = 0;     // W-delta tuples emitted by its programs
     uint64_t apply_ns = 0;       // wall time spent in its batch processing
+    // Deterministic work counts (the paper's bounds are about work, not
+    // time): factor lookups by its delta programs, group members those
+    // lookups scanned, and tuples written into its indexed views (W_X
+    // always; M_X and its anchored atoms when they carry an index).
+    uint64_t index_probes = 0;
+    uint64_t members_scanned = 0;
+    uint64_t indexed_writes = 0;
   };
 
   const NodeObs& node_stats(int node) const {
@@ -602,6 +615,9 @@ class ViewTree {
       out += ", \"tuples_in\": " + std::to_string(no.tuples_in);
       out += ", \"tuples_out\": " + std::to_string(no.tuples_out);
       out += ", \"apply_ns\": " + std::to_string(no.apply_ns);
+      out += ", \"index_probes\": " + std::to_string(no.index_probes);
+      out += ", \"members_scanned\": " + std::to_string(no.members_scanned);
+      out += ", \"indexed_writes\": " + std::to_string(no.indexed_writes);
       out += "}";
     }
     out += "]";
@@ -632,6 +648,9 @@ class ViewTree {
       n.tuples_in = no.tuples_in;
       n.tuples_out = no.tuples_out;
       n.apply_ns = no.apply_ns;
+      n.index_probes = no.index_probes;
+      n.members_scanned = no.members_scanned;
+      n.indexed_writes = no.indexed_writes;
     }
   }
 
@@ -782,11 +801,15 @@ class ViewTree {
   /// a reclaimed retired version caught up by replaying the logged batches
   /// it missed (identical op sequence => bit-identical state), else a deep
   /// copy. Blocks (yield-spin) while the retention cap is reached and
-  /// every retirable version is still pinned by a reader. With obs on, the
-  /// stall and the copy time land in viewtree.snapshot_{wait,clone}_ns.
+  /// every retirable version is still pinned by a reader; the wait start
+  /// is a recorder event. Fails (INCR_CHECK) instead of waiting when every
+  /// pin it waits on is held by the calling thread, which would never
+  /// return. With obs on, the stall and the copy time land in
+  /// viewtree.snapshot_{wait,clone}_ns.
   [[gnu::noinline]] void AcquireBuild() {
     SnapshotCtl& s = *snap_;
     std::unique_ptr<TreeState> candidate;
+    bool waiting = false;
     uint64_t wait_start = 0;  // set on the first yield, if obs is on
     for (;;) {
       const uint64_t min_active = s.epochs.MinActive();
@@ -795,7 +818,18 @@ class ViewTree {
         s.versions.pop_front();
       }
       if (candidate != nullptr || s.versions.size() < s.max_retained) break;
-      if (wait_start == 0 && obs::Enabled()) wait_start = obs::NowNs();
+      if (!waiting) {
+        waiting = true;
+        obs::RecordEvent(obs::EventKind::kSnapshotWait,
+                         s.versions.back()->epoch, s.versions.size());
+        if (obs::Enabled()) wait_start = obs::NowNs();
+      }
+      // The oldest version stays until no pin is at or below its epoch.
+      const bool self_pinned =
+          s.epochs.OnlyOwnPinsAtOrBelow(s.versions.front()->epoch);
+      INCR_CHECK(!self_pinned &&
+                 "the maintainer thread holds every snapshot pin it waits "
+                 "on: release it or raise max_retained_epochs");
       std::this_thread::yield();
     }
     if (wait_start != 0) {
@@ -885,20 +919,35 @@ class ViewTree {
     return *build_->m[f.index];
   }
 
+  /// Work counts of delta programs. Programs may run on pool threads, so
+  /// each run accumulates into its caller's own WorkCounts (null while obs
+  /// is off) and the coordinating thread folds them into NodeObs.
+  struct WorkCounts {
+    uint64_t index_probes = 0;
+    uint64_t members_scanned = 0;
+
+    void AddTo(NodeObs* no) const {
+      no->index_probes += index_probes;
+      no->members_scanned += members_scanned;
+    }
+  };
+
   /// Runs `prog` for a single source delta, emitting W-delta tuples.
   void RunProgram(const DeltaProgram& prog, const Tuple& src, const RV& d,
                   const Schema& w_schema,
-                  std::vector<std::pair<Tuple, RV>>* out) const {
+                  std::vector<std::pair<Tuple, RV>>* out,
+                  WorkCounts* wc = nullptr) const {
     Tuple assign;
     assign.resize(w_schema.size(), 0);
     for (size_t i = 0; i < prog.source_slots.size(); ++i) {
       assign[prog.source_slots[i]] = src[i];
     }
-    RunSteps(prog, 0, assign, d, out);
+    RunSteps(prog, 0, assign, d, out, wc);
   }
 
   void RunSteps(const DeltaProgram& prog, size_t step_idx, Tuple& assign,
-                const RV& acc, std::vector<std::pair<Tuple, RV>>* out) const {
+                const RV& acc, std::vector<std::pair<Tuple, RV>>* out,
+                WorkCounts* wc) const {
     if (R::IsZero(acc)) return;
     if (step_idx == prog.steps.size()) {
       out->emplace_back(assign, acc);
@@ -914,7 +963,8 @@ class ViewTree {
         probe[step.bound_cols[i]] = assign[step.bound_slots[i]];
       }
       RV payload = storage.Payload(probe);
-      RunSteps(prog, step_idx + 1, assign, R::Mul(acc, payload), out);
+      if (wc != nullptr) ++wc->index_probes;
+      RunSteps(prog, step_idx + 1, assign, R::Mul(acc, payload), out, wc);
       return;
     }
     Tuple probe;
@@ -922,19 +972,26 @@ class ViewTree {
     for (size_t i = 0; i < step.bound_cols.size(); ++i) {
       probe.push_back(assign[step.bound_slots[i]]);
     }
-    // Backend-agnostic group access: heap indexes hand back their internal
-    // vector (scratch stays empty and unallocated); paged indexes decode
-    // the group into the scratch. Per-invocation scratch because RunSteps
+    // Group members are entry ids of `storage`, read by id: no payload
+    // probe per member. Heap indexes hand back their own id array and heap
+    // relations their own tuples (the scratches stay unallocated); paged
+    // ones decode into them. Per-invocation scratches because RunSteps
     // recurses inside the member loop below.
-    std::vector<Tuple> scratch;
-    const auto* group = storage.index(step.index_slot).Group(probe, &scratch);
-    if (group == nullptr) return;
-    for (const Tuple& t : *group) {
+    std::vector<uint32_t> ids;
+    const std::span<const uint32_t> group =
+        storage.index(step.index_slot).Group(probe, &ids);
+    if (wc != nullptr) {
+      ++wc->index_probes;
+      wc->members_scanned += group.size();
+    }
+    Tuple scratch;
+    for (const uint32_t id : group) {
+      const Tuple& t = storage.KeyAt(id, &scratch);
       for (size_t i = 0; i < step.new_cols.size(); ++i) {
         assign[step.new_slots[i]] = t[step.new_cols[i]];
       }
-      RunSteps(prog, step_idx + 1, assign,
-               R::Mul(acc, storage.Payload(t)), out);
+      RunSteps(prog, step_idx + 1, assign, R::Mul(acc, storage.ValueAt(id)),
+               out, wc);
     }
   }
 
@@ -954,12 +1011,17 @@ class ViewTree {
                     const RV& d) {
     const PlanNode& pn = plan_.nodes()[static_cast<size_t>(node)];
     std::vector<std::pair<Tuple, RV>> w_deltas;
-    RunProgram(prog, src, d, pn.w_schema, &w_deltas);
-    if (obs::Enabled()) {
-      NodeObs& no = node_stats_[static_cast<size_t>(node)];
-      ++no.single_deltas;
-      ++no.tuples_in;
-      no.tuples_out += w_deltas.size();
+    NodeObs* no =
+        obs::Enabled() ? &node_stats_[static_cast<size_t>(node)] : nullptr;
+    WorkCounts wc;
+    RunProgram(prog, src, d, pn.w_schema, &w_deltas,
+               no != nullptr ? &wc : nullptr);
+    if (no != nullptr) {
+      ++no->single_deltas;
+      ++no->tuples_in;
+      no->tuples_out += w_deltas.size();
+      no->indexed_writes += w_deltas.size();
+      wc.AddTo(no);
     }
     if (w_deltas.empty()) return;
 
@@ -967,6 +1029,7 @@ class ViewTree {
     Relation<R>& m = *build_->m[static_cast<size_t>(node)];
     const Lift& lift = lifts_[static_cast<size_t>(node)];
     const DeltaProgram* up = UpProgram(node);
+    const bool m_indexed = no != nullptr && m.num_indexes() > 0;
 
     // Fast path for the common case (q-hierarchical single-tuple update):
     // one W delta yields one M delta, no grouping map needed.
@@ -977,6 +1040,7 @@ class ViewTree {
       RV lifted = lift ? R::Mul(wd, lift(wt.back())) : wd;
       if (R::IsZero(lifted)) return;
       m.Apply(key, lifted);
+      if (m_indexed) ++no->indexed_writes;
       if (up != nullptr) ProcessDelta(pn.parent, *up, key, lifted);
       return;
     }
@@ -988,6 +1052,7 @@ class ViewTree {
       Tuple key(wt.data(), pn.key.size());
       m_delta.Apply(key, lift ? R::Mul(wd, lift(wt.back())) : wd);
     }
+    if (m_indexed) no->indexed_writes += m_delta.size();
     for (const auto& e : m_delta) {
       m.Apply(e.key, e.value);
       if (up != nullptr) ProcessDelta(pn.parent, *up, e.key, e.value);
@@ -1021,29 +1086,42 @@ class ViewTree {
     if (obs_on) ++no.batch_calls;
 
     std::vector<std::pair<Tuple, RV>> w_deltas;
+    WorkCounts wc;
+    WorkCounts* wcp = obs_on ? &wc : nullptr;
     for (size_t i = 0; i < pn.atoms.size(); ++i) {
       const auto& d = batch.of(pn.atoms[i]);
       if (d.empty()) continue;
-      if (obs_on) no.tuples_in += d.size();
-      build_->atoms[pn.atoms[i]]->ApplyBatch(batch.entries(pn.atoms[i]));
+      Relation<R>& atom = *build_->atoms[pn.atoms[i]];
+      if (obs_on) {
+        no.tuples_in += d.size();
+        if (atom.num_indexes() > 0) no.indexed_writes += d.size();
+      }
+      atom.ApplyBatch(batch.entries(pn.atoms[i]));
       for (const auto& e : d) {
         RunProgram(pn.atom_programs[i], e.key, e.value, pn.w_schema,
-                   &w_deltas);
+                   &w_deltas, wcp);
       }
     }
     for (size_t i = 0; i < pn.children.size(); ++i) {
       auto& parked = (*pending)[static_cast<size_t>(pn.children[i])];
       if (parked == nullptr) continue;
-      if (obs_on) no.tuples_in += parked->size();
       Relation<R>& cm = *build_->m[static_cast<size_t>(pn.children[i])];
+      if (obs_on) {
+        no.tuples_in += parked->size();
+        CountMWrites(pn.children[i], cm, parked->size());
+      }
       for (const auto& e : *parked) cm.Apply(e.key, e.value);
       for (const auto& e : *parked) {
         RunProgram(pn.child_programs[i], e.key, e.value, pn.w_schema,
-                   &w_deltas);
+                   &w_deltas, wcp);
       }
       parked.reset();
     }
-    if (obs_on) no.tuples_out += w_deltas.size();
+    if (obs_on) {
+      no.tuples_out += w_deltas.size();
+      no.indexed_writes += w_deltas.size();
+      wc.AddTo(&no);
+    }
     if (w_deltas.empty()) return;
 
     // Fold W deltas into W_X and group them into the node's M-delta. W is
@@ -1061,9 +1139,18 @@ class ViewTree {
     if (m_delta->empty()) return;
     if (pn.parent == -1) {
       Relation<R>& m = *build_->m[static_cast<size_t>(node)];
+      if (obs_on) CountMWrites(node, m, m_delta->size());
       for (const auto& e : *m_delta) m.Apply(e.key, e.value);
     } else {
       (*pending)[static_cast<size_t>(node)] = std::move(m_delta);
+    }
+  }
+
+  /// Charges `n` writes into M_X of `node` to that node's indexed-write
+  /// count when M_X carries an index (obs on; coordinating thread only).
+  void CountMWrites(int node, const Relation<R>& m, size_t n) {
+    if (m.num_indexes() > 0) {
+      node_stats_[static_cast<size_t>(node)].indexed_writes += n;
     }
   }
 
@@ -1154,6 +1241,12 @@ class ViewTree {
           HashSpan64(reinterpret_cast<const uint64_t*>(wt.data()), key_size),
           S);
     };
+    // Program work counts, one slot per parallel task (a ByKey shard or a
+    // ByRange grid cell), summed into NodeObs after each source.
+    std::vector<WorkCounts> task_wc;
+    auto fold_wc = [&] {
+      for (const WorkCounts& w : task_wc) w.AddTo(&no);
+    };
     auto run_source = [&](const DeltaProgram& prog, const SourceSharding& ss,
                           std::span<const typename DeltaBatch<R>::Entry>
                               entries) {
@@ -1165,11 +1258,14 @@ class ViewTree {
             entries, {ss.key_cols.data(), ss.key_cols.size()}, S);
         segments.emplace_back(S);
         EmitSegment& seg = segments.back();
+        task_wc.assign(obs_on ? S : 0, WorkCounts{});
         pool->ParallelFor(S, [&](size_t s) {
+          WorkCounts* wc = obs_on ? &task_wc[s] : nullptr;
           for (const auto& e : parts.shard(s)) {
-            RunProgram(prog, e.key, e.value, pn.w_schema, &seg[s]);
+            RunProgram(prog, e.key, e.value, pn.w_schema, &seg[s], wc);
           }
         });
+        fold_wc();
         return;
       }
       // Fallback: morsel-driven over the raw input span. Each fixed grid
@@ -1180,26 +1276,34 @@ class ViewTree {
       const size_t nseg = (entries.size() + morsel_elems - 1) / morsel_elems;
       const size_t first = segments.size();
       for (size_t k = 0; k < nseg; ++k) segments.emplace_back(S);
+      task_wc.assign(obs_on ? nseg : 0, WorkCounts{});
       pool->ParallelMorsels(
           entries.size(), morsel_elems, [&](size_t begin, size_t end) {
             EmitSegment& seg = segments[first + begin / morsel_elems];
+            WorkCounts* wc =
+                obs_on ? &task_wc[begin / morsel_elems] : nullptr;
             std::vector<std::pair<Tuple, RV>> emitted;
             for (size_t i = begin; i < end; ++i) {
               const auto& e = entries[i];
-              RunProgram(prog, e.key, e.value, pn.w_schema, &emitted);
+              RunProgram(prog, e.key, e.value, pn.w_schema, &emitted, wc);
             }
             for (auto& [wt, wd] : emitted) {
               seg[shard_of_w(wt)].emplace_back(std::move(wt),
                                                std::move(wd));
             }
           });
+      fold_wc();
     };
 
     for (size_t i = 0; i < pn.atoms.size(); ++i) {
       const auto& d = batch.of(pn.atoms[i]);
       if (d.empty()) continue;
-      if (obs_on) no.tuples_in += d.size();
-      build_->atoms[pn.atoms[i]]->ApplyBatch(batch.entries(pn.atoms[i]), pool);
+      Relation<R>& atom = *build_->atoms[pn.atoms[i]];
+      if (obs_on) {
+        no.tuples_in += d.size();
+        if (atom.num_indexes() > 0) no.indexed_writes += d.size();
+      }
+      atom.ApplyBatch(batch.entries(pn.atoms[i]), pool);
       run_source(pn.atom_programs[i],
                  atom_sharding_[static_cast<size_t>(node)][i],
                  batch.entries(pn.atoms[i]));
@@ -1207,8 +1311,11 @@ class ViewTree {
     for (size_t i = 0; i < pn.children.size(); ++i) {
       auto& parked = (*pending)[static_cast<size_t>(pn.children[i])];
       if (parked == nullptr) continue;
-      if (obs_on) no.tuples_in += parked->size();
       Relation<R>& cm = *build_->m[static_cast<size_t>(pn.children[i])];
+      if (obs_on) {
+        no.tuples_in += parked->size();
+        CountMWrites(pn.children[i], cm, parked->size());
+      }
       std::span<const typename Relation<R>::Entry> entries(parked->begin(),
                                                            parked->size());
       cm.ApplyBatch(entries, pool);
@@ -1230,6 +1337,7 @@ class ViewTree {
     }
     if (obs_on) {
       no.tuples_out += emitted;
+      no.indexed_writes += emitted;
       const auto& m = detail::ViewTreeMetrics();
       for (size_t s = 0; s < S; ++s) {
         m.shard_delta_tuples->Record(static_cast<uint64_t>(shard_sizes[s]));
@@ -1272,6 +1380,7 @@ class ViewTree {
     if (total == 0) return;
     if (pn.parent == -1) {
       Relation<R>& m = *build_->m[static_cast<size_t>(node)];
+      if (obs_on) CountMWrites(node, m, total);
       for (const Relation<R>& md : m_shards) {
         for (const auto& e : md) m.Apply(e.key, e.value);
       }
@@ -1518,11 +1627,14 @@ class ViewTreeEnumerator {
                                            // earlier enum nodes
     bool bound = false;
     Value bound_value = 0;
-    // Iteration state. `group` points at heap index storage or at this
-    // state's own scratch (paged backend) — either way stable until the
-    // node is repositioned, which refills it.
-    const std::vector<Tuple>* group = nullptr;
-    std::vector<Tuple> scratch;
+    // Iteration state: the member ids of the current group in `shard` (a
+    // span of heap index storage or of this state's own id scratch on the
+    // paged backend), stable until the node is repositioned. Members are
+    // dereferenced one id at a time.
+    const Relation<R>* shard = nullptr;
+    std::span<const uint32_t> group;
+    std::vector<uint32_t> ids;
+    Tuple scratch;
     size_t pos = 0;
     Value current = 0;
   };
@@ -1547,25 +1659,32 @@ class ViewTreeEnumerator {
       Tuple probe = key;
       probe.push_back(st.bound_value);
       if (!w.Contains(probe)) return false;
-      st.group = nullptr;
+      st.group = {};
       st.current = st.bound_value;
       return true;
     }
-    st.group = w.GroupByKey(0, key, &st.scratch);
-    if (st.group == nullptr) return false;
+    // Only the key's shard can hold its group (W carries index 0 on the
+    // node key, which is the shard key prefix).
+    st.shard = &w.shard(w.ShardOfKey(key));
+    st.group = st.shard->index(0).Group(key, &st.ids);
+    if (st.group.empty()) return false;
     st.pos = 0;
-    st.current = (*st.group)[0].back();
+    st.current = Member(st);
     return true;
   }
 
   /// Moves node i to its next candidate under the same key, if any.
   bool TryNext(size_t i) {
     NodeState& st = states_[i];
-    if (st.bound || st.group == nullptr) return false;
-    if (st.pos + 1 >= st.group->size()) return false;
+    if (st.pos + 1 >= st.group.size()) return false;  // bound: group empty
     ++st.pos;
-    st.current = (*st.group)[st.pos].back();
+    st.current = Member(st);
     return true;
+  }
+
+  /// The node's value in the W tuple of the member at st.pos.
+  static Value Member(NodeState& st) {
+    return st.shard->KeyAt(st.group[st.pos], &st.scratch).back();
   }
 
   /// Iterative odometer: positions nodes i.. at the first solution, moving

@@ -39,11 +39,18 @@
 // on the slot table's layout or the record store — snapshot serialization,
 // the parallel batch path and heap/paged byte identity rely on this.
 //
+// Entry ids: a record's position in the dense array. Insert appends (the
+// new record's id is size() - 1); erase swap-removes, so the one record
+// whose id changes is the last one, which takes the erased id. EraseSlot
+// reports that move, and owners of per-entry side structures (the grouped
+// indexes of data/grouped_index.h) follow it with array writes instead of
+// re-hashing anything.
+//
 // Two access levels. Slot level (both stores): FindSlot / InsertNew /
-// ValueAt / SetAt / EraseSlot; a slot stays valid until the next insert or
-// rebuild (SetAt and EraseSlot never move other slots). Pointer level (heap
-// store only): Find / GetOrInsert and begin/end/at, whose references are
-// invalidated by any mutation.
+// EntryOf / SetAt / EraseSlot, plus KeyAt / ValueAt by entry id; a slot
+// stays valid until the next insert or rebuild (SetAt and EraseSlot never
+// move other slots). Pointer level (heap store only): Find / GetOrInsert
+// and begin/end/at, whose references are invalidated by any mutation.
 #ifndef INCR_DATA_DENSE_MAP_H_
 #define INCR_DATA_DENSE_MAP_H_
 
@@ -146,6 +153,7 @@ class HeapRecords {
   bool KeyEquals(uint32_t i, const K& key) const {
     return eq_(entries_[i].key, key);
   }
+  const K& Key(uint32_t i) const { return entries_[i].key; }
   V& Value(uint32_t i) { return entries_[i].value; }
   const V& Value(uint32_t i) const { return entries_[i].value; }
   void SetValue(uint32_t i, V v) { entries_[i].value = std::move(v); }
@@ -253,27 +261,36 @@ class DenseMap {
     return Walk(h, KeyHit(key, h), nullptr);
   }
 
-  /// Inserts a key known to be absent (callers probe first).
-  void InsertNew(const K& key, V v) {
+  /// Inserts a key known to be absent (callers probe first); returns the
+  /// new record's entry id (always size() - 1 afterwards).
+  uint32_t InsertNew(const K& key, V v) {
     MaybeRebuild();
     const uint64_t h = hash_(key);
     size_t at = 0;
     Walk(h, [](uint32_t) { return false; }, &at);
     Place(at, key, std::move(v), h);
+    return static_cast<uint32_t>(size() - 1);
   }
 
-  /// The value in `slot` (a reference on the heap store, a copy on paged).
-  decltype(auto) ValueAt(size_t slot) const {
-    return records_.Value(slots_[slot]);
-  }
+  /// The entry id of the record in `slot`.
+  uint32_t EntryOf(size_t slot) const { return slots_[slot]; }
+
+  /// The key and value of entry `id` (0 <= id < size()): references on the
+  /// heap store, copies decoded from the page on paged.
+  decltype(auto) KeyAt(uint32_t id) const { return records_.Key(id); }
+  decltype(auto) ValueAt(uint32_t id) const { return records_.Value(id); }
+  decltype(auto) ValueAt(uint32_t id) { return records_.Value(id); }
+
   void SetAt(size_t slot, V v) {
     records_.SetValue(slots_[slot], std::move(v));
   }
 
   /// Removes the record in `slot`. Swap-remove: the last record moves into
   /// the hole and its slot is re-pointed — found via its cached hash, with
-  /// no key re-hash or compare.
-  void EraseSlot(size_t slot) {
+  /// no key re-hash or compare. Returns the entry id the last record had
+  /// before the erase: the record now at EntryOf(slot)'s old id came from
+  /// there (equal to that id when the erased record was the last).
+  uint32_t EraseSlot(size_t slot) {
     const uint32_t idx = slots_[slot];
     ctrl_[slot] = kDeleted;
     ++tombstones_;
@@ -288,6 +305,7 @@ class DenseMap {
     }
     records_.SwapRemove(idx);
     hashes_.pop_back();
+    return last;
   }
 
   /// Removes `key`. Returns true if it was present.

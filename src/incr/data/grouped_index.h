@@ -1,23 +1,49 @@
 // GroupedIndex: for a relation over schema S and a key subset K of S, an
 // index that, given a key tuple over K, enumerates with constant delay all
-// relation tuples agreeing with it, and supports amortized-constant insert
-// and delete of index entries — the index structure required by paper §2.
+// relation entries agreeing with it, and supports constant-time insert and
+// delete of index entries — the index structure required by paper §2.
 //
-// Two interchangeable backends (DESIGN.md "Storage backends"), chosen by
-// the StorageContext passed at construction, with one insert and one
-// swap-remove body templated over them:
-//   * heap (default): key -> dense vector of member tuples, plus a position
-//     map (full tuple -> offset in its group) so deletion is a swap-remove.
-//   * paged: the group-key map stays heap-resident (group keys are the hot
-//     working set), but each group's member tuples live in a PageStore page
-//     chain and the position map's records are paged — cold groups age out
-//     of the buffer pool. Group(key, scratch) materializes a group through
-//     the caller's scratch vector, in the same member order as the heap.
+// The index holds no tuples. It is an index over its owner's dense entry
+// ids (DenseMap entry ids: insert appends, erase swap-removes):
+//
+//   groups_  group key -> slab id; the one hash map, heap-resident on both
+//            backends (group keys are the hot working set).
+//   slabs    per group, the member ids in member order.
+//   locs     per owner entry id, that entry's {slab, offset in the slab}.
+//
+// Insert costs one group-map operation plus two appends. Erase hashes only
+// when the member's group empties: its {slab, offset} comes from the loc
+// array, the group's last member moves into the hole (one loc write), and
+// the owner's own swap-remove — entry `last` now lives at the erased id —
+// is followed with array writes, never a lookup. Member order is insertion
+// order with swap-remove inside the group, so the same operation sequence
+// gives the same order on either backend (limited ENUMERATE and the
+// canonical dumps rely on it).
+//
+// Callers read a group as a span of ids and dereference each id through
+// the owner (Relation::KeyAt / ValueAt). Ids need not cover the owner: an
+// index over a subset of a map that never erases (the insert-only engine's
+// alive tuples) leaves the unindexed ids' locs unused.
+//
+// Two interchangeable member stores (DESIGN.md "Storage backends"), chosen
+// by the StorageContext passed at construction, with one insert and one
+// erase body templated over them:
+//   * heap (default): a std::vector of ids per slab and one loc vector.
+//   * paged: each slab is a PageChain of 4-byte id records and the loc
+//     array is a PageChain of 8-byte records, so cold groups and cold locs
+//     age out of the buffer pool. Group(key, scratch) decodes a group's ids
+//     into the caller's scratch.
 #ifndef INCR_DATA_GROUPED_INDEX_H_
 #define INCR_DATA_GROUPED_INDEX_H_
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "incr/data/dense_map.h"
@@ -29,13 +55,13 @@
 namespace incr {
 
 class GroupedIndex {
-  /// The one heap/paged dispatch point: runs fn(groups, positions) on the
-  /// maps backing `self`. Defined ahead of the public members so its
-  /// return type is deduced before their bodies use it.
+  /// The one heap/paged dispatch point: runs fn on the member store. Ahead
+  /// of the public members, with its return type spelled out, so that
+  /// their bodies can use it before the stores are declared.
   template <typename Self, typename Fn>
-  static auto Dispatch(Self& self, Fn&& fn) {
-    if (self.store_ == nullptr) return fn(self.groups_, self.positions_);
-    return fn(self.pgroups_, *self.ppositions_);
+  static auto Dispatch(Self& self, Fn&& fn) -> decltype(fn(self.heap_)) {
+    if (!self.paged_) return fn(self.heap_);
+    return fn(*self.paged_);
   }
 
  public:
@@ -43,224 +69,323 @@ class GroupedIndex {
   /// (each must occur in `base`). A context with a store selects the paged
   /// backend.
   GroupedIndex(const Schema& base, const Schema& key, StorageContext ctx = {})
-      : key_schema_(key),
-        key_positions_(ProjectionPositions(base, key)),
-        store_(std::move(ctx.store)) {
-    if (store_ != nullptr) {
-      member_layout_ = PageLayout(*store_, base.size(), /*payload_bytes=*/0);
-      ppositions_.emplace(PagedRecords<uint32_t>(store_, base.size()));
-    }
+      : key_schema_(key), key_positions_(ProjectionPositions(base, key)) {
+    if (ctx.store != nullptr) paged_.emplace(std::move(ctx.store));
   }
 
-  /// Deep copy: the heap backend copies maps member-wise; the paged
-  /// backend clones every page chain on the same store, preserving member
-  /// order (and so enumeration behavior) exactly.
-  GroupedIndex(const GroupedIndex& o)
-      : key_schema_(o.key_schema_),
-        key_positions_(o.key_positions_),
-        store_(o.store_),
-        member_layout_(o.member_layout_),
-        groups_(o.groups_),
-        positions_(o.positions_),
-        ppositions_(o.ppositions_) {
-    if (store_ != nullptr) {
-      for (const auto& e : o.pgroups_) {
-        pgroups_.GetOrInsert(e.key) = e.value.Clone(*store_);
-      }
-    }
-  }
+  /// Deep copy: the heap store copies member-wise; the paged store clones
+  /// every page chain on the same store. Member order, slab ids and locs
+  /// are preserved exactly.
+  GroupedIndex(const GroupedIndex&) = default;
   GroupedIndex& operator=(const GroupedIndex&) = delete;
   GroupedIndex(GroupedIndex&&) noexcept = default;
-  GroupedIndex& operator=(GroupedIndex&& o) noexcept {
-    if (this != &o) {
-      ReleaseChains();
-      key_schema_ = std::move(o.key_schema_);
-      key_positions_ = std::move(o.key_positions_);
-      store_ = std::move(o.store_);
-      member_layout_ = o.member_layout_;
-      groups_ = std::move(o.groups_);
-      positions_ = std::move(o.positions_);
-      pgroups_ = std::move(o.pgroups_);
-      ppositions_ = std::move(o.ppositions_);
-    }
-    return *this;
-  }
-
-  ~GroupedIndex() { ReleaseChains(); }
+  GroupedIndex& operator=(GroupedIndex&&) = delete;
 
   const Schema& key_schema() const { return key_schema_; }
-  bool paged() const { return store_ != nullptr; }
+  bool paged() const { return paged_.has_value(); }
 
   /// The group key of a full tuple.
   Tuple KeyOf(const Tuple& t) const { return ProjectTuple(t, key_positions_); }
 
-  /// Adds `t` to its group. Must not already be present.
-  void Insert(const Tuple& t) {
-    Dispatch(*this, [&](auto& groups, auto& positions) {
-      auto& members = groups.GetOrInsert(KeyOf(t));
-      positions.InsertNew(t, Size(members));
-      Push(members, t);
+  /// Adds owner entry `id`, whose tuple is `t`, to its group. One
+  /// group-map operation.
+  void Insert(const Tuple& t, uint32_t id) {
+    Dispatch(*this, [&](auto& store) {
+      uint32_t& slab = groups_.GetOrInsert(KeyOf(t), kNone);
+      if (slab == kNone) slab = NewSlab(store);
+      store.SetLoc(id, Loc{slab, store.Push(slab, id)});
     });
+    ++entries_;
   }
 
-  /// Removes `t` from its group. Returns true if it was present.
-  bool Erase(const Tuple& t) {
-    return Dispatch(*this, [&](auto& groups, auto& positions) {
-      const size_t slot = positions.FindSlot(t);
-      if (slot == kNoSlot) return false;
-      const uint32_t idx = positions.ValueAt(slot);
-      const Tuple key = KeyOf(t);
-      auto* members = groups.Find(key);
-      INCR_DCHECK(members != nullptr);
-      // Swap-remove: the last member moves into the hole and its position
-      // is re-pointed. `slot` survives — SetAt never moves a slot.
-      if (idx + 1 != Size(*members)) {
-        const Tuple& moved = MoveLastTo(*members, idx);
-        positions.SetAt(positions.FindSlot(moved), idx);
+  /// Removes owner entry `id`, whose tuple is `t`, from its group, then
+  /// follows the owner's swap-remove: `last` is the owner's last entry id
+  /// before the erase, whose entry now lives at `id` (`last == id` when
+  /// nothing moved). Hashes only when the group empties. Requires an index
+  /// covering every owner entry.
+  void Erase(const Tuple& t, uint32_t id, uint32_t last) {
+    Dispatch(*this, [&](auto& store) {
+      INCR_DCHECK(store.NumLocs() == size_t{last} + 1);
+      const Loc loc = store.GetLoc(id);
+      // Swap-remove inside the group: its last member takes the hole.
+      const uint32_t moved = store.RemoveAt(loc.slab, loc.offset);
+      if (moved != kNone) store.SetOffset(moved, loc.offset);
+      if (store.Size(loc.slab) == 0) {
+        groups_.Erase(KeyOf(t));
+        free_slabs_.push_back(loc.slab);
+        store.Release(loc.slab);
       }
-      PopBack(*members);
-      positions.EraseSlot(slot);
-      if (Size(*members) == 0) groups.Erase(key);
-      return true;
+      // The owner moved entry `last` to `id`: rename it.
+      if (last != id) {
+        const Loc l = store.GetLoc(last);
+        store.SetLoc(id, l);
+        store.SetMember(l.slab, l.offset, id);
+      }
+      store.PopLoc();
     });
+    --entries_;
   }
 
-  /// The tuples in the group of `key`; nullptr if the group is empty.
-  /// Heap backend only (the pointer aliases internal storage, invalidated
-  /// by any mutation); storage-agnostic callers use the scratch overload.
-  const std::vector<Tuple>* Group(const Tuple& key) const {
-    INCR_DCHECK(store_ == nullptr);
-    return groups_.Find(key);
+  /// The member ids of the group of `key`, in member order; empty when the
+  /// group is. The heap store returns its own slab (scratch untouched, no
+  /// copy); the paged store decodes the ids into *scratch. Either way the
+  /// span is invalidated by any mutation of the index (or reuse of the
+  /// scratch).
+  std::span<const uint32_t> Group(const Tuple& key,
+                                  std::vector<uint32_t>* scratch) const {
+    const size_t slot = groups_.FindSlot(key);
+    if (slot == Groups::kNoSlot) return {};
+    const uint32_t slab = groups_.ValueAt(groups_.EntryOf(slot));
+    if (!paged_) return heap_.slabs[slab];
+    return paged_->Decode(slab, scratch);
   }
 
-  /// Backend-agnostic group access: on the heap backend returns the
-  /// internal member vector (scratch untouched — the zero-copy fast path);
-  /// on the paged backend decodes the group into *scratch and returns it.
-  /// Either way nullptr means an empty group, and the result is
-  /// invalidated by any mutation of the index (or reuse of the scratch).
-  const std::vector<Tuple>* Group(const Tuple& key,
-                                  std::vector<Tuple>* scratch) const {
-    if (store_ == nullptr) return groups_.Find(key);
-    const PagedTupleChain* chain = pgroups_.Find(key);
-    if (chain == nullptr) return nullptr;
-    scratch->clear();
-    chain->AppendTo(*store_, member_layout_, scratch);
-    return scratch;
-  }
-
-  /// Number of tuples in the group of `key` (its degree).
+  /// Number of members in the group of `key` (its degree).
   size_t GroupSize(const Tuple& key) const {
-    return Dispatch(*this, [&](const auto& groups, const auto&) -> size_t {
-      const auto* members = groups.Find(key);
-      return members == nullptr ? 0 : Size(*members);
+    const uint32_t* slab = groups_.Find(key);
+    if (slab == nullptr) return 0;
+    return Dispatch(*this, [&](const auto& store) -> size_t {
+      return store.Size(*slab);
     });
   }
 
   /// Number of distinct non-empty groups.
-  size_t NumGroups() const {
-    return Dispatch(*this, [](const auto& groups, const auto&) {
-      return groups.size();
-    });
-  }
+  size_t NumGroups() const { return groups_.size(); }
 
-  /// Total number of indexed tuples.
-  size_t NumEntries() const {
-    return Dispatch(*this, [](const auto&, const auto& positions) {
-      return positions.size();
-    });
-  }
+  /// The key of group `i` (0 <= i < NumGroups()), in the group map's dense
+  /// order: constant-delay iteration over the distinct keys, on either
+  /// backend. Positions are stable only between mutations.
+  const Tuple& GroupKey(size_t i) const { return groups_.at(i).key; }
 
-  /// Constant-delay iteration over the distinct group keys (heap backend
-  /// only; paged callers enumerate via the owning relation).
-  const DenseMap<Tuple, std::vector<Tuple>, TupleHash, TupleEq>& groups()
-      const {
-    INCR_DCHECK(store_ == nullptr);
-    return groups_;
-  }
+  /// Total number of indexed entries.
+  size_t NumEntries() const { return entries_; }
 
-  /// Pre-sizes the position map for `n` total entries (bulk insertion).
-  /// Group storage grows on demand; the position map is the rehash hotspot.
+  /// Room in the loc array for owner ids below `n`. Grows geometrically, as
+  /// DenseMap::Reserve does, so per-batch reserves never copy it each time.
   void Reserve(size_t n) {
-    Dispatch(*this, [n](auto&, auto& positions) { positions.Reserve(n); });
+    Dispatch(*this, [n](auto& store) { store.ReserveLocs(n); });
   }
 
   void Clear() {
-    ReleaseChains();
-    Dispatch(*this, [](auto& groups, auto& positions) {
-      groups.clear();
-      positions.clear();
-    });
+    Dispatch(*this, [](auto& store) { store.Clear(); });
+    groups_.clear();
+    free_slabs_.clear();
+    entries_ = 0;
   }
 
-  /// Approximate heap footprint in bytes (heap backend: group vectors
-  /// counted by capacity; paged backend: the resident structures — group
-  /// key map, page-id lists, position-map slot table — without the page
-  /// bytes, which PagedBytes reports).
+  /// Approximate heap footprint in bytes: the group map, the slab table
+  /// and, on the heap store, the id and loc arrays (by capacity). On the
+  /// paged store the page bytes are not counted; PagedBytes reports them.
   size_t MemoryBytes() const {
-    return Dispatch(*this, [](const auto& groups, const auto& positions) {
-      size_t n = groups.MemoryBytes() + positions.MemoryBytes();
-      for (const auto& e : groups) n += HeapBytes(e.value);
-      return n;
-    });
+    return groups_.MemoryBytes() + free_slabs_.capacity() * sizeof(uint32_t) +
+           Dispatch(*this,
+                    [](const auto& store) { return store.MemoryBytes(); });
   }
 
   /// Bytes of page storage held by this index (paged backend; 0 on heap).
   size_t PagedBytes() const {
-    if (store_ == nullptr) return 0;
-    size_t pages = ppositions_->PagedBytes() / store_->page_bytes();
-    for (const auto& e : pgroups_) pages += e.value.pages.size();
-    return pages * store_->page_bytes();
+    return paged_ ? paged_->PagedBytes() : 0;
   }
 
  private:
-  using HeapGroups = DenseMap<Tuple, std::vector<Tuple>, TupleHash, TupleEq>;
-  static constexpr size_t kNoSlot = HeapGroups::kNoSlot;
+  /// Where an owner entry sits: its group's slab and its offset there.
+  struct Loc {
+    uint32_t slab;
+    uint32_t offset;
+  };
+  using Groups = DenseMap<Tuple, uint32_t, TupleHash, TupleEq>;
+  /// No slab (a group being created, an unindexed id's loc) or no member
+  /// (nothing moved on a swap-remove).
+  static constexpr uint32_t kNone = UINT32_MAX;
 
-  // Member-list operations, one overload per backend.
-  static uint32_t Size(const std::vector<Tuple>& g) {
-    return static_cast<uint32_t>(g.size());
-  }
-  static uint32_t Size(const PagedTupleChain& c) { return c.size; }
-  void Push(std::vector<Tuple>& g, const Tuple& t) { g.push_back(t); }
-  void Push(PagedTupleChain& c, const Tuple& t) {
-    c.Push(*store_, member_layout_, t);
-  }
-  /// Moves the last member into position `i` (not last); returns it.
-  static const Tuple& MoveLastTo(std::vector<Tuple>& g, uint32_t i) {
-    g[i] = std::move(g.back());
-    return g[i];
-  }
-  Tuple MoveLastTo(PagedTupleChain& c, uint32_t i) {
-    Tuple moved;
-    c.MoveLastTo(*store_, member_layout_, i, &moved);
-    return moved;
-  }
-  static void PopBack(std::vector<Tuple>& g) { g.pop_back(); }
-  void PopBack(PagedTupleChain& c) { c.PopBack(*store_, member_layout_); }
-  static size_t HeapBytes(const std::vector<Tuple>& g) {
-    return g.capacity() * sizeof(Tuple);
-  }
-  static size_t HeapBytes(const PagedTupleChain& c) { return c.HeapBytes(); }
+  /// Heap member store: one id vector per slab, one loc vector.
+  struct HeapStore {
+    /// An emptied slab keeps a buffer this small for the next group, so
+    /// churn of small groups never reaches the allocator.
+    static constexpr size_t kKeptIds = 16;
 
-  void ReleaseChains() {
-    if (store_ == nullptr) return;
-    for (const auto& e : pgroups_) {
-      for (PageId p : e.value.pages) store_->Free(p);
+    std::vector<std::vector<uint32_t>> slabs;
+    std::vector<Loc> locs;
+
+    uint32_t NewSlab() {
+      slabs.emplace_back();
+      return static_cast<uint32_t>(slabs.size() - 1);
     }
+    uint32_t Size(uint32_t s) const {
+      return static_cast<uint32_t>(slabs[s].size());
+    }
+    uint32_t Push(uint32_t s, uint32_t id) {
+      slabs[s].push_back(id);
+      return static_cast<uint32_t>(slabs[s].size() - 1);
+    }
+    /// Swap-removes the member at offset `i`; returns the member moved into
+    /// `i`, or kNone when `i` was last.
+    uint32_t RemoveAt(uint32_t s, uint32_t i) {
+      std::vector<uint32_t>& g = slabs[s];
+      uint32_t moved = kNone;
+      if (i + 1 != g.size()) g[i] = moved = g.back();
+      g.pop_back();
+      return moved;
+    }
+    void SetMember(uint32_t s, uint32_t i, uint32_t id) { slabs[s][i] = id; }
+    void Release(uint32_t s) {
+      if (slabs[s].capacity() > kKeptIds) {
+        std::vector<uint32_t>().swap(slabs[s]);
+      }
+    }
+    size_t NumLocs() const { return locs.size(); }
+    Loc GetLoc(uint32_t id) const { return locs[id]; }
+    void SetLoc(uint32_t id, Loc l) {
+      if (id >= locs.size()) locs.resize(size_t{id} + 1, Loc{kNone, 0});
+      locs[id] = l;
+    }
+    void SetOffset(uint32_t id, uint32_t offset) { locs[id].offset = offset; }
+    void PopLoc() { locs.pop_back(); }
+    void ReserveLocs(size_t n) {
+      if (n > locs.capacity()) locs.reserve(std::max(n, 2 * locs.capacity()));
+    }
+    void Clear() {
+      slabs.clear();
+      locs.clear();
+    }
+    size_t MemoryBytes() const {
+      size_t n = slabs.capacity() * sizeof(std::vector<uint32_t>) +
+                 locs.capacity() * sizeof(Loc);
+      for (const auto& g : slabs) n += g.capacity() * sizeof(uint32_t);
+      return n;
+    }
+  };
+
+  /// Paged member store: one PageChain of 4-byte ids per slab and a
+  /// PageChain of 8-byte locs. Owns its pages: copying clones them.
+  struct PagedStore {
+    explicit PagedStore(std::shared_ptr<PageStore> ps)
+        : store(std::move(ps)),
+          id_layout(*store, /*arity=*/0, sizeof(uint32_t)),
+          loc_layout(*store, /*arity=*/0, sizeof(Loc)) {}
+    PagedStore(const PagedStore& o)
+        : store(o.store),
+          id_layout(o.id_layout),
+          loc_layout(o.loc_layout),
+          locs(o.locs.Clone(*store)) {
+      slabs.reserve(o.slabs.size());
+      for (const PageChain& c : o.slabs) slabs.push_back(c.Clone(*store));
+    }
+    PagedStore(PagedStore&& o) noexcept
+        : store(std::move(o.store)),
+          id_layout(o.id_layout),
+          loc_layout(o.loc_layout),
+          slabs(std::move(o.slabs)),
+          locs(std::exchange(o.locs, {})) {}
+    PagedStore& operator=(const PagedStore&) = delete;
+    PagedStore& operator=(PagedStore&&) = delete;
+    ~PagedStore() {
+      if (store != nullptr) Clear();
+    }
+
+    std::shared_ptr<PageStore> store;
+    PageLayout id_layout;
+    PageLayout loc_layout;
+    std::vector<PageChain> slabs;
+    PageChain locs;
+
+    template <typename T>
+    T Read(const PageChain& c, const PageLayout& l, uint32_t i) const {
+      T v;
+      std::memcpy(&v, c.Pin(*store, l, i, /*write=*/false).get(), sizeof(T));
+      return v;
+    }
+    template <typename T>
+    void Write(const PageChain& c, const PageLayout& l, uint32_t i,
+               const T& v, size_t at = 0) {
+      std::memcpy(c.Pin(*store, l, i, /*write=*/true).get() + at, &v,
+                  sizeof(T));
+    }
+
+    uint32_t NewSlab() {
+      slabs.emplace_back();
+      return static_cast<uint32_t>(slabs.size() - 1);
+    }
+    uint32_t Size(uint32_t s) const { return slabs[s].size; }
+    uint32_t Push(uint32_t s, uint32_t id) {
+      std::memcpy(slabs[s].Append(*store, id_layout).get(), &id, sizeof(id));
+      return slabs[s].size - 1;
+    }
+    uint32_t RemoveAt(uint32_t s, uint32_t i) {
+      PageChain& g = slabs[s];
+      uint32_t moved = kNone;
+      if (i + 1 != g.size) {
+        moved = Read<uint32_t>(g, id_layout, g.size - 1);
+        Write(g, id_layout, i, moved);
+      }
+      g.PopBack(*store, id_layout);
+      return moved;
+    }
+    void SetMember(uint32_t s, uint32_t i, uint32_t id) {
+      Write(slabs[s], id_layout, i, id);
+    }
+    void Release(uint32_t) {}  // an empty chain holds no pages
+    size_t NumLocs() const { return locs.size; }
+    Loc GetLoc(uint32_t id) const { return Read<Loc>(locs, loc_layout, id); }
+    void SetLoc(uint32_t id, Loc l) {
+      while (locs.size <= id) {
+        const Loc none{kNone, 0};
+        std::memcpy(locs.Append(*store, loc_layout).get(), &none, sizeof(none));
+      }
+      Write(locs, loc_layout, id, l);
+    }
+    void SetOffset(uint32_t id, uint32_t offset) {
+      Write(locs, loc_layout, id, offset, offsetof(Loc, offset));
+    }
+    void PopLoc() { locs.PopBack(*store, loc_layout); }
+    void ReserveLocs(size_t n) {
+      const size_t pages = (n + loc_layout.per_page - 1) / loc_layout.per_page;
+      if (pages > locs.pages.capacity()) {
+        locs.pages.reserve(std::max(pages, 2 * locs.pages.capacity()));
+      }
+    }
+    std::span<const uint32_t> Decode(uint32_t s,
+                                     std::vector<uint32_t>* scratch) const {
+      scratch->resize(slabs[s].size);
+      uint32_t* out = scratch->data();
+      slabs[s].ForEach(*store, id_layout, [&](const uint8_t* p) {
+        std::memcpy(out++, p, sizeof(uint32_t));
+      });
+      return *scratch;
+    }
+    void Clear() {
+      for (PageChain& c : slabs) c.FreeAll(*store);
+      slabs.clear();
+      locs.FreeAll(*store);
+    }
+    size_t MemoryBytes() const {
+      size_t n = slabs.capacity() * sizeof(PageChain) + locs.HeapBytes();
+      for (const PageChain& c : slabs) n += c.HeapBytes();
+      return n;
+    }
+    size_t PagedBytes() const {
+      size_t pages = locs.pages.size();
+      for (const PageChain& c : slabs) pages += c.pages.size();
+      return pages * store->page_bytes();
+    }
+  };
+
+  /// A slab for a new group: a freed one if any, else a fresh one.
+  template <typename Store>
+  uint32_t NewSlab(Store& store) {
+    if (free_slabs_.empty()) return store.NewSlab();
+    const uint32_t s = free_slabs_.back();
+    free_slabs_.pop_back();
+    return s;
   }
 
   Schema key_schema_;
   SmallVector<uint32_t, 4> key_positions_;
-  std::shared_ptr<PageStore> store_;  // null = heap backend
-  PageLayout member_layout_;          // paged group-member record format
-
-  // Heap backend.
-  HeapGroups groups_;
-  DenseMap<Tuple, uint32_t, TupleHash, TupleEq> positions_;
-
-  // Paged backend: group keys resident, members + positions in pages.
-  DenseMap<Tuple, PagedTupleChain, TupleHash, TupleEq> pgroups_;
-  std::optional<PagedTupleMap<uint32_t>> ppositions_;
+  Groups groups_;                    // group key -> slab (both backends)
+  std::vector<uint32_t> free_slabs_;  // slabs of emptied groups
+  size_t entries_ = 0;
+  HeapStore heap_;                    // used when paged_ is empty
+  std::optional<PagedStore> paged_;   // the paged member store
 };
 
 }  // namespace incr

@@ -5,7 +5,12 @@
 //   PageChain        a dense array of fixed-width records (PageLayout)
 //                    spread across a chain of pages — append, pinned
 //                    access (RecordPin), move-last/pop-back, deep copy.
-//                    The two stores below are built on it.
+//                    Everything paged is built on it: the store below, and
+//                    GroupedIndex's paged member store, whose chains hold
+//                    4-byte member ids (one chain per group) and 8-byte
+//                    {slab, offset} locs (one chain per index). Hot groups
+//                    stay resident because their pages keep getting
+//                    referenced; cold groups page out wholesale.
 //
 //   PagedRecords<V>  DenseMap's paged record store: {key values, payload}
 //                    records of fixed width. DenseMap keeps its slot table
@@ -15,10 +20,6 @@
 //                    pool. The probe, insert and swap-remove logic is
 //                    DenseMap's own, so dense record order matches the heap
 //                    store's for any operation sequence.
-//
-//   PagedTupleChain  the member list of one GroupedIndex group. Hot groups
-//                    stay resident because their pages keep getting
-//                    referenced; cold groups page out wholesale.
 //
 // Records are raw little-endian bytes (memcpy of int64 key values plus a
 // trivially-copyable payload), matching the layout assumptions the rest of
@@ -45,13 +46,14 @@ namespace incr {
 
 /// The fixed-width record format of one page chain: `arity` key values,
 /// then `payload_bytes`, `per_page` records to a page. Computed once per
-/// container, so addressing a record costs one division.
+/// container, so addressing a record costs one division. Arity 0 gives a
+/// raw record of `payload_bytes` (a grouped index's member ids and locs).
 struct PageLayout {
   PageLayout() = default;
   PageLayout(const PageStore& ps, size_t arity, size_t payload_bytes)
       : arity(arity),
-        record_bytes(std::max(arity * sizeof(Value) + payload_bytes,
-                              sizeof(Value))),
+        record_bytes(
+            std::max<size_t>(arity * sizeof(Value) + payload_bytes, 1)),
         per_page(ps.page_bytes() / record_bytes) {
     INCR_CHECK(per_page > 0);
   }
@@ -112,15 +114,12 @@ struct PageChain {
     return RecordPin(ps, pages, l, size++, /*write=*/true);
   }
 
-  /// Moves the last record into position `i` (which must not be last);
-  /// with `moved_key`, also decodes the moved record's key into it.
-  void MoveLastTo(PageStore& ps, const PageLayout& l, uint32_t i,
-                  Tuple* moved_key = nullptr) {
+  /// Moves the last record into position `i` (which must not be last).
+  void MoveLastTo(PageStore& ps, const PageLayout& l, uint32_t i) {
     INCR_DCHECK(i + 1 < size);
     const RecordPin src = Pin(ps, l, size - 1, /*write=*/false);
     const RecordPin dst = Pin(ps, l, i, /*write=*/true);
     std::memmove(dst.get(), src.get(), l.record_bytes);
-    if (moved_key != nullptr) DecodeKey(src.get(), l.arity, moved_key);
   }
 
   /// Drops the last record, freeing a page that empties.
@@ -169,29 +168,6 @@ struct PageChain {
   size_t HeapBytes() const { return pages.capacity() * sizeof(PageId); }
 };
 
-/// A group's member tuples: a PageChain of key-only records.
-struct PagedTupleChain : PageChain {
-  void Push(PageStore& ps, const PageLayout& l, const Tuple& t) {
-    std::memcpy(Append(ps, l).get(), t.data(), l.key_bytes());
-  }
-
-  /// Decodes every member, appending to `out` in chain order.
-  void AppendTo(PageStore& ps, const PageLayout& l,
-                std::vector<Tuple>* out) const {
-    out->reserve(out->size() + size);
-    ForEach(ps, l, [&](const uint8_t* p) {
-      out->emplace_back();
-      DecodeKey(p, l.arity, &out->back());
-    });
-  }
-
-  PagedTupleChain Clone(PageStore& ps) const {
-    PagedTupleChain c;
-    static_cast<PageChain&>(c) = PageChain::Clone(ps);
-    return c;
-  }
-};
-
 /// DenseMap's paged record store for Tuple keys of a fixed arity and a
 /// trivially-copyable payload V — enforced where the constructor
 /// instantiates, so a Relation over a non-copyable ring can still declare
@@ -231,6 +207,11 @@ class PagedRecords {
   bool KeyEquals(uint32_t i, const Tuple& key) const {
     return std::memcmp(Pin(i, false).get(), key.data(),
                        layout_.key_bytes()) == 0;
+  }
+  Tuple Key(uint32_t i) const {
+    Tuple t;
+    DecodeKey(Pin(i, false).get(), layout_.arity, &t);
+    return t;
   }
   V Value(uint32_t i) const {
     V v;

@@ -120,8 +120,27 @@ class Relation {
   RV Payload(const Tuple& t) const {
     return Dispatch(*this, [&](const auto& m) -> RV {
       const size_t slot = m.FindSlot(t);
-      return slot == kNoSlot ? R::Zero() : RV(m.ValueAt(slot));
+      return slot == kNoSlot ? R::Zero() : RV(m.ValueAt(m.EntryOf(slot)));
     });
+  }
+
+  /// The tuple of dense entry `id` (0 <= id < size()), the ids a grouped
+  /// index hands out: a reference into the map on the heap backend, the
+  /// tuple decoded into *scratch on paged. Valid until the next mutation
+  /// (or reuse of the scratch).
+  const Tuple& KeyAt(uint32_t id, Tuple* scratch) const {
+    if constexpr (kPagedCapable) {
+      if (paged_) {
+        *scratch = paged_->KeyAt(id);
+        return *scratch;
+      }
+    }
+    return data_.KeyAt(id);
+  }
+
+  /// The payload of dense entry `id`.
+  RV ValueAt(uint32_t id) const {
+    return Dispatch(*this, [id](const auto& m) -> RV { return m.ValueAt(id); });
   }
 
   bool Contains(const Tuple& t) const {
@@ -134,11 +153,12 @@ class Relation {
   void Apply(const Tuple& t, const RV& d) {
     INCR_DCHECK(t.size() == schema_.size());
     if (R::IsZero(d)) return;
-    const int net = Dispatch(*this, [&](auto& m) { return ApplyNet(m, t, d); });
-    if (net > 0) {
-      for (auto& idx : indexes_) idx->Insert(t);
-    } else if (net < 0) {
-      for (auto& idx : indexes_) idx->Erase(t);
+    const Net net =
+        Dispatch(*this, [&](auto& m) { return ApplyNet(m, t, d); });
+    if (net.sign > 0) {
+      for (auto& idx : indexes_) idx->Insert(t, net.id);
+    } else if (net.sign < 0) {
+      for (auto& idx : indexes_) idx->Erase(t, net.id, net.last);
     }
   }
 
@@ -147,10 +167,12 @@ class Relation {
   /// insert/erase stream once per index (one index at a time, instead of
   /// fanning each tuple out across all indexes). Entries may repeat a
   /// tuple; they are applied in order, so the net effect equals sequential
-  /// Apply() calls. With a pool, the per-index replays run in parallel —
-  /// indexes are independent of one another and the op stream is fixed by
-  /// then, so this is safe and deterministic (the PageStore serializes its
-  /// own metadata under the paged backend).
+  /// Apply() calls. The op stream records each op's batch entry and entry
+  /// ids, so a replay reads only the batch and never the map. With a pool,
+  /// the per-index replays run in parallel — indexes are independent of
+  /// one another and the op stream is fixed by then, so this is safe and
+  /// deterministic (the PageStore serializes its own metadata under the
+  /// paged backend).
   void ApplyBatch(std::span<const Entry> batch, ThreadPool* pool = nullptr) {
     Dispatch(*this, [&](auto& m) { ApplyBatchTo(m, batch, pool); });
   }
@@ -184,7 +206,9 @@ class Relation {
   size_t AddIndex(const Schema& key) {
     auto idx = std::make_unique<GroupedIndex>(schema_, key,
                                               StorageContext{store_});
-    ForEachEntry([&](const Tuple& t, const RV&) { idx->Insert(t); });
+    idx->Reserve(size());
+    uint32_t id = 0;  // ForEachEntry walks the dense order: ids ascend
+    ForEachEntry([&](const Tuple& t, const RV&) { idx->Insert(t, id++); });
     indexes_.push_back(std::move(idx));
     return indexes_.size() - 1;
   }
@@ -237,23 +261,32 @@ class Relation {
     return fn(self.data_);
   }
 
+  /// What one ApplyNet did to the entry set: sign +1 inserted entry `id`;
+  /// -1 erased entry `id`, after which the entry that was last (`last`)
+  /// lives at `id`; 0 changed a payload in place.
+  struct Net {
+    int sign = 0;
+    uint32_t id = 0;
+    uint32_t last = 0;
+  };
+
+  /// One index op of a batch: what batch entry `i` did to the entry set.
+  struct IndexOp {
+    uint32_t i;
+    Net net;
+  };
+
   // payload(t) += d on `m` with one probe, then an in-place update, append,
-  // or swap-remove. Returns +1 for a fresh insert, -1 for an erase-to-zero,
-  // 0 otherwise.
+  // or swap-remove.
   template <typename Map>
-  static int ApplyNet(Map& m, const Tuple& t, const RV& d) {
+  static Net ApplyNet(Map& m, const Tuple& t, const RV& d) {
     const size_t slot = m.FindSlot(t);
-    if (slot == kNoSlot) {
-      m.InsertNew(t, d);
-      return 1;
-    }
-    RV v = R::Add(m.ValueAt(slot), d);
-    if (R::IsZero(v)) {
-      m.EraseSlot(slot);
-      return -1;
-    }
+    if (slot == kNoSlot) return Net{1, m.InsertNew(t, d), 0};
+    const uint32_t id = m.EntryOf(slot);
+    RV v = R::Add(m.ValueAt(id), d);
+    if (R::IsZero(v)) return Net{-1, id, m.EraseSlot(slot)};
     m.SetAt(slot, std::move(v));
-    return 0;
+    return Net{};
   }
 
   template <typename Map>
@@ -261,20 +294,20 @@ class Relation {
     const bool obs_on = obs::Enabled();
     const size_t rehashes_before = obs_on ? m.rehashes() : 0;
     m.Reserve(m.size() + batch.size());
-    // (entry index, is_insert) event stream for the index replay; tuples
-    // are read back from the batch so no copies are made.
+    // The index op stream for the replay; tuples are read back from the
+    // batch so no copies are made.
     const bool indexed = !indexes_.empty();
-    std::vector<std::pair<uint32_t, bool>> ops;
+    std::vector<IndexOp> ops;
     if (indexed) ops.reserve(batch.size());
     size_t inserts = 0;
     size_t erases = 0;
     for (uint32_t i = 0; i < batch.size(); ++i) {
       const Entry& e = batch[i];
       if (R::IsZero(e.value)) continue;
-      const int net = ApplyNet(m, e.key, e.value);
-      if (net == 0) continue;
-      ++(net > 0 ? inserts : erases);
-      if (indexed) ops.emplace_back(i, net > 0);
+      const Net net = ApplyNet(m, e.key, e.value);
+      if (net.sign == 0) continue;
+      ++(net.sign > 0 ? inserts : erases);
+      if (indexed) ops.push_back({i, net});
     }
     if (obs_on) {
       BatchMetrics(batch.size(), inserts, erases,
@@ -283,19 +316,18 @@ class Relation {
     if (indexed) ReplayOps(batch, ops, inserts, pool);
   }
 
-  void ReplayOps(std::span<const Entry> batch,
-                 const std::vector<std::pair<uint32_t, bool>>& ops,
+  void ReplayOps(std::span<const Entry> batch, const std::vector<IndexOp>& ops,
                  size_t inserts, ThreadPool* pool) {
     auto replay = [&](size_t k) {
       GroupedIndex& idx = *indexes_[k];
       // Reserve only for the inserts: a delete-heavy batch must not grow
       // the index tables it is about to shrink.
       idx.Reserve(idx.NumEntries() + inserts);
-      for (const auto& [i, is_insert] : ops) {
-        if (is_insert) {
-          idx.Insert(batch[i].key);
+      for (const auto& [i, net] : ops) {
+        if (net.sign > 0) {
+          idx.Insert(batch[i].key, net.id);
         } else {
-          idx.Erase(batch[i].key);
+          idx.Erase(batch[i].key, net.id, net.last);
         }
       }
     };

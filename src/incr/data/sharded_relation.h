@@ -92,20 +92,6 @@ class ShardedRelation {
     return index_schemas_.size() - 1;
   }
 
-  /// Group lookup in index `id` by a tuple of exactly the key-prefix
-  /// columns: only the owning shard can hold matches. Requires the index
-  /// key to be (a permutation of nothing but) the shard key prefix — in
-  /// this codebase, W views only ever carry index 0 on the node key.
-  const std::vector<Tuple>* GroupByKey(size_t id, const Tuple& key) const {
-    return shards_[ShardOfKey(key)].index(id).Group(key);
-  }
-
-  /// Backend-agnostic group lookup (see GroupedIndex::Group(key, scratch)).
-  const std::vector<Tuple>* GroupByKey(size_t id, const Tuple& key,
-                                       std::vector<Tuple>* scratch) const {
-    return shards_[ShardOfKey(key)].index(id).Group(key, scratch);
-  }
-
   bool paged() const { return ctx_.paged(); }
 
   /// Backend-agnostic enumeration over every shard's entries, shard 0

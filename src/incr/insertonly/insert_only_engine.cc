@@ -124,21 +124,23 @@ void InsertOnlyEngine::InsertIntoNode(size_t node_id, const Tuple& t,
     ++activation_work_;
   }
   st.alive = st.satisfied == node.children.size();
-  node.tuples.GetOrInsert(t, st);
-  for (auto& probe : node.child_probe) probe->Insert(t);
+  const uint32_t id = node.tuples.InsertNew(t, st);
+  for (auto& probe : node.child_probe) probe->Insert(t, id);
   ++activation_work_;
-  if (st.alive) Activate(node_id, t);
+  if (st.alive) Activate(node_id, id);
 }
 
-void InsertOnlyEngine::Activate(size_t node_id, const Tuple& t) {
-  // Worklist to avoid deep recursion on activation cascades.
-  std::deque<std::pair<size_t, Tuple>> work;
-  work.emplace_back(node_id, t);
+void InsertOnlyEngine::Activate(size_t node_id, uint32_t id) {
+  // Worklist of (node, entry id) to avoid deep recursion on activation
+  // cascades.
+  std::deque<std::pair<size_t, uint32_t>> work;
+  work.emplace_back(node_id, id);
   while (!work.empty()) {
-    auto [ni, tup] = work.front();
+    auto [ni, tid] = work.front();
     work.pop_front();
     Node& node = nodes_[ni];
-    node.alive_index->Insert(tup);
+    const Tuple& tup = node.tuples.KeyAt(tid);
+    node.alive_index->Insert(tup, tid);
     ++activation_work_;
     if (node.parent < 0) continue;
     Tuple key = ProjectTuple(tup, node.parent_key_positions);
@@ -151,17 +153,15 @@ void InsertOnlyEngine::Activate(size_t node_id, const Tuple& t) {
     for (size_t ci = 0; ci < parent.children.size(); ++ci) {
       if (parent.children[ci] == static_cast<int>(ni)) child_slot = ci;
     }
-    const auto* group = parent.child_probe[child_slot]->Group(key);
-    if (group == nullptr) continue;
-    for (const Tuple& pt : *group) {
-      TupleState* ps = parent.tuples.Find(pt);
-      INCR_DCHECK(ps != nullptr);
+    std::vector<uint32_t> ids;
+    for (uint32_t pid : parent.child_probe[child_slot]->Group(key, &ids)) {
+      TupleState& ps = parent.tuples.ValueAt(pid);
       ++activation_work_;
-      if (ps->alive) continue;
-      ++ps->satisfied;
-      if (ps->satisfied == parent.children.size()) {
-        ps->alive = true;
-        work.emplace_back(static_cast<size_t>(node.parent), pt);
+      if (ps.alive) continue;
+      ++ps.satisfied;
+      if (ps.satisfied == parent.children.size()) {
+        ps.alive = true;
+        work.emplace_back(static_cast<size_t>(node.parent), pid);
       }
     }
   }
@@ -200,13 +200,13 @@ size_t InsertOnlyEngine::Enumerate(const Sink& sink) const {
         for (Var v : child.parent_key) {
           key.push_back(assign[*FindVar(all_vars_, v)]);
         }
-        const auto* group = child.alive_index->Group(key);
-        if (group == nullptr) return;  // impossible for alive parents
-        for (const Tuple& ct : *group) {
+        std::vector<uint32_t> ids;
+        for (uint32_t id : child.alive_index->Group(key, &ids)) {
+          const Tuple& ct = child.tuples.KeyAt(id);
           for (size_t p = 0; p < ct.size(); ++p) {
             assign[var_pos[ci][p]] = ct[p];
           }
-          int64_t payload = child.tuples.Find(ct)->payload;
+          int64_t payload = child.tuples.ValueAt(id).payload;
           resolve(ci, 0, acc * payload, [&](int64_t sub) {
             resolve(ni, child_idx + 1, sub, k);
           });
@@ -214,13 +214,13 @@ size_t InsertOnlyEngine::Enumerate(const Sink& sink) const {
       };
 
   const Node& root = nodes_[static_cast<size_t>(root_)];
-  const auto* rg = root.alive_index->Group(Tuple{});
-  if (rg == nullptr) return 0;
-  for (const Tuple& rt : *rg) {
+  std::vector<uint32_t> ids;
+  for (uint32_t id : root.alive_index->Group(Tuple{}, &ids)) {
+    const Tuple& rt = root.tuples.KeyAt(id);
     for (size_t p = 0; p < rt.size(); ++p) {
       assign[var_pos[static_cast<size_t>(root_)][p]] = rt[p];
     }
-    int64_t payload = root.tuples.Find(rt)->payload;
+    int64_t payload = root.tuples.ValueAt(id).payload;
     resolve(static_cast<size_t>(root_), 0, payload, [&](int64_t acc) {
       if (sink) sink(assign, acc);
       ++count;

@@ -108,13 +108,16 @@ class InsertOnlyEngine : public IvmEngine<IntRing> {
     std::vector<int> children;
     Schema schema;            // atom schema
     Schema parent_key;        // join vars with the parent (empty at root)
+    // Every tuple of the node. Inserts only, so entry ids never move: the
+    // indexes below hold these ids and readers dereference them here.
     DenseMap<Tuple, TupleState, TupleHash, TupleEq> tuples;
     // Count of alive tuples per parent_key value (consulted by the parent).
     DenseMap<Tuple, int64_t, TupleHash, TupleEq> alive_key_count;
-    // Alive tuples grouped by parent_key (top-down enumeration).
+    // Ids of the alive tuples grouped by parent_key (top-down
+    // enumeration).
     std::unique_ptr<GroupedIndex> alive_index;
-    // All tuples grouped by the join vars with each child (activation
-    // scans), parallel to `children`.
+    // Ids of all tuples grouped by the join vars with each child
+    // (activation scans), parallel to `children`.
     std::vector<std::unique_ptr<GroupedIndex>> child_probe;
     SmallVector<uint32_t, 4> parent_key_positions;
   };
@@ -122,7 +125,7 @@ class InsertOnlyEngine : public IvmEngine<IntRing> {
   InsertOnlyEngine() = default;
 
   void InsertIntoNode(size_t node_id, const Tuple& t, int64_t m);
-  void Activate(size_t node_id, const Tuple& t);
+  void Activate(size_t node_id, uint32_t id);
 
   Query query_;
   Schema all_vars_;

@@ -38,9 +38,10 @@ void EpsTradeoffEngine::BulkLoad(
     r_->Apply(t[1], t[0], m);  // stored as (B, A)
   }
   std::vector<Value> heavy;
-  for (const auto& e :
-       r_->light().index(HeavyLightRelation::kByKey).groups()) {
-    if (r_->Degree(e.key[0]) >= theta) heavy.push_back(e.key[0]);
+  const GroupedIndex& by_key = r_->light().index(HeavyLightRelation::kByKey);
+  for (size_t g = 0; g < by_key.NumGroups(); ++g) {
+    const Value b = by_key.GroupKey(g)[0];
+    if (r_->Degree(b) >= theta) heavy.push_back(b);
   }
   for (Value b : heavy) r_->Migrate(b);
   // One pass over the light part builds V_L.
@@ -64,11 +65,11 @@ void EpsTradeoffEngine::UpdateS(Value b, int64_t m) {
   if (m == 0) return;
   s_.Apply(Tuple{b}, m);
   if (r_->PartOf(b) == HeavyLightRelation::kLight) {
-    const auto* g = r_->Group(b);
-    if (g != nullptr) {
-      for (const Tuple& t : *g) {
-        v_l_.Apply(Tuple{t[1]}, r_->light().Payload(t) * m);
-      }
+    const Relation<IntRing>& light = r_->light();
+    std::vector<uint32_t> ids;
+    Tuple scratch;
+    for (uint32_t id : r_->Group(b, &ids)) {
+      v_l_.Apply(Tuple{light.KeyAt(id, &scratch)[1]}, light.ValueAt(id) * m);
     }
   }
   MaybeMajorRebalance();
@@ -96,9 +97,10 @@ size_t EpsTradeoffEngine::EnumerateLimit(size_t limit,
   }
   // Heavy-only candidates: distinct A values of the heavy part not already
   // covered by V_L.
-  for (const auto& g :
-       r_->heavy().index(HeavyLightRelation::kByOther).groups()) {
-    Value a = g.key[0];
+  const GroupedIndex& by_other =
+      r_->heavy().index(HeavyLightRelation::kByOther);
+  for (size_t g = 0; g < by_other.NumGroups(); ++g) {
+    Value a = by_other.GroupKey(g)[0];
     if (v_l_.Contains(Tuple{a})) continue;
     int64_t q = QueryOne(a);
     if (q != 0) {
@@ -110,13 +112,14 @@ size_t EpsTradeoffEngine::EnumerateLimit(size_t limit,
 }
 
 void EpsTradeoffEngine::ApplyGroupToView(Value b, int64_t sign) {
-  const auto* g = r_->Group(b);
-  if (g == nullptr) return;
   int64_t sb = s_.Payload(Tuple{b});
   if (sb == 0) return;
   const Relation<IntRing>& part = r_->part(r_->PartOf(b));
-  for (const Tuple& t : *g) {
-    v_l_.Apply(Tuple{t[1]}, sign * part.Payload(t) * sb);
+  std::vector<uint32_t> ids;
+  Tuple scratch;
+  for (uint32_t id : r_->Group(b, &ids)) {
+    v_l_.Apply(Tuple{part.KeyAt(id, &scratch)[1]},
+               sign * part.ValueAt(id) * sb);
   }
 }
 

@@ -41,12 +41,16 @@ HeavyLightRelation::Part HeavyLightRelation::Apply(Value key, Value other,
 void HeavyLightRelation::Migrate(Value key) {
   Part from = PartOf(key);
   Part to = from == kLight ? kHeavy : kLight;
-  // Copy the group out first: Apply mutates the index we'd be iterating.
-  std::vector<Tuple> group;
-  const std::vector<Tuple>* g = parts_[from].index(kByKey).Group(Tuple{key});
-  if (g != nullptr) group = *g;
-  for (const Tuple& t : group) {
-    int64_t payload = parts_[from].Payload(t);
+  // Copy the group's entries out first: Apply mutates the index we'd be
+  // iterating and renames the entry ids.
+  const Relation<IntRing>& src = parts_[from];
+  std::vector<std::pair<Tuple, int64_t>> group;
+  std::vector<uint32_t> ids;
+  Tuple scratch;
+  for (uint32_t id : src.index(kByKey).Group(Tuple{key}, &ids)) {
+    group.emplace_back(src.KeyAt(id, &scratch), src.ValueAt(id));
+  }
+  for (const auto& [t, payload] : group) {
     parts_[from].Apply(t, -payload);
     parts_[to].Apply(t, payload);
   }
@@ -62,10 +66,6 @@ int64_t HeavyLightRelation::Payload(Value key, Value other) const {
   return parts_[PartOf(key)].Payload(Tuple{key, other});
 }
 
-const std::vector<Tuple>* HeavyLightRelation::Group(Value key) const {
-  return parts_[PartOf(key)].index(kByKey).Group(Tuple{key});
-}
-
 void HeavyLightRelation::ExtractAll(
     std::vector<std::pair<Tuple, int64_t>>* out) const {
   for (int p = 0; p < 2; ++p) {
@@ -75,18 +75,23 @@ void HeavyLightRelation::ExtractAll(
 
 bool HeavyLightRelation::InvariantsHold() const {
   // Light keys: degree < 2*theta. Heavy keys: 2*degree >= theta.
-  for (const auto& e : parts_[kLight].index(kByKey).groups()) {
-    Value key = e.key[0];
+  const GroupedIndex& light = parts_[kLight].index(kByKey);
+  for (size_t g = 0; g < light.NumGroups(); ++g) {
+    const Tuple& key_tuple = light.GroupKey(g);
+    Value key = key_tuple[0];
     if (heavy_keys_.Find(key) != nullptr) return false;  // parts overlap
     if (Degree(key) >= 2 * theta_) return false;
-    if (static_cast<int64_t>(e.value.size()) != Degree(key)) return false;
+    if (static_cast<int64_t>(light.GroupSize(key_tuple)) != Degree(key)) {
+      return false;
+    }
   }
   for (const auto& e : heavy_keys_) {
     if (2 * Degree(e.key) < theta_) return false;
   }
   // Every heavy part group's key must be marked heavy.
-  for (const auto& e : parts_[kHeavy].index(kByKey).groups()) {
-    if (heavy_keys_.Find(e.key[0]) == nullptr) return false;
+  const GroupedIndex& heavy = parts_[kHeavy].index(kByKey);
+  for (size_t g = 0; g < heavy.NumGroups(); ++g) {
+    if (heavy_keys_.Find(heavy.GroupKey(g)[0]) == nullptr) return false;
   }
   return true;
 }

@@ -22,6 +22,7 @@
 #define INCR_IVME_HEAVY_LIGHT_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "incr/data/relation.h"
@@ -80,12 +81,18 @@ class HeavyLightRelation {
   /// Payload of (key, other) regardless of part.
   int64_t Payload(Value key, Value other) const;
 
-  /// Tuples of `key`'s group (in whichever part holds it); nullptr if none.
-  const std::vector<Tuple>* Group(Value key) const;
+  /// Entry ids of `key`'s group in part(PartOf(key)), the part that holds
+  /// it; empty if none. Dereference them through that part.
+  std::span<const uint32_t> Group(Value key,
+                                  std::vector<uint32_t>* scratch) const {
+    return parts_[PartOf(key)].index(kByKey).Group(Tuple{key}, scratch);
+  }
 
-  /// Tuples (key, other) for a given `other`, within one part.
-  const std::vector<Tuple>* GroupByOther(Part p, Value other) const {
-    return parts_[p].index(kByOther).Group(Tuple{other});
+  /// Entry ids of the tuples (key, other) for a given `other`, within part
+  /// `p`.
+  std::span<const uint32_t> GroupByOther(Part p, Value other,
+                                         std::vector<uint32_t>* scratch) const {
+    return parts_[p].index(kByOther).Group(Tuple{other}, scratch);
   }
 
   /// Dense iteration over the current heavy keys (at most 2N/theta of them).

@@ -6,28 +6,31 @@
 
 namespace incr {
 
-KCliqueCounter::KCliqueCounter(int k) : k_(k) {
+KCliqueCounter::KCliqueCounter(int k) : k_(k), edges_(Schema{0, 1}) {
   INCR_CHECK(k == 3 || k == 4);
+  edges_.AddIndex(Schema{0});
 }
 
 bool KCliqueCounter::HasEdge(Value u, Value v) const {
-  return edges_.Find(Tuple{u, v}) != nullptr;
+  return edges_.Contains(Tuple{u, v});
 }
 
 int64_t KCliqueCounter::CommonCliques(Value u, Value v) const {
   // Scan the smaller neighborhood, probe against the other endpoint.
   Value scan = u, probe = v;
-  const auto* ns = Neighbors(scan);
-  const auto* np = Neighbors(probe);
-  if (ns == nullptr || np == nullptr) return 0;
-  if (ns->size() > np->size()) {
+  std::vector<uint32_t> scan_ids, probe_ids;
+  auto ns = Neighbors(scan, &scan_ids);
+  auto np = Neighbors(probe, &probe_ids);
+  if (ns.empty() || np.empty()) return 0;
+  if (ns.size() > np.size()) {
     std::swap(scan, probe);
     std::swap(ns, np);
   }
   std::vector<Value> common;
-  common.reserve(ns->size());
-  for (const Tuple& t : *ns) {
-    Value w = t[1];
+  common.reserve(ns.size());
+  Tuple scratch;
+  for (uint32_t id : ns) {
+    Value w = edges_.KeyAt(id, &scratch)[1];
     if (w == u || w == v) continue;
     if (HasEdge(probe, w)) common.push_back(w);
   }
@@ -49,15 +52,11 @@ bool KCliqueCounter::SetEdge(Value u, Value v, bool present) {
   if (present) {
     // Count new cliques through {u,v} BEFORE adding the edge.
     count_ += CommonCliques(u, v);
-    edges_.GetOrInsert(Tuple{u, v}, 1);
-    edges_.GetOrInsert(Tuple{v, u}, 1);
-    adj_.Insert(Tuple{u, v});
-    adj_.Insert(Tuple{v, u});
+    edges_.Apply(Tuple{u, v}, 1);
+    edges_.Apply(Tuple{v, u}, 1);
   } else {
-    edges_.Erase(Tuple{u, v});
-    edges_.Erase(Tuple{v, u});
-    adj_.Erase(Tuple{u, v});
-    adj_.Erase(Tuple{v, u});
+    edges_.Apply(Tuple{u, v}, -1);
+    edges_.Apply(Tuple{v, u}, -1);
     // Count destroyed cliques AFTER removing the edge (same quantity).
     count_ -= CommonCliques(u, v);
   }
@@ -67,7 +66,10 @@ bool KCliqueCounter::SetEdge(Value u, Value v, bool present) {
 int64_t KCliqueCounter::CountNaive() const {
   // Enumerate ordered vertex tuples u < v < w (< x) with all edges.
   std::vector<Value> vertices;
-  for (const auto& e : adj_.groups()) vertices.push_back(e.key[0]);
+  const GroupedIndex& adj = edges_.index(0);
+  for (size_t g = 0; g < adj.NumGroups(); ++g) {
+    vertices.push_back(adj.GroupKey(g)[0]);
+  }
   std::sort(vertices.begin(), vertices.end());
   int64_t count = 0;
   for (size_t i = 0; i < vertices.size(); ++i) {

@@ -13,11 +13,12 @@
 #define INCR_IVME_KCLIQUE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "incr/data/dense_map.h"
-#include "incr/data/grouped_index.h"
+#include "incr/data/relation.h"
 #include "incr/data/tuple.h"
+#include "incr/ring/int_ring.h"
 #include "incr/util/status.h"
 
 namespace incr {
@@ -43,9 +44,11 @@ class KCliqueCounter {
   int64_t CountNaive() const;
 
  private:
-  /// Neighbors of u (sorted vector semantics via grouped index).
-  const std::vector<Tuple>* Neighbors(Value u) const {
-    return adj_.Group(Tuple{u});
+  /// Entry ids of the edges (u, w) of `edges_`: u's neighbors, through
+  /// the grouped index on the first column.
+  std::span<const uint32_t> Neighbors(Value u,
+                                      std::vector<uint32_t>* scratch) const {
+    return edges_.index(0).Group(Tuple{u}, scratch);
   }
 
   /// Number of (k-2)-cliques in N(u) ∩ N(v), excluding u and v.
@@ -53,8 +56,9 @@ class KCliqueCounter {
 
   int k_;
   int64_t count_ = 0;
-  DenseMap<Tuple, char, TupleHash, TupleEq> edges_;  // both orientations
-  GroupedIndex adj_{Schema{0, 1}, Schema{0}};        // u -> (u, w) rows
+  // Both orientations, payload 1, grouped by the first column: the
+  // adjacency lists are the index's id groups over these entries.
+  Relation<IntRing> edges_;
 };
 
 }  // namespace incr

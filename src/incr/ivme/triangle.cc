@@ -38,19 +38,23 @@ int64_t NaiveTriangleCounter::Count() const {
   // the smaller list and probing the other — the classic worst-case-optimal
   // evaluation pattern for the triangle join.
   int64_t count = 0;
+  std::vector<uint32_t> s_ids, t_ids;
+  Tuple scratch;
   for (const auto& re : r_) {
     Value a = re.key[0], b = re.key[1];
-    const auto* sg = s_.index(kByFirst).Group(Tuple{b});
-    const auto* tg = t_.index(kBySecond).Group(Tuple{a});
-    if (sg == nullptr || tg == nullptr) continue;
+    const auto sg = s_.index(kByFirst).Group(Tuple{b}, &s_ids);
+    const auto tg = t_.index(kBySecond).Group(Tuple{a}, &t_ids);
+    if (sg.empty() || tg.empty()) continue;
     int64_t acc = 0;
-    if (sg->size() <= tg->size()) {
-      for (const Tuple& st : *sg) {
-        acc += s_.Payload(st) * t_.Payload(Tuple{st[1], a});
+    if (sg.size() <= tg.size()) {
+      for (uint32_t id : sg) {
+        const Tuple& st = s_.KeyAt(id, &scratch);
+        acc += s_.ValueAt(id) * t_.Payload(Tuple{st[1], a});
       }
     } else {
-      for (const Tuple& tt : *tg) {
-        acc += t_.Payload(tt) * s_.Payload(Tuple{b, tt[0]});
+      for (uint32_t id : tg) {
+        const Tuple& tt = t_.KeyAt(id, &scratch);
+        acc += t_.ValueAt(id) * s_.Payload(Tuple{b, tt[0]});
       }
     }
     count += re.value * acc;
@@ -71,17 +75,21 @@ void DeltaTriangleCounter::Update(TriangleRel rel, Value x, Value y,
   // rels[i+1](y, z) with rels[i+2](z, x). Scan the smaller adjacency list.
   Relation<IntRing>& nxt = *rels[(i + 1) % 3];
   Relation<IntRing>& nxt2 = *rels[(i + 2) % 3];
-  const auto* g1 = nxt.index(kByFirst).Group(Tuple{y});
-  const auto* g2 = nxt2.index(kBySecond).Group(Tuple{x});
+  std::vector<uint32_t> ids1, ids2;
+  const auto g1 = nxt.index(kByFirst).Group(Tuple{y}, &ids1);
+  const auto g2 = nxt2.index(kBySecond).Group(Tuple{x}, &ids2);
   int64_t acc = 0;
-  if (g1 != nullptr && g2 != nullptr) {
-    if (g1->size() <= g2->size()) {
-      for (const Tuple& t : *g1) {
-        acc += nxt.Payload(t) * nxt2.Payload(Tuple{t[1], x});
+  Tuple scratch;
+  if (!g1.empty() && !g2.empty()) {
+    if (g1.size() <= g2.size()) {
+      for (uint32_t id : g1) {
+        const Tuple& t = nxt.KeyAt(id, &scratch);
+        acc += nxt.ValueAt(id) * nxt2.Payload(Tuple{t[1], x});
       }
     } else {
-      for (const Tuple& t : *g2) {
-        acc += nxt2.Payload(t) * nxt.Payload(Tuple{y, t[0]});
+      for (uint32_t id : g2) {
+        const Tuple& t = nxt2.KeyAt(id, &scratch);
+        acc += nxt2.ValueAt(id) * nxt.Payload(Tuple{y, t[0]});
       }
     }
   }
@@ -107,14 +115,13 @@ void MaterializedTriangleCounter::Update(TriangleRel rel, Value x, Value y,
     case TriangleRel::kS: {
       // dV_ST(b,A) = dS(b,c) * T(c,A); dQ = SUM_A R(A,b) * dV_ST(b,A).
       Value b = x, c = y;
-      const auto* tg = t_.index(kByFirst).Group(Tuple{c});
-      if (tg != nullptr) {
-        for (const Tuple& tt : *tg) {
-          Value a = tt[1];
-          int64_t d = m * t_.Payload(tt);
-          count_ += r_.Payload(Tuple{a, b}) * d;
-          v_st_.Apply(Tuple{b, a}, d);
-        }
+      std::vector<uint32_t> ids;
+      Tuple scratch;
+      for (uint32_t id : t_.index(kByFirst).Group(Tuple{c}, &ids)) {
+        Value a = t_.KeyAt(id, &scratch)[1];
+        int64_t d = m * t_.ValueAt(id);
+        count_ += r_.Payload(Tuple{a, b}) * d;
+        v_st_.Apply(Tuple{b, a}, d);
       }
       s_.Apply(Tuple{b, c}, m);
       break;
@@ -122,14 +129,13 @@ void MaterializedTriangleCounter::Update(TriangleRel rel, Value x, Value y,
     case TriangleRel::kT: {
       // dV_ST(B,a) = S(B,c) * dT(c,a); dQ = SUM_B R(a,B) * dV_ST(B,a).
       Value c = x, a = y;
-      const auto* sg = s_.index(kBySecond).Group(Tuple{c});
-      if (sg != nullptr) {
-        for (const Tuple& st : *sg) {
-          Value b = st[0];
-          int64_t d = s_.Payload(st) * m;
-          count_ += r_.Payload(Tuple{a, b}) * d;
-          v_st_.Apply(Tuple{b, a}, d);
-        }
+      std::vector<uint32_t> ids;
+      Tuple scratch;
+      for (uint32_t id : s_.index(kBySecond).Group(Tuple{c}, &ids)) {
+        Value b = s_.KeyAt(id, &scratch)[0];
+        int64_t d = s_.ValueAt(id) * m;
+        count_ += r_.Payload(Tuple{a, b}) * d;
+        v_st_.Apply(Tuple{b, a}, d);
       }
       t_.Apply(Tuple{c, a}, m);
       break;
@@ -164,11 +170,11 @@ int64_t IvmEpsTriangleCounter::DeltaCount(int i, Value x, Value y,
   if (nxt.PartOf(y) == HeavyLightRelation::kLight) {
     // Light join key: scan its group (< 2*theta tuples) and probe the third
     // relation. Covers the (L,L) and (L,H) skew-aware deltas of §3.3.
-    const auto* g = nxt.Group(y);
-    if (g != nullptr) {
-      for (const Tuple& t : *g) {
-        acc += nxt.light().Payload(t) * nxt2.Payload(t[1], x);
-      }
+    const Relation<IntRing>& light = nxt.light();
+    std::vector<uint32_t> ids;
+    Tuple scratch;
+    for (uint32_t id : nxt.Group(y, &ids)) {
+      acc += light.ValueAt(id) * nxt2.Payload(light.KeyAt(id, &scratch)[1], x);
     }
   } else {
     // Heavy join key.
@@ -193,11 +199,12 @@ void IvmEpsTriangleCounter::MaintainViews(int i,
     Relation<IntRing>& view = views_[(i + 2) % 3];
     const HeavyLightRelation& nxt = *rels_[(i + 1) % 3];
     if (nxt.PartOf(y) == HeavyLightRelation::kLight) {
-      const auto* g = nxt.Group(y);
-      if (g != nullptr) {
-        for (const Tuple& t : *g) {
-          view.Apply(Tuple{x, t[1]}, d * nxt.light().Payload(t));
-        }
+      const Relation<IntRing>& light = nxt.light();
+      std::vector<uint32_t> ids;
+      Tuple scratch;
+      for (uint32_t id : nxt.Group(y, &ids)) {
+        view.Apply(Tuple{x, light.KeyAt(id, &scratch)[1]},
+                   d * light.ValueAt(id));
       }
     }
   } else {
@@ -205,11 +212,12 @@ void IvmEpsTriangleCounter::MaintainViews(int i,
     //   views_[j](u, y) += rels_[i+2]_H(u, x) * d.
     Relation<IntRing>& view = views_[(i + 1) % 3];
     const HeavyLightRelation& prv = *rels_[(i + 2) % 3];
-    const auto* g = prv.GroupByOther(HeavyLightRelation::kHeavy, x);
-    if (g != nullptr) {
-      for (const Tuple& t : *g) {
-        view.Apply(Tuple{t[0], y}, prv.heavy().Payload(t) * d);
-      }
+    const Relation<IntRing>& heavy = prv.heavy();
+    std::vector<uint32_t> ids;
+    Tuple scratch;
+    for (uint32_t id : prv.GroupByOther(HeavyLightRelation::kHeavy, x, &ids)) {
+      view.Apply(Tuple{heavy.KeyAt(id, &scratch)[0], y},
+                 heavy.ValueAt(id) * d);
     }
   }
 }
@@ -217,15 +225,15 @@ void IvmEpsTriangleCounter::MaintainViews(int i,
 void IvmEpsTriangleCounter::ApplyGroupToViews(int i,
                                               HeavyLightRelation::Part as_part,
                                               Value key, int64_t sign) {
-  const auto* g = rels_[i]->Group(key);
-  if (g == nullptr) return;
-  // Copy: MaintainViews touches other relations/views, never rels_[i], but
-  // the group pointer must stay valid across Apply calls on views.
-  std::vector<Tuple> group = *g;
+  // MaintainViews touches other relations and views, never rels_[i], so
+  // the group's ids stay valid across the loop.
   const Relation<IntRing>& part_rel =
       rels_[i]->part(rels_[i]->PartOf(key));
-  for (const Tuple& t : group) {
-    MaintainViews(i, as_part, t[0], t[1], sign * part_rel.Payload(t));
+  std::vector<uint32_t> ids;
+  Tuple scratch;
+  for (uint32_t id : rels_[i]->Group(key, &ids)) {
+    const Tuple& t = part_rel.KeyAt(id, &scratch);
+    MaintainViews(i, as_part, t[0], t[1], sign * part_rel.ValueAt(id));
   }
 }
 
@@ -272,9 +280,11 @@ void IvmEpsTriangleCounter::MaybeMajorRebalance() {
     // Initial split at theta (between the 2*theta promotion and theta/2
     // demotion thresholds, maximizing hysteresis slack on both sides).
     std::vector<Value> heavy;
-    for (const auto& e : fresh->light().index(HeavyLightRelation::kByKey)
-                             .groups()) {
-      if (fresh->Degree(e.key[0]) >= theta) heavy.push_back(e.key[0]);
+    const GroupedIndex& by_key =
+        fresh->light().index(HeavyLightRelation::kByKey);
+    for (size_t g = 0; g < by_key.NumGroups(); ++g) {
+      const Value k = by_key.GroupKey(g)[0];
+      if (fresh->Degree(k) >= theta) heavy.push_back(k);
     }
     for (Value k : heavy) fresh->Migrate(k);
     *rel = std::move(*fresh);
@@ -287,13 +297,15 @@ void IvmEpsTriangleCounter::RebuildViews() {
     views_[j].Clear();
     const HeavyLightRelation& hrel = *rels_[(j + 1) % 3];
     const HeavyLightRelation& lrel = *rels_[(j + 2) % 3];
+    const Relation<IntRing>& light = lrel.light();
+    std::vector<uint32_t> ids;
+    Tuple scratch;
     for (const auto& e : hrel.heavy()) {
       Value u = e.key[0], z = e.key[1];
-      const auto* g =
-          lrel.light().index(HeavyLightRelation::kByKey).Group(Tuple{z});
-      if (g == nullptr) continue;
-      for (const Tuple& t : *g) {
-        views_[j].Apply(Tuple{u, t[1]}, e.value * lrel.light().Payload(t));
+      for (uint32_t id :
+           light.index(HeavyLightRelation::kByKey).Group(Tuple{z}, &ids)) {
+        views_[j].Apply(Tuple{u, light.KeyAt(id, &scratch)[1]},
+                        e.value * light.ValueAt(id));
       }
     }
   }
@@ -308,12 +320,14 @@ bool IvmEpsTriangleCounter::InvariantsHold() const {
     Relation<IntRing> expect(Schema{0, 1});
     const HeavyLightRelation& hrel = *rels_[(j + 1) % 3];
     const HeavyLightRelation& lrel = *rels_[(j + 2) % 3];
+    const Relation<IntRing>& light = lrel.light();
+    std::vector<uint32_t> ids;
+    Tuple scratch;
     for (const auto& e : hrel.heavy()) {
-      const auto* g =
-          lrel.light().index(HeavyLightRelation::kByKey).Group(Tuple{e.key[1]});
-      if (g == nullptr) continue;
-      for (const Tuple& t : *g) {
-        expect.Apply(Tuple{e.key[0], t[1]}, e.value * lrel.light().Payload(t));
+      for (uint32_t id : light.index(HeavyLightRelation::kByKey)
+                             .Group(Tuple{e.key[1]}, &ids)) {
+        expect.Apply(Tuple{e.key[0], light.KeyAt(id, &scratch)[1]},
+                     e.value * light.ValueAt(id));
       }
     }
     if (expect.size() != views_[j].size()) return false;

@@ -111,6 +111,9 @@ void AppendJsonNode(const ExplainReport& r, const ExplainNode& n,
     *out += ", \"tuples_out\": " + std::to_string(n.tuples_out);
     *out += ", \"fan_out\": " + FmtFan(n.FanOut());
     *out += ", \"apply_ns\": " + std::to_string(n.apply_ns);
+    *out += ", \"index_probes\": " + std::to_string(n.index_probes);
+    *out += ", \"members_scanned\": " + std::to_string(n.members_scanned);
+    *out += ", \"indexed_writes\": " + std::to_string(n.indexed_writes);
   }
   *out += "}";
 }
@@ -149,7 +152,8 @@ std::string ExplainReport::ToText() const {
                                        "cost"};
     if (analyze) {
       for (const char* c :
-           {"|W|", "|M|", "batches", "singles", "in", "out", "fan", "ms"}) {
+           {"|W|", "|M|", "batches", "singles", "in", "out", "fan", "ms",
+            "probes", "scanned", "iwrites"}) {
         header.push_back(c);
       }
     }
@@ -179,6 +183,9 @@ std::string ExplainReport::ToText() const {
         row.push_back(std::to_string(n.tuples_out));
         row.push_back(FmtFan(n.FanOut()));
         row.push_back(FmtMs(n.apply_ns));
+        row.push_back(std::to_string(n.index_probes));
+        row.push_back(std::to_string(n.members_scanned));
+        row.push_back(std::to_string(n.indexed_writes));
       }
       rows.push_back(std::move(row));
     }

@@ -48,6 +48,9 @@ struct ExplainNode {
   uint64_t tuples_in = 0;      ///< delta tuples entering the node
   uint64_t tuples_out = 0;     ///< delta tuples emitted upward
   uint64_t apply_ns = 0;       ///< time spent maintaining this node
+  uint64_t index_probes = 0;     ///< factor lookups by delta programs
+  uint64_t members_scanned = 0;  ///< group members those lookups scanned
+  uint64_t indexed_writes = 0;   ///< tuples written into indexed views
 
   /// tuples emitted per tuple received — the measured fan-out.
   double FanOut() const {

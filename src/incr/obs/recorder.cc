@@ -222,9 +222,9 @@ const char* EventKindName(EventKind k) {
   static constexpr const char* kNames[] = {
       "none", "span-begin", "span-end", "epoch-publish", "wal-flush",
       "checkpoint", "rehash", "steal-fail-burst", "recovery-step",
-      "fatal", "differ-pass", "page-evict"};
+      "fatal", "differ-pass", "page-evict", "snapshot-wait"};
   static_assert(std::size(kNames) ==
-                static_cast<size_t>(EventKind::kPageEvict) + 1);
+                static_cast<size_t>(EventKind::kSnapshotWait) + 1);
   const auto i = static_cast<size_t>(k);
   return i < std::size(kNames) ? kNames[i] : "unknown";
 }

@@ -52,6 +52,8 @@ enum class EventKind : uint32_t {
   kDifferPass,      // a = pass id (1 oracle, 2 dumps, 3 snapshot iso,
                     //     4 durability), b = pass-specific count
   kPageEvict,       // a = page id, b = 1 when the eviction wrote back
+  kSnapshotWait,    // a = head epoch, b = retained versions: the writer
+                    //     starts waiting for readers to release a pin
 };
 
 /// Stable short name for an event kind ("span-begin", "wal-flush", ...).

@@ -277,9 +277,10 @@ std::string RingSerdeName() {
 // canonical (lexicographic key) order. Canonical order makes the dump a
 // pure function of the relation's *contents*: the in-memory iteration
 // order of a relation is history-dependent (DenseMap erase swap-removes in
-// the dense array while GroupedIndex erase swap-removes inside each group,
-// so after deletions the two orders drift apart), and a snapshot load
-// rebuilds both in dump order — necessarily losing one of them. Sorting
+// the dense array, while a GroupedIndex's id groups keep insertion order
+// with swap-remove inside each group, so after deletions a group's member
+// order is no longer the dense order of its entries), and a snapshot load
+// rebuilds both in dump order — necessarily losing the history. Sorting
 // here means two semantically equal relations always serialize to the same
 // bytes, which is what makes "recovered state is bit-identical to a shadow
 // replay" (recovery_test, check/differ) a true invariant rather than one

@@ -21,6 +21,9 @@
 //
 // Slots are a fixed array of cache-line-padded atomics: pinning is a scan
 // for a free slot (cheap at realistic reader counts), never an allocation.
+// Each slot also records the thread that pinned it, so a writer that waits
+// for pins can tell when every pin it waits on is its own: a wait that can
+// never end (see OnlyOwnPinsAtOrBelow).
 #ifndef INCR_UTIL_EPOCH_H_
 #define INCR_UTIL_EPOCH_H_
 
@@ -33,6 +36,13 @@
 #include "incr/util/check.h"
 
 namespace incr::epoch {
+
+/// A process-unique, non-zero token for the calling thread.
+inline uint64_t ThisThreadToken() {
+  static std::atomic<uint64_t> next{1};
+  thread_local const uint64_t token = next.fetch_add(1);
+  return token;
+}
 
 /// Tracks the published epoch and every reader's pinned epoch.
 /// Thread-safe; one writer bumps, any number of readers pin.
@@ -71,6 +81,23 @@ class Manager {
     return min;
   }
 
+  /// True when at least one reader pins an epoch <= `e` and every such pin
+  /// was taken by the calling thread. A writer waiting for those pins to
+  /// go would then wait on itself forever. A slot whose owner is not yet
+  /// recorded counts as another thread's, so the answer is never a false
+  /// "only own" (it assumes a guard is released on the thread that took
+  /// it).
+  bool OnlyOwnPinsAtOrBelow(uint64_t e) const {
+    const uint64_t self = ThisThreadToken();
+    bool any = false;
+    for (const Slot& s : slots_) {
+      if (s.epoch.load(std::memory_order_seq_cst) > e) continue;
+      if (s.owner.load(std::memory_order_seq_cst) != self) return false;
+      any = true;
+    }
+    return any;
+  }
+
   /// Number of currently pinned slots (diagnostics only; racy by nature).
   size_t ActiveReaders() const {
     size_t n = 0;
@@ -87,6 +114,10 @@ class Manager {
 
   struct alignas(64) Slot {
     std::atomic<uint64_t> epoch{kIdle};
+    // ThisThreadToken() of the pinning thread; 0 while unpinned. Cleared
+    // before the epoch on unpin, so a reader of a pinned slot sees its
+    // owner or 0, never a previous owner.
+    std::atomic<uint64_t> owner{0};
   };
 
   // Claims a slot and pins the current published epoch into it. Returns
@@ -100,6 +131,7 @@ class Manager {
                 expected, e, std::memory_order_seq_cst)) {
           continue;
         }
+        slots_[i].owner.store(ThisThreadToken(), std::memory_order_seq_cst);
         // Validate: if the writer bumped between our store and this load it
         // may have missed our pin in its MinActive scan, so re-pin the
         // newer epoch until store and published agree.
@@ -115,6 +147,7 @@ class Manager {
   }
 
   void Unpin(size_t slot) {
+    slots_[slot].owner.store(0, std::memory_order_seq_cst);
     slots_[slot].epoch.store(kIdle, std::memory_order_seq_cst);
   }
 

@@ -3,10 +3,12 @@
 #include <map>
 #include <set>
 #include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "incr/data/database.h"
+#include "incr/data/dense_map.h"
 #include "incr/data/grouped_index.h"
 #include "incr/data/relation.h"
 #include "incr/data/schema.h"
@@ -61,27 +63,55 @@ TEST(SchemaTest, ProjectionPositions) {
   EXPECT_EQ(ProjectTuple(t, pos), (Tuple{300, 100}));
 }
 
+/// A GroupedIndex over its own DenseMap owner: the owner's inserts and
+/// swap-removes drive the index exactly as Relation does.
+struct IndexedSet {
+  explicit IndexedSet(const Schema& key) : idx(Schema{0, 1}, key) {}
+
+  void Insert(const Tuple& t) { idx.Insert(t, map.InsertNew(t, 1)); }
+  bool Erase(const Tuple& t) {
+    const size_t slot = map.FindSlot(t);
+    if (slot == DenseMap<Tuple, char, TupleHash, TupleEq>::kNoSlot) {
+      return false;
+    }
+    const uint32_t id = map.EntryOf(slot);
+    idx.Erase(t, id, map.EraseSlot(slot));
+    return true;
+  }
+  /// Members of the group of `key`, dereferenced through the owner.
+  std::vector<Tuple> Group(const Tuple& key) const {
+    std::vector<uint32_t> scratch;
+    std::vector<Tuple> out;
+    for (uint32_t id : idx.Group(key, &scratch)) out.push_back(map.KeyAt(id));
+    return out;
+  }
+
+  DenseMap<Tuple, char, TupleHash, TupleEq> map;
+  GroupedIndex idx;
+};
+
 TEST(GroupedIndexTest, InsertEraseGroups) {
-  Schema base{0, 1};      // (A, B)
-  GroupedIndex idx(base, Schema{0});  // group by A
-  idx.Insert(Tuple{1, 10});
-  idx.Insert(Tuple{1, 11});
-  idx.Insert(Tuple{2, 20});
+  IndexedSet s(Schema{0});  // (A, B) grouped by A
+  GroupedIndex& idx = s.idx;
+  s.Insert(Tuple{1, 10});
+  s.Insert(Tuple{1, 11});
+  s.Insert(Tuple{2, 20});
   EXPECT_EQ(idx.NumGroups(), 2u);
   EXPECT_EQ(idx.GroupSize(Tuple{1}), 2u);
   EXPECT_EQ(idx.GroupSize(Tuple{2}), 1u);
   EXPECT_EQ(idx.GroupSize(Tuple{3}), 0u);
 
-  EXPECT_TRUE(idx.Erase(Tuple{1, 10}));
-  EXPECT_FALSE(idx.Erase(Tuple{1, 10}));
+  // The owner moves (2, 20) into the erased entry's id; the index follows.
+  EXPECT_TRUE(s.Erase(Tuple{1, 10}));
+  EXPECT_FALSE(s.Erase(Tuple{1, 10}));
   EXPECT_EQ(idx.GroupSize(Tuple{1}), 1u);
-  const auto* g = idx.Group(Tuple{1});
-  ASSERT_NE(g, nullptr);
-  EXPECT_EQ((*g)[0], (Tuple{1, 11}));
+  EXPECT_EQ(s.Group(Tuple{1}), (std::vector<Tuple>{{1, 11}}));
+  EXPECT_EQ(s.Group(Tuple{2}), (std::vector<Tuple>{{2, 20}}));
 
-  EXPECT_TRUE(idx.Erase(Tuple{1, 11}));
-  EXPECT_EQ(idx.Group(Tuple{1}), nullptr);
+  EXPECT_TRUE(s.Erase(Tuple{1, 11}));
+  EXPECT_TRUE(s.Group(Tuple{1}).empty());
   EXPECT_EQ(idx.NumGroups(), 1u);
+  EXPECT_EQ(idx.NumEntries(), 1u);
 }
 
 // Property: group contents equal a filter of the inserted set.
@@ -89,19 +119,19 @@ class GroupedIndexPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(GroupedIndexPropertyTest, MatchesFilterOracle) {
   Rng rng(GetParam());
-  Schema base{0, 1};
-  GroupedIndex idx(base, Schema{1});  // group by B
+  IndexedSet s(Schema{1});  // group by B
+  const GroupedIndex& idx = s.idx;
   std::set<Tuple> oracle;
   for (int step = 0; step < 5000; ++step) {
     Tuple t{rng.UniformInt(0, 30), rng.UniformInt(0, 10)};
     if (oracle.count(t) == 0 && rng.Chance(0.6)) {
-      idx.Insert(t);
+      s.Insert(t);
       oracle.insert(t);
     } else if (oracle.count(t) > 0) {
-      EXPECT_TRUE(idx.Erase(t));
+      EXPECT_TRUE(s.Erase(t));
       oracle.erase(t);
     } else {
-      EXPECT_FALSE(idx.Erase(t));
+      EXPECT_FALSE(s.Erase(t));
     }
   }
   // Check each group against the oracle filter.
@@ -110,9 +140,9 @@ TEST_P(GroupedIndexPropertyTest, MatchesFilterOracle) {
   EXPECT_EQ(idx.NumEntries(), oracle.size());
   EXPECT_EQ(idx.NumGroups(), expect.size());
   for (const auto& [b, members] : expect) {
-    const auto* g = idx.Group(Tuple{b});
-    ASSERT_NE(g, nullptr);
-    std::set<Tuple> got(g->begin(), g->end());
+    const std::vector<Tuple> g = s.Group(Tuple{b});
+    ASSERT_FALSE(g.empty());
+    std::set<Tuple> got(g.begin(), g.end());
     EXPECT_EQ(got, members);
   }
 }
@@ -217,7 +247,10 @@ TEST(MemoryBytesTest, RelationFootprintIsMapPlusIndexes) {
   const size_t bare = r.MemoryBytes();
   r.AddIndex(Schema{0});
   GroupedIndex shadow(Schema{0, 1}, Schema{0});
-  r.ForEachEntry([&](const Tuple& t, const int64_t&) { shadow.Insert(t); });
+  shadow.Reserve(r.size());
+  uint32_t id = 0;
+  r.ForEachEntry(
+      [&](const Tuple& t, const int64_t&) { shadow.Insert(t, id++); });
   EXPECT_EQ(r.MemoryBytes(), bare + shadow.MemoryBytes());
   EXPECT_EQ(r.index(0).MemoryBytes(), shadow.MemoryBytes());
 }

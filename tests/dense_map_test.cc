@@ -192,7 +192,7 @@ std::optional<int64_t> Get(const Map& m, int64_t k) {
   } else {
     const size_t slot = m.FindSlot(K(k));
     if (slot == Map::kNoSlot) return std::nullopt;
-    return m.ValueAt(slot);
+    return m.ValueAt(m.EntryOf(slot));
   }
 }
 

@@ -57,22 +57,34 @@ std::vector<std::pair<Tuple, int64_t>> Sequence(const Relation<IntRing>& r) {
   return out;
 }
 
+/// The member tuples of index `i`'s group of `key`, in member order.
+std::vector<Tuple> Members(const Relation<IntRing>& r, size_t i,
+                           const Tuple& key) {
+  std::vector<uint32_t> ids;
+  std::vector<Tuple> out;
+  Tuple scratch;
+  for (uint32_t id : r.index(i).Group(key, &ids)) {
+    out.push_back(r.KeyAt(id, &scratch));
+  }
+  return out;
+}
+
 /// Same entry sequence, and in every index the same groups with members
 /// in the same order (not just as sets).
 void ExpectSameState(const Relation<IntRing>& heap,
                      const Relation<IntRing>& paged) {
   EXPECT_EQ(Sequence(paged), Sequence(heap));
   ASSERT_EQ(paged.num_indexes(), heap.num_indexes());
-  std::vector<Tuple> scratch;
   for (size_t i = 0; i < heap.num_indexes(); ++i) {
     const GroupedIndex& h = heap.index(i);
     const GroupedIndex& p = paged.index(i);
     EXPECT_EQ(p.NumEntries(), h.NumEntries()) << "index " << i;
     ASSERT_EQ(p.NumGroups(), h.NumGroups()) << "index " << i;
-    for (const auto& g : h.groups()) {
-      const std::vector<Tuple>* members = p.Group(g.key, &scratch);
-      ASSERT_NE(members, nullptr) << "index " << i;
-      EXPECT_EQ(*members, g.value) << "index " << i;
+    for (size_t g = 0; g < h.NumGroups(); ++g) {
+      const Tuple& key = h.GroupKey(g);
+      const std::vector<Tuple> members = Members(heap, i, key);
+      ASSERT_FALSE(members.empty()) << "index " << i;
+      EXPECT_EQ(Members(paged, i, key), members) << "index " << i;
     }
   }
 }
@@ -106,11 +118,11 @@ TEST(PagedBackendTest, RelationMatchesHeapUnderEvictionPressure) {
   // Entries and group members must match in ORDER, not just as sets: the
   // dense order is what DumpState and enumeration walk.
   ExpectSameState(heap, paged);
-  std::vector<Tuple> scratch;
+  std::vector<uint32_t> scratch;
   for (Value a = 0; a < 64; ++a) {
     Tuple key{a};
-    if (heap.index(hidx).Group(key) == nullptr) {
-      EXPECT_EQ(paged.index(pidx).Group(key, &scratch), nullptr) << a;
+    if (heap.index(hidx).Group(key, &scratch).empty()) {
+      EXPECT_TRUE(paged.index(pidx).Group(key, &scratch).empty()) << a;
     }
   }
 
@@ -174,7 +186,6 @@ TEST(PagedBackendTest, PagedRelationCopyIsIndependent) {
   for (Value i = 0; i < 200; i += 2) copy.Apply(Tuple{i % 10, i}, -1);
   EXPECT_EQ(copy.size(), 100u);
   EXPECT_EQ(r.size(), 200u);
-  std::vector<Tuple> scratch;
   EXPECT_EQ(r.index(0).NumEntries(), 200u);
   EXPECT_EQ(copy.index(0).NumEntries(), 100u);
 }
@@ -182,7 +193,9 @@ TEST(PagedBackendTest, PagedRelationCopyIsIndependent) {
 TEST(PagedBackendTest, GroupedIndexClearReleasesPages) {
   StorageContext ctx = MustContext(TinyPagedOpts("clear"));
   GroupedIndex idx(Schema{A, B}, Schema{A}, ctx);
-  for (Value i = 0; i < 500; ++i) idx.Insert(Tuple{i % 7, i});
+  for (Value i = 0; i < 500; ++i) {
+    idx.Insert(Tuple{i % 7, i}, static_cast<uint32_t>(i));
+  }
   EXPECT_EQ(idx.NumEntries(), 500u);
   const uint64_t live_before = ctx.store->Stats().live_pages;
   EXPECT_GT(live_before, 0u);

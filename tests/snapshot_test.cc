@@ -123,6 +123,30 @@ TEST(EpochManagerTest, PublishPinAndReclaimFloor) {
   EXPECT_EQ(m.ActiveReaders(), 0u);
 }
 
+TEST(EpochManagerTest, KnowsWhichPinsAreTheCallersOwn) {
+  epoch::Manager m;
+  m.Publish(1);
+  EXPECT_FALSE(m.OnlyOwnPinsAtOrBelow(5));  // no pins at all
+  {
+    epoch::ReadGuard mine(&m);  // pins 1
+    m.Publish(2);
+    EXPECT_TRUE(m.OnlyOwnPinsAtOrBelow(1));
+    EXPECT_FALSE(m.OnlyOwnPinsAtOrBelow(0));  // nothing that low
+    std::atomic<bool> pinned{false}, done{false};
+    std::thread other([&] {
+      epoch::ReadGuard theirs(&m);  // pins 2
+      pinned.store(true);
+      while (!done.load()) std::this_thread::yield();
+    });
+    while (!pinned.load()) std::this_thread::yield();
+    EXPECT_TRUE(m.OnlyOwnPinsAtOrBelow(1));
+    EXPECT_FALSE(m.OnlyOwnPinsAtOrBelow(2));  // the other thread's pin
+    done.store(true);
+    other.join();
+  }
+  EXPECT_FALSE(m.OnlyOwnPinsAtOrBelow(5));
+}
+
 TEST(EpochManagerTest, GuardMoveTransfersThePin) {
   epoch::Manager m;
   m.Publish(5);
@@ -405,6 +429,27 @@ TEST(ServingTest, WriterStallAtRetentionCapIsRecorded) {
 
   EXPECT_GT(waits->Stats().count, stalls);
   EXPECT_EQ(SnapEnumMap(e), EnumMap(e));
+  obs::SetEnabled(was_enabled);
+}
+
+TEST(SnapshotDeathTest, MaintainerSelfPinFailsInsteadOfHanging) {
+  // Cap 3, one pin kept on the maintainer thread itself: the third write
+  // finds the cap reached and every blocking pin its own. Waiting would
+  // never end, so the write fails, naming the knob, and the flight
+  // recorder's fatal dump shows the wait that preceded the failure.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  auto self_pin = [] {
+    ViewTreeEngine<IntRing> e = MakeEngine();
+    e.Configure(SnapshotOpts(3));  // publishes epoch 1
+    ViewTreeSnapshot<IntRing> held = e.tree().Snapshot();
+    for (uint64_t seed = 0; seed < 4; ++seed) {  // 4 more publishes
+      ApplyBatches(e, DrawUpdates(8, 30 + seed), 8);
+    }
+  };
+  EXPECT_DEATH(self_pin(), "max_retained_epochs");
+  EXPECT_DEATH(self_pin(), "snapshot-wait");
   obs::SetEnabled(was_enabled);
 }
 

@@ -59,11 +59,12 @@ TEST(HeavyLightTest, GroupLookupsSpanTheCorrectPart) {
   r.Apply(5, 51, 1);
   if (r.ShouldPromote(5)) r.Migrate(5);
   EXPECT_EQ(r.PartOf(5), HeavyLightRelation::kHeavy);
-  const auto* g = r.Group(5);
-  ASSERT_NE(g, nullptr);
-  EXPECT_EQ(g->size(), 2u);
-  EXPECT_NE(r.GroupByOther(HeavyLightRelation::kHeavy, 50), nullptr);
-  EXPECT_EQ(r.GroupByOther(HeavyLightRelation::kLight, 50), nullptr);
+  std::vector<uint32_t> scratch;
+  EXPECT_EQ(r.Group(5, &scratch).size(), 2u);
+  EXPECT_FALSE(
+      r.GroupByOther(HeavyLightRelation::kHeavy, 50, &scratch).empty());
+  EXPECT_TRUE(
+      r.GroupByOther(HeavyLightRelation::kLight, 50, &scratch).empty());
 }
 
 TEST(HeavyLightTest, ExtractAllSeesBothParts) {

@@ -802,7 +802,7 @@ class ViewTree {
   /// it missed (identical op sequence => bit-identical state), else a deep
   /// copy. Blocks (yield-spin) while the retention cap is reached and
   /// every retirable version is still pinned by a reader; the wait start
-  /// is a recorder event. Fails (INCR_CHECK) instead of waiting when every
+  /// is a recorder event. Fails (INCR_CHECK) instead of waiting when any
   /// pin it waits on is held by the calling thread, which would never
   /// return. With obs on, the stall and the copy time land in
   /// viewtree.snapshot_{wait,clone}_ns.
@@ -824,12 +824,13 @@ class ViewTree {
                          s.versions.back()->epoch, s.versions.size());
         if (obs::Enabled()) wait_start = obs::NowNs();
       }
-      // The oldest version stays until no pin is at or below its epoch.
+      // The oldest version stays until no pin is at or below its epoch;
+      // one of them held by this thread is never released while it waits.
       const bool self_pinned =
-          s.epochs.OnlyOwnPinsAtOrBelow(s.versions.front()->epoch);
+          s.epochs.HoldsOwnPinAtOrBelow(s.versions.front()->epoch);
       INCR_CHECK(!self_pinned &&
-                 "the maintainer thread holds every snapshot pin it waits "
-                 "on: release it or raise max_retained_epochs");
+                 "the maintainer thread holds a snapshot pin it waits on: "
+                 "release it or raise max_retained_epochs");
       std::this_thread::yield();
     }
     if (wait_start != 0) {

@@ -113,7 +113,6 @@ class GroupedIndex {
       if (store.Size(loc.slab) == 0) {
         groups_.Erase(KeyOf(t));
         free_slabs_.push_back(loc.slab);
-        store.Release(loc.slab);
       }
       // The owner moved entry `last` to `id`: rename it.
       if (last != id) {
@@ -133,11 +132,10 @@ class GroupedIndex {
   /// scratch).
   std::span<const uint32_t> Group(const Tuple& key,
                                   std::vector<uint32_t>* scratch) const {
-    const size_t slot = groups_.FindSlot(key);
-    if (slot == Groups::kNoSlot) return {};
-    const uint32_t slab = groups_.ValueAt(groups_.EntryOf(slot));
-    if (!paged_) return heap_.slabs[slab];
-    return paged_->Decode(slab, scratch);
+    const uint32_t* slab = groups_.Find(key);
+    if (slab == nullptr) return {};
+    if (!paged_) return heap_.slabs[*slab];
+    return paged_->Decode(*slab, scratch);
   }
 
   /// Number of members in the group of `key` (its degree).
@@ -200,10 +198,6 @@ class GroupedIndex {
 
   /// Heap member store: one id vector per slab, one loc vector.
   struct HeapStore {
-    /// An emptied slab keeps a buffer this small for the next group, so
-    /// churn of small groups never reaches the allocator.
-    static constexpr size_t kKeptIds = 16;
-
     std::vector<std::vector<uint32_t>> slabs;
     std::vector<Loc> locs;
 
@@ -228,11 +222,6 @@ class GroupedIndex {
       return moved;
     }
     void SetMember(uint32_t s, uint32_t i, uint32_t id) { slabs[s][i] = id; }
-    void Release(uint32_t s) {
-      if (slabs[s].capacity() > kKeptIds) {
-        std::vector<uint32_t>().swap(slabs[s]);
-      }
-    }
     size_t NumLocs() const { return locs.size(); }
     Loc GetLoc(uint32_t id) const { return locs[id]; }
     void SetLoc(uint32_t id, Loc l) {
@@ -324,15 +313,17 @@ class GroupedIndex {
     void SetMember(uint32_t s, uint32_t i, uint32_t id) {
       Write(slabs[s], id_layout, i, id);
     }
-    void Release(uint32_t) {}  // an empty chain holds no pages
     size_t NumLocs() const { return locs.size; }
     Loc GetLoc(uint32_t id) const { return Read<Loc>(locs, loc_layout, id); }
     void SetLoc(uint32_t id, Loc l) {
-      while (locs.size <= id) {
-        const Loc none{kNone, 0};
+      if (id < locs.size) return Write(locs, loc_layout, id, l);
+      // Ids past the end (an index over a subset of its owner) get unused
+      // placeholder locs; the new id's loc goes straight into its record.
+      const Loc none{kNone, 0};
+      while (locs.size < id) {
         std::memcpy(locs.Append(*store, loc_layout).get(), &none, sizeof(none));
       }
-      Write(locs, loc_layout, id, l);
+      std::memcpy(locs.Append(*store, loc_layout).get(), &l, sizeof(l));
     }
     void SetOffset(uint32_t id, uint32_t offset) {
       Write(locs, loc_layout, id, offset, offsetof(Loc, offset));
@@ -370,7 +361,9 @@ class GroupedIndex {
     }
   };
 
-  /// A slab for a new group: a freed one if any, else a fresh one.
+  /// A slab for a new group: a freed one if any, else a fresh one. A freed
+  /// heap slab keeps its buffer, as a shrinking group does, so churn of
+  /// groups that empty and reform does not reach the allocator.
   template <typename Store>
   uint32_t NewSlab(Store& store) {
     if (free_slabs_.empty()) return store.NewSlab();

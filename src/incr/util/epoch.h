@@ -22,8 +22,8 @@
 // Slots are a fixed array of cache-line-padded atomics: pinning is a scan
 // for a free slot (cheap at realistic reader counts), never an allocation.
 // Each slot also records the thread that pinned it, so a writer that waits
-// for pins can tell when every pin it waits on is its own: a wait that can
-// never end (see OnlyOwnPinsAtOrBelow).
+// for pins can tell when one of them is its own: a wait that can never end
+// (see HoldsOwnPinAtOrBelow).
 #ifndef INCR_UTIL_EPOCH_H_
 #define INCR_UTIL_EPOCH_H_
 
@@ -81,21 +81,21 @@ class Manager {
     return min;
   }
 
-  /// True when at least one reader pins an epoch <= `e` and every such pin
-  /// was taken by the calling thread. A writer waiting for those pins to
-  /// go would then wait on itself forever. A slot whose owner is not yet
-  /// recorded counts as another thread's, so the answer is never a false
-  /// "only own" (it assumes a guard is released on the thread that took
-  /// it).
-  bool OnlyOwnPinsAtOrBelow(uint64_t e) const {
+  /// True when the calling thread holds a pin at or below `e`. A writer
+  /// waiting for every such pin to go would then wait on itself forever,
+  /// whatever other readers do. Assumes a guard is released on the thread
+  /// that took it: only this thread writes its own token, and it clears it
+  /// before unpinning, so it never reads its token in a slot it does not
+  /// hold (relaxed loads suffice for that: coherence on one location).
+  bool HoldsOwnPinAtOrBelow(uint64_t e) const {
     const uint64_t self = ThisThreadToken();
-    bool any = false;
     for (const Slot& s : slots_) {
-      if (s.epoch.load(std::memory_order_seq_cst) > e) continue;
-      if (s.owner.load(std::memory_order_seq_cst) != self) return false;
-      any = true;
+      if (s.owner.load(std::memory_order_relaxed) == self &&
+          s.epoch.load(std::memory_order_relaxed) <= e) {
+        return true;
+      }
     }
-    return any;
+    return false;
   }
 
   /// Number of currently pinned slots (diagnostics only; racy by nature).
@@ -114,9 +114,10 @@ class Manager {
 
   struct alignas(64) Slot {
     std::atomic<uint64_t> epoch{kIdle};
-    // ThisThreadToken() of the pinning thread; 0 while unpinned. Cleared
-    // before the epoch on unpin, so a reader of a pinned slot sees its
-    // owner or 0, never a previous owner.
+    // ThisThreadToken() of the pinning thread; 0 while unpinned. Written
+    // only by the pinning thread, set after the pin and cleared before the
+    // unpin; only that thread's own reads rely on it, so relaxed stores
+    // suffice and add no fence to Pin or Unpin.
     std::atomic<uint64_t> owner{0};
   };
 
@@ -131,7 +132,7 @@ class Manager {
                 expected, e, std::memory_order_seq_cst)) {
           continue;
         }
-        slots_[i].owner.store(ThisThreadToken(), std::memory_order_seq_cst);
+        slots_[i].owner.store(ThisThreadToken(), std::memory_order_relaxed);
         // Validate: if the writer bumped between our store and this load it
         // may have missed our pin in its MinActive scan, so re-pin the
         // newer epoch until store and published agree.
@@ -147,7 +148,7 @@ class Manager {
   }
 
   void Unpin(size_t slot) {
-    slots_[slot].owner.store(0, std::memory_order_seq_cst);
+    slots_[slot].owner.store(0, std::memory_order_relaxed);
     slots_[slot].epoch.store(kIdle, std::memory_order_seq_cst);
   }
 

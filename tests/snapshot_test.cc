@@ -126,25 +126,25 @@ TEST(EpochManagerTest, PublishPinAndReclaimFloor) {
 TEST(EpochManagerTest, KnowsWhichPinsAreTheCallersOwn) {
   epoch::Manager m;
   m.Publish(1);
-  EXPECT_FALSE(m.OnlyOwnPinsAtOrBelow(5));  // no pins at all
+  EXPECT_FALSE(m.HoldsOwnPinAtOrBelow(5));  // no pins at all
+  std::atomic<bool> pinned{false}, done{false};
+  std::thread other([&] {
+    epoch::ReadGuard theirs(&m);  // pins 1, beside the caller's pin below
+    pinned.store(true);
+    while (!done.load()) std::this_thread::yield();
+  });
+  while (!pinned.load()) std::this_thread::yield();
+  EXPECT_FALSE(m.HoldsOwnPinAtOrBelow(5));  // only the other thread's pin
   {
     epoch::ReadGuard mine(&m);  // pins 1
     m.Publish(2);
-    EXPECT_TRUE(m.OnlyOwnPinsAtOrBelow(1));
-    EXPECT_FALSE(m.OnlyOwnPinsAtOrBelow(0));  // nothing that low
-    std::atomic<bool> pinned{false}, done{false};
-    std::thread other([&] {
-      epoch::ReadGuard theirs(&m);  // pins 2
-      pinned.store(true);
-      while (!done.load()) std::this_thread::yield();
-    });
-    while (!pinned.load()) std::this_thread::yield();
-    EXPECT_TRUE(m.OnlyOwnPinsAtOrBelow(1));
-    EXPECT_FALSE(m.OnlyOwnPinsAtOrBelow(2));  // the other thread's pin
-    done.store(true);
-    other.join();
+    EXPECT_TRUE(m.HoldsOwnPinAtOrBelow(1));  // another pin at 1 or not
+    EXPECT_TRUE(m.HoldsOwnPinAtOrBelow(7));
+    EXPECT_FALSE(m.HoldsOwnPinAtOrBelow(0));  // nothing that low
   }
-  EXPECT_FALSE(m.OnlyOwnPinsAtOrBelow(5));
+  EXPECT_FALSE(m.HoldsOwnPinAtOrBelow(5));
+  done.store(true);
+  other.join();
 }
 
 TEST(EpochManagerTest, GuardMoveTransfersThePin) {
@@ -434,22 +434,36 @@ TEST(ServingTest, WriterStallAtRetentionCapIsRecorded) {
 
 TEST(SnapshotDeathTest, MaintainerSelfPinFailsInsteadOfHanging) {
   // Cap 3, one pin kept on the maintainer thread itself: the third write
-  // finds the cap reached and every blocking pin its own. Waiting would
-  // never end, so the write fails, naming the knob, and the flight
-  // recorder's fatal dump shows the wait that preceded the failure.
+  // finds the cap reached and a blocking pin its own. Waiting would never
+  // end, so the write fails, naming the knob, and the flight recorder's
+  // fatal dump shows the wait that preceded the failure. With a second
+  // reader pinning the same epoch (and never letting go) it fails the
+  // same way, rather than waiting for that reader first.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const bool was_enabled = obs::Enabled();
   obs::SetEnabled(true);
-  auto self_pin = [] {
+  auto self_pin = [](bool second_reader) {
     ViewTreeEngine<IntRing> e = MakeEngine();
     e.Configure(SnapshotOpts(3));  // publishes epoch 1
     ViewTreeSnapshot<IntRing> held = e.tree().Snapshot();
+    std::atomic<bool> pinned{false};
+    std::thread other;
+    if (second_reader) {
+      other = std::thread([&] {
+        ViewTreeSnapshot<IntRing> theirs = e.tree().Snapshot();  // epoch 1
+        pinned.store(true);
+        for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
+      });
+      while (!pinned.load()) std::this_thread::yield();
+    }
     for (uint64_t seed = 0; seed < 4; ++seed) {  // 4 more publishes
       ApplyBatches(e, DrawUpdates(8, 30 + seed), 8);
     }
+    if (other.joinable()) other.detach();
   };
-  EXPECT_DEATH(self_pin(), "max_retained_epochs");
-  EXPECT_DEATH(self_pin(), "snapshot-wait");
+  EXPECT_DEATH(self_pin(false), "max_retained_epochs");
+  EXPECT_DEATH(self_pin(false), "snapshot-wait");
+  EXPECT_DEATH(self_pin(true), "max_retained_epochs");
   obs::SetEnabled(was_enabled);
 }
 

@@ -973,26 +973,28 @@ class ViewTree {
     for (size_t i = 0; i < step.bound_cols.size(); ++i) {
       probe.push_back(assign[step.bound_slots[i]]);
     }
-    // Group members are entry ids of `storage`, read by id: no payload
-    // probe per member. Heap indexes hand back their own id array and heap
-    // relations their own tuples (the scratches stay unallocated); paged
-    // ones decode into them. Per-invocation scratches because RunSteps
+    // The index is on the bound columns, so a member's rest columns are
+    // exactly new_cols: they come from the group's own records, and only
+    // the payload is read through the member's entry id (no probe). Heap
+    // indexes view their own records (the scratch stays unallocated);
+    // paged ones decode into it. A per-invocation scratch because RunSteps
     // recurses inside the member loop below.
-    std::vector<uint32_t> ids;
-    const std::span<const uint32_t> group =
-        storage.index(step.index_slot).Group(probe, &ids);
+    const GroupedIndex& index = storage.index(step.index_slot);
+    INCR_DCHECK(std::equal(step.new_cols.begin(), step.new_cols.end(),
+                           index.rest_positions().begin(),
+                           index.rest_positions().end()));
+    std::vector<uint32_t> records;
+    const GroupView group = index.Group(probe, &records);
     if (wc != nullptr) {
       ++wc->index_probes;
       wc->members_scanned += group.size();
     }
-    Tuple scratch;
-    for (const uint32_t id : group) {
-      const Tuple& t = storage.KeyAt(id, &scratch);
-      for (size_t i = 0; i < step.new_cols.size(); ++i) {
-        assign[step.new_slots[i]] = t[step.new_cols[i]];
+    for (size_t k = 0; k < group.size(); ++k) {
+      for (size_t i = 0; i < step.new_slots.size(); ++i) {
+        assign[step.new_slots[i]] = group.Rest(k, i);
       }
-      RunSteps(prog, step_idx + 1, assign, R::Mul(acc, storage.ValueAt(id)),
-               out, wc);
+      RunSteps(prog, step_idx + 1, assign,
+               R::Mul(acc, storage.ValueAt(group[k])), out, wc);
     }
   }
 
@@ -1628,14 +1630,13 @@ class ViewTreeEnumerator {
                                            // earlier enum nodes
     bool bound = false;
     Value bound_value = 0;
-    // Iteration state: the member ids of the current group in `shard` (a
-    // span of heap index storage or of this state's own id scratch on the
-    // paged backend), stable until the node is repositioned. Members are
-    // dereferenced one id at a time.
-    const Relation<R>* shard = nullptr;
-    std::span<const uint32_t> group;
-    std::vector<uint32_t> ids;
-    Tuple scratch;
+    // Iteration state: the members of the current group (a view of heap
+    // index storage, or of this state's own record scratch on the paged
+    // backend), stable until the node is repositioned. A member's value of
+    // the node's variable is its record's one rest column, so no member is
+    // dereferenced through the relation.
+    GroupView group;
+    std::vector<uint32_t> records;
     size_t pos = 0;
     Value current = 0;
   };
@@ -1666,8 +1667,9 @@ class ViewTreeEnumerator {
     }
     // Only the key's shard can hold its group (W carries index 0 on the
     // node key, which is the shard key prefix).
-    st.shard = &w.shard(w.ShardOfKey(key));
-    st.group = st.shard->index(0).Group(key, &st.ids);
+    const GroupedIndex& index = w.shard(w.ShardOfKey(key)).index(0);
+    INCR_DCHECK(index.rest_positions().size() == 1);
+    st.group = index.Group(key, &st.records);
     if (st.group.empty()) return false;
     st.pos = 0;
     st.current = Member(st);
@@ -1683,10 +1685,9 @@ class ViewTreeEnumerator {
     return true;
   }
 
-  /// The node's value in the W tuple of the member at st.pos.
-  static Value Member(NodeState& st) {
-    return st.shard->KeyAt(st.group[st.pos], &st.scratch).back();
-  }
+  /// The node's value in the W tuple of the member at st.pos: W's index 0
+  /// is on the node key, every column but the last.
+  static Value Member(const NodeState& st) { return st.group.Rest(st.pos, 0); }
 
   /// Iterative odometer: positions nodes i.. at the first solution, moving
   /// earlier nodes forward when a node has no candidate.

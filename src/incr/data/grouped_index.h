@@ -3,13 +3,22 @@
 // relation entries agreeing with it, and supports constant-time insert and
 // delete of index entries — the index structure required by paper §2.
 //
-// The index holds no tuples. It is an index over its owner's dense entry
-// ids (DenseMap entry ids: insert appends, erase swap-removes):
+// The index is an index over its owner's dense entry ids (DenseMap entry
+// ids: insert appends, erase swap-removes):
 //
 //   groups_  group key -> slab id; the one hash map, heap-resident on both
 //            backends (group keys are the hot working set).
-//   slabs    per group, the member ids in member order.
+//   slabs    per group, the member records in member order. A record is
+//            the member's entry id followed by the member tuple's columns
+//            outside the group key (its rest columns, base-schema order).
 //   locs     per owner entry id, that entry's {slab, offset in the slab}.
+//
+// The rest columns ride next to the id because a group's members lie
+// scattered over the owner's dense array: a scan that needs only the
+// members' values (the view-tree delta programs and enumerators) reads
+// them from the group's own records, one contiguous run, and dereferences
+// an id only for what the record lacks (a payload). The group key columns
+// are not stored: every member shares them.
 //
 // Insert costs one group-map operation plus two appends. Erase hashes only
 // when the member's group empties: its {slab, offset} comes from the loc
@@ -20,19 +29,21 @@
 // gives the same order on either backend (limited ENUMERATE and the
 // canonical dumps rely on it).
 //
-// Callers read a group as a span of ids and dereference each id through
-// the owner (Relation::KeyAt / ValueAt). Ids need not cover the owner: an
+// Callers read a group as a GroupView: iterating yields ids, which they
+// dereference through the owner (Relation::KeyAt / ValueAt), and Rest(i,
+// j) reads a member's rest column in place. Ids need not cover the owner: an
 // index over a subset of a map that never erases (the insert-only engine's
 // alive tuples) leaves the unindexed ids' locs unused.
 //
 // Two interchangeable member stores (DESIGN.md "Storage backends"), chosen
 // by the StorageContext passed at construction, with one insert and one
 // erase body templated over them:
-//   * heap (default): a std::vector of ids per slab and one loc vector.
-//   * paged: each slab is a PageChain of 4-byte id records and the loc
-//     array is a PageChain of 8-byte records, so cold groups and cold locs
-//     age out of the buffer pool. Group(key, scratch) decodes a group's ids
-//     into the caller's scratch.
+//   * heap (default): a std::vector of record words per slab and one loc
+//     vector.
+//   * paged: each slab is a PageChain of member records and the loc array
+//     is a PageChain of 8-byte records, so cold groups and cold locs age
+//     out of the buffer pool. Group(key, scratch) decodes a group's
+//     records into the caller's scratch.
 #ifndef INCR_DATA_GROUPED_INDEX_H_
 #define INCR_DATA_GROUPED_INDEX_H_
 
@@ -42,7 +53,6 @@
 #include <cstring>
 #include <memory>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -53,6 +63,54 @@
 #include "incr/data/tuple.h"
 
 namespace incr {
+
+/// One group's members in member order, as records of `stride` 32-bit
+/// words: the member's owner entry id, then its rest columns (the member
+/// tuple's columns outside the group key, in base-schema order), each
+/// Value in two words. Iterating yields the ids. Invalidated by any
+/// mutation of the index (or reuse of the scratch it was decoded into).
+class GroupView {
+ public:
+  static constexpr uint32_t kValueWords = sizeof(Value) / sizeof(uint32_t);
+
+  GroupView() = default;
+  GroupView(const uint32_t* words, size_t size, uint32_t stride)
+      : words_(words), size_(size), stride_(stride) {}
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  /// The owner entry id of member i.
+  uint32_t operator[](size_t i) const { return words_[i * stride_]; }
+  /// Rest column j of member i (records need not be 8-byte aligned).
+  Value Rest(size_t i, size_t j) const {
+    Value v;
+    std::memcpy(&v, words_ + i * stride_ + 1 + j * kValueWords, sizeof(v));
+    return v;
+  }
+
+  /// Yields the member ids.
+  class Iterator {
+   public:
+    Iterator(const uint32_t* p, uint32_t stride) : p_(p), stride_(stride) {}
+    uint32_t operator*() const { return *p_; }
+    Iterator& operator++() {
+      p_ += stride_;
+      return *this;
+    }
+    bool operator!=(const Iterator& o) const { return p_ != o.p_; }
+
+   private:
+    const uint32_t* p_;
+    uint32_t stride_;
+  };
+  Iterator begin() const { return {words_, stride_}; }
+  Iterator end() const { return {words_ + size_ * stride_, stride_}; }
+
+ private:
+  const uint32_t* words_ = nullptr;
+  size_t size_ = 0;
+  uint32_t stride_ = 1;
+};
 
 class GroupedIndex {
   /// The one heap/paged dispatch point: runs fn on the member store. Ahead
@@ -70,7 +128,16 @@ class GroupedIndex {
   /// backend.
   GroupedIndex(const Schema& base, const Schema& key, StorageContext ctx = {})
       : key_schema_(key), key_positions_(ProjectionPositions(base, key)) {
-    if (ctx.store != nullptr) paged_.emplace(std::move(ctx.store));
+    for (uint32_t c = 0; c < base.size(); ++c) {
+      if (std::find(key_positions_.begin(), key_positions_.end(), c) ==
+          key_positions_.end()) {
+        rest_positions_.push_back(c);
+      }
+    }
+    const uint32_t stride = static_cast<uint32_t>(
+        1 + GroupView::kValueWords * rest_positions_.size());
+    heap_.stride = stride;
+    if (ctx.store != nullptr) paged_.emplace(std::move(ctx.store), stride);
   }
 
   /// Deep copy: the heap store copies member-wise; the paged store clones
@@ -84,16 +151,29 @@ class GroupedIndex {
   const Schema& key_schema() const { return key_schema_; }
   bool paged() const { return paged_.has_value(); }
 
+  /// The base-schema positions of the rest columns, in the order
+  /// GroupView::Rest numbers them.
+  const SmallVector<uint32_t, 4>& rest_positions() const {
+    return rest_positions_;
+  }
+
   /// The group key of a full tuple.
   Tuple KeyOf(const Tuple& t) const { return ProjectTuple(t, key_positions_); }
 
   /// Adds owner entry `id`, whose tuple is `t`, to its group. One
   /// group-map operation.
   void Insert(const Tuple& t, uint32_t id) {
+    SmallVector<uint32_t, 9> rec;
+    rec.resize(heap_.stride);
+    rec[0] = id;
+    for (size_t j = 0; j < rest_positions_.size(); ++j) {
+      std::memcpy(&rec[1 + j * GroupView::kValueWords],
+                  &t[rest_positions_[j]], sizeof(Value));
+    }
     Dispatch(*this, [&](auto& store) {
       uint32_t& slab = groups_.GetOrInsert(KeyOf(t), kNone);
       if (slab == kNone) slab = NewSlab(store);
-      store.SetLoc(id, Loc{slab, store.Push(slab, id)});
+      store.SetLoc(id, Loc{slab, store.Push(slab, rec.data())});
     });
     ++entries_;
   }
@@ -110,7 +190,7 @@ class GroupedIndex {
       // Swap-remove inside the group: its last member takes the hole.
       const uint32_t moved = store.RemoveAt(loc.slab, loc.offset);
       if (moved != kNone) store.SetOffset(moved, loc.offset);
-      if (store.Size(loc.slab) == 0) {
+      if (store.Empty(loc.slab)) {
         groups_.Erase(KeyOf(t));
         free_slabs_.push_back(loc.slab);
       }
@@ -125,16 +205,15 @@ class GroupedIndex {
     --entries_;
   }
 
-  /// The member ids of the group of `key`, in member order; empty when the
-  /// group is. The heap store returns its own slab (scratch untouched, no
-  /// copy); the paged store decodes the ids into *scratch. Either way the
-  /// span is invalidated by any mutation of the index (or reuse of the
+  /// The members of the group of `key`, in member order; empty when the
+  /// group is. The heap store views its own slab (scratch untouched, no
+  /// copy); the paged store decodes the records into *scratch. Either way
+  /// the view is invalidated by any mutation of the index (or reuse of the
   /// scratch).
-  std::span<const uint32_t> Group(const Tuple& key,
-                                  std::vector<uint32_t>* scratch) const {
+  GroupView Group(const Tuple& key, std::vector<uint32_t>* scratch) const {
     const uint32_t* slab = groups_.Find(key);
     if (slab == nullptr) return {};
-    if (!paged_) return heap_.slabs[*slab];
+    if (!paged_) return heap_.View(*slab);
     return paged_->Decode(*slab, scratch);
   }
 
@@ -196,8 +275,10 @@ class GroupedIndex {
   /// (nothing moved on a swap-remove).
   static constexpr uint32_t kNone = UINT32_MAX;
 
-  /// Heap member store: one id vector per slab, one loc vector.
+  /// Heap member store: one vector of record words per slab, one loc
+  /// vector.
   struct HeapStore {
+    uint32_t stride = 1;  // words per member record
     std::vector<std::vector<uint32_t>> slabs;
     std::vector<Loc> locs;
 
@@ -206,22 +287,35 @@ class GroupedIndex {
       return static_cast<uint32_t>(slabs.size() - 1);
     }
     uint32_t Size(uint32_t s) const {
-      return static_cast<uint32_t>(slabs[s].size());
+      return static_cast<uint32_t>(slabs[s].size() / stride);
     }
-    uint32_t Push(uint32_t s, uint32_t id) {
-      slabs[s].push_back(id);
-      return static_cast<uint32_t>(slabs[s].size() - 1);
+    bool Empty(uint32_t s) const { return slabs[s].empty(); }
+    /// Appends a member record; returns its offset.
+    uint32_t Push(uint32_t s, const uint32_t* rec) {
+      std::vector<uint32_t>& g = slabs[s];
+      const uint32_t offset = static_cast<uint32_t>(g.size() / stride);
+      g.insert(g.end(), rec, rec + stride);
+      return offset;
     }
     /// Swap-removes the member at offset `i`; returns the member moved into
     /// `i`, or kNone when `i` was last.
     uint32_t RemoveAt(uint32_t s, uint32_t i) {
       std::vector<uint32_t>& g = slabs[s];
+      const size_t at = size_t{i} * stride;
       uint32_t moved = kNone;
-      if (i + 1 != g.size()) g[i] = moved = g.back();
-      g.pop_back();
+      if (at + stride != g.size()) {
+        std::copy(g.end() - stride, g.end(), g.begin() + at);
+        moved = g[at];
+      }
+      g.resize(g.size() - stride);
       return moved;
     }
-    void SetMember(uint32_t s, uint32_t i, uint32_t id) { slabs[s][i] = id; }
+    void SetMember(uint32_t s, uint32_t i, uint32_t id) {
+      slabs[s][size_t{i} * stride] = id;
+    }
+    GroupView View(uint32_t s) const {
+      return {slabs[s].data(), Size(s), stride};
+    }
     size_t NumLocs() const { return locs.size(); }
     Loc GetLoc(uint32_t id) const { return locs[id]; }
     void SetLoc(uint32_t id, Loc l) {
@@ -245,16 +339,18 @@ class GroupedIndex {
     }
   };
 
-  /// Paged member store: one PageChain of 4-byte ids per slab and a
+  /// Paged member store: one PageChain of member records per slab and a
   /// PageChain of 8-byte locs. Owns its pages: copying clones them.
   struct PagedStore {
-    explicit PagedStore(std::shared_ptr<PageStore> ps)
+    PagedStore(std::shared_ptr<PageStore> ps, uint32_t stride)
         : store(std::move(ps)),
-          id_layout(*store, /*arity=*/0, sizeof(uint32_t)),
+          stride(stride),
+          rec_layout(*store, /*arity=*/0, stride * sizeof(uint32_t)),
           loc_layout(*store, /*arity=*/0, sizeof(Loc)) {}
     PagedStore(const PagedStore& o)
         : store(o.store),
-          id_layout(o.id_layout),
+          stride(o.stride),
+          rec_layout(o.rec_layout),
           loc_layout(o.loc_layout),
           locs(o.locs.Clone(*store)) {
       slabs.reserve(o.slabs.size());
@@ -262,7 +358,8 @@ class GroupedIndex {
     }
     PagedStore(PagedStore&& o) noexcept
         : store(std::move(o.store)),
-          id_layout(o.id_layout),
+          stride(o.stride),
+          rec_layout(o.rec_layout),
           loc_layout(o.loc_layout),
           slabs(std::move(o.slabs)),
           locs(std::exchange(o.locs, {})) {}
@@ -273,7 +370,8 @@ class GroupedIndex {
     }
 
     std::shared_ptr<PageStore> store;
-    PageLayout id_layout;
+    uint32_t stride;  // words per member record
+    PageLayout rec_layout;
     PageLayout loc_layout;
     std::vector<PageChain> slabs;
     PageChain locs;
@@ -296,22 +394,24 @@ class GroupedIndex {
       return static_cast<uint32_t>(slabs.size() - 1);
     }
     uint32_t Size(uint32_t s) const { return slabs[s].size; }
-    uint32_t Push(uint32_t s, uint32_t id) {
-      std::memcpy(slabs[s].Append(*store, id_layout).get(), &id, sizeof(id));
+    bool Empty(uint32_t s) const { return slabs[s].size == 0; }
+    uint32_t Push(uint32_t s, const uint32_t* rec) {
+      std::memcpy(slabs[s].Append(*store, rec_layout).get(), rec,
+                  rec_layout.record_bytes);
       return slabs[s].size - 1;
     }
     uint32_t RemoveAt(uint32_t s, uint32_t i) {
       PageChain& g = slabs[s];
       uint32_t moved = kNone;
       if (i + 1 != g.size) {
-        moved = Read<uint32_t>(g, id_layout, g.size - 1);
-        Write(g, id_layout, i, moved);
+        g.MoveLastTo(*store, rec_layout, i);
+        moved = Read<uint32_t>(g, rec_layout, i);
       }
-      g.PopBack(*store, id_layout);
+      g.PopBack(*store, rec_layout);
       return moved;
     }
     void SetMember(uint32_t s, uint32_t i, uint32_t id) {
-      Write(slabs[s], id_layout, i, id);
+      Write(slabs[s], rec_layout, i, id);
     }
     size_t NumLocs() const { return locs.size; }
     Loc GetLoc(uint32_t id) const { return Read<Loc>(locs, loc_layout, id); }
@@ -335,14 +435,14 @@ class GroupedIndex {
         locs.pages.reserve(std::max(pages, 2 * locs.pages.capacity()));
       }
     }
-    std::span<const uint32_t> Decode(uint32_t s,
-                                     std::vector<uint32_t>* scratch) const {
-      scratch->resize(slabs[s].size);
+    GroupView Decode(uint32_t s, std::vector<uint32_t>* scratch) const {
+      scratch->resize(size_t{slabs[s].size} * stride);
       uint32_t* out = scratch->data();
-      slabs[s].ForEach(*store, id_layout, [&](const uint8_t* p) {
-        std::memcpy(out++, p, sizeof(uint32_t));
+      slabs[s].ForEach(*store, rec_layout, [&](const uint8_t* p) {
+        std::memcpy(out, p, rec_layout.record_bytes);
+        out += stride;
       });
-      return *scratch;
+      return {scratch->data(), slabs[s].size, stride};
     }
     void Clear() {
       for (PageChain& c : slabs) c.FreeAll(*store);
@@ -374,6 +474,7 @@ class GroupedIndex {
 
   Schema key_schema_;
   SmallVector<uint32_t, 4> key_positions_;
+  SmallVector<uint32_t, 4> rest_positions_;  // base columns not in the key
   Groups groups_;                    // group key -> slab (both backends)
   std::vector<uint32_t> free_slabs_;  // slabs of emptied groups
   size_t entries_ = 0;

@@ -7,8 +7,9 @@
 //                    access (RecordPin), move-last/pop-back, deep copy.
 //                    Everything paged is built on it: the store below, and
 //                    GroupedIndex's paged member store, whose chains hold
-//                    4-byte member ids (one chain per group) and 8-byte
-//                    {slab, offset} locs (one chain per index). Hot groups
+//                    member records, an id and the member's rest columns
+//                    (one chain per group), and 8-byte {slab, offset} locs
+//                    (one chain per index). Hot groups
 //                    stay resident because their pages keep getting
 //                    referenced; cold groups page out wholesale.
 //

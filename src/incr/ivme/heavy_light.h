@@ -22,7 +22,6 @@
 #define INCR_IVME_HEAVY_LIGHT_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "incr/data/relation.h"
@@ -83,15 +82,14 @@ class HeavyLightRelation {
 
   /// Entry ids of `key`'s group in part(PartOf(key)), the part that holds
   /// it; empty if none. Dereference them through that part.
-  std::span<const uint32_t> Group(Value key,
-                                  std::vector<uint32_t>* scratch) const {
+  GroupView Group(Value key, std::vector<uint32_t>* scratch) const {
     return parts_[PartOf(key)].index(kByKey).Group(Tuple{key}, scratch);
   }
 
   /// Entry ids of the tuples (key, other) for a given `other`, within part
   /// `p`.
-  std::span<const uint32_t> GroupByOther(Part p, Value other,
-                                         std::vector<uint32_t>* scratch) const {
+  GroupView GroupByOther(Part p, Value other,
+                         std::vector<uint32_t>* scratch) const {
     return parts_[p].index(kByOther).Group(Tuple{other}, scratch);
   }
 

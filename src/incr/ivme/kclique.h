@@ -13,7 +13,6 @@
 #define INCR_IVME_KCLIQUE_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "incr/data/relation.h"
@@ -46,8 +45,7 @@ class KCliqueCounter {
  private:
   /// Entry ids of the edges (u, w) of `edges_`: u's neighbors, through
   /// the grouped index on the first column.
-  std::span<const uint32_t> Neighbors(Value u,
-                                      std::vector<uint32_t>* scratch) const {
+  GroupView Neighbors(Value u, std::vector<uint32_t>* scratch) const {
     return edges_.index(0).Group(Tuple{u}, scratch);
   }
 

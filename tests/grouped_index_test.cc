@@ -6,9 +6,10 @@
 //   * a filter of the relation's contents (which tuples), and
 //   * a reference model of the member order: append on insert,
 //     swap-remove inside the group on erase. Limited ENUMERATE and the
-//     canonical dumps rely on this order.
-// Plus a MemoryBytes golden for the heap index: 12 bytes per entry (an
-// 8-byte loc and a 4-byte member id) plus per-group overhead.
+//     canonical dumps rely on this order;
+// and each member record's rest columns must equal its tuple's.
+// Plus a MemoryBytes golden for the heap index: 20 bytes per entry (an
+// 8-byte loc and a 12-byte member record) plus per-group overhead.
 #include <algorithm>
 #include <map>
 #include <string>
@@ -131,9 +132,15 @@ TEST_P(IndexChurnTest, GroupsMatchFilterAndReferenceOrder) {
       ASSERT_EQ(idx.NumGroups(), model[k].groups.size()) << "step " << step;
       for (const auto& [key, members] : model[k].groups) {
         std::vector<Tuple> got;
-        for (uint32_t id : idx.Group(key, &ids)) {
-          got.push_back(rel.KeyAt(id, &scratch));
-          ASSERT_EQ(rel.ValueAt(id), contents.at(got.back()));
+        const GroupView group = idx.Group(key, &ids);
+        for (size_t i = 0; i < group.size(); ++i) {
+          got.push_back(rel.KeyAt(group[i], &scratch));
+          ASSERT_EQ(rel.ValueAt(group[i]), contents.at(got.back()));
+          // The record's rest columns are the member tuple's.
+          for (size_t j = 0; j < idx.rest_positions().size(); ++j) {
+            ASSERT_EQ(group.Rest(i, j), got.back()[idx.rest_positions()[j]])
+                << "index " << k << " step " << step;
+          }
         }
         // Which tuples: the filter oracle over the contents.
         std::vector<Tuple> filter;
@@ -172,18 +179,19 @@ size_t IndexBytes(int64_t n) {
   return r.index(0).MemoryBytes();
 }
 
-TEST(GroupedIndexMemoryTest, TwelveBytesPerEntryPlusGroupOverhead) {
-  // Power-of-two capacities at both sizes, so the golden is exact: per
-  // entry an 8-byte loc and a 4-byte member id (12 * n), per group one
-  // group-map record and one slab header (a fixed overhead independent of
-  // n; 64 groups here).
+TEST(GroupedIndexMemoryTest, TwentyBytesPerEntryPlusGroupOverhead) {
+  // Power-of-two member counts at both sizes, so the golden is exact: per
+  // entry an 8-byte loc and a 12-byte member record, its 4-byte id and
+  // its one 8-byte rest column (20 * n), per group one group-map record
+  // and one slab header (a fixed overhead independent of n; 64 groups
+  // here).
   const size_t small = IndexBytes(4096);
   const size_t large = IndexBytes(size_t{1} << 18);
-  const size_t overhead = small - 12 * 4096;
-  EXPECT_EQ(large - 12 * (size_t{1} << 18), overhead);
+  const size_t overhead = small - 20 * 4096;
+  EXPECT_EQ(large - 20 * (size_t{1} << 18), overhead);
   EXPECT_LE(overhead, 64 * 256u);  // at most 256 bytes per group
-  EXPECT_EQ(small, 55936u);
-  EXPECT_EQ(large, 3152512u);
+  EXPECT_EQ(small, 88704u);
+  EXPECT_EQ(large, 5249664u);
 }
 
 }  // namespace

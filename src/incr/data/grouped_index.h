@@ -6,8 +6,10 @@
 // The index is an index over its owner's dense entry ids (DenseMap entry
 // ids: insert appends, erase swap-removes):
 //
-//   groups_  group key -> slab id; the one hash map, heap-resident on both
-//            backends (group keys are the hot working set).
+//   groups_  group key -> slab id (and, on the heap, the slab's buffer, so
+//            a group read is one probe and one contiguous run); the one
+//            hash map, heap-resident on both backends (group keys are the
+//            hot working set).
 //   slabs    per group, the member records in member order. A record is
 //            the member's entry id followed by the member tuple's columns
 //            outside the group key (its rest columns, base-schema order).
@@ -38,8 +40,8 @@
 // Two interchangeable member stores (DESIGN.md "Storage backends"), chosen
 // by the StorageContext passed at construction, with one insert and one
 // erase body templated over them:
-//   * heap (default): a std::vector of record words per slab and one loc
-//     vector.
+//   * heap (default): per slab a std::vector of words, the member count
+//     and then the records, and one loc vector.
 //   * paged: each slab is a PageChain of member records and the loc array
 //     is a PageChain of 8-byte records, so cold groups and cold locs age
 //     out of the buffer pool. Group(key, scratch) decodes a group's
@@ -140,10 +142,25 @@ class GroupedIndex {
     if (ctx.store != nullptr) paged_.emplace(std::move(ctx.store), stride);
   }
 
-  /// Deep copy: the heap store copies member-wise; the paged store clones
-  /// every page chain on the same store. Member order, slab ids and locs
-  /// are preserved exactly.
-  GroupedIndex(const GroupedIndex&) = default;
+  /// Deep copy: the heap store copies member-wise (and the group map is
+  /// re-pointed at the copied buffers); the paged store clones every page
+  /// chain on the same store. Member order, slab ids and locs are
+  /// preserved exactly.
+  GroupedIndex(const GroupedIndex& o)
+      : key_schema_(o.key_schema_),
+        key_positions_(o.key_positions_),
+        rest_positions_(o.rest_positions_),
+        groups_(o.groups_),
+        free_slabs_(o.free_slabs_),
+        entries_(o.entries_),
+        heap_(o.heap_),
+        paged_(o.paged_) {
+    if (paged_) return;
+    for (uint32_t i = 0; i < groups_.size(); ++i) {
+      GroupRef& g = groups_.ValueAt(i);
+      g.words = heap_.Words(g.slab);
+    }
+  }
   GroupedIndex& operator=(const GroupedIndex&) = delete;
   GroupedIndex(GroupedIndex&&) noexcept = default;
   GroupedIndex& operator=(GroupedIndex&&) = delete;
@@ -171,9 +188,10 @@ class GroupedIndex {
                   &t[rest_positions_[j]], sizeof(Value));
     }
     Dispatch(*this, [&](auto& store) {
-      uint32_t& slab = groups_.GetOrInsert(KeyOf(t), kNone);
-      if (slab == kNone) slab = NewSlab(store);
-      store.SetLoc(id, Loc{slab, store.Push(slab, rec.data())});
+      GroupRef& g = groups_.GetOrInsert(KeyOf(t), GroupRef{kNone, nullptr});
+      if (g.slab == kNone) g.slab = NewSlab(store);
+      store.SetLoc(id, Loc{g.slab, store.Push(g.slab, rec.data())});
+      g.words = store.Words(g.slab);  // the append may have moved it
     });
     ++entries_;
   }
@@ -211,18 +229,18 @@ class GroupedIndex {
   /// the view is invalidated by any mutation of the index (or reuse of the
   /// scratch).
   GroupView Group(const Tuple& key, std::vector<uint32_t>* scratch) const {
-    const uint32_t* slab = groups_.Find(key);
-    if (slab == nullptr) return {};
-    if (!paged_) return heap_.View(*slab);
-    return paged_->Decode(*slab, scratch);
+    const GroupRef* g = groups_.Find(key);
+    if (g == nullptr) return {};
+    if (!paged_) return HeapStore::View(g->words, heap_.stride);
+    return paged_->Decode(g->slab, scratch);
   }
 
   /// Number of members in the group of `key` (its degree).
   size_t GroupSize(const Tuple& key) const {
-    const uint32_t* slab = groups_.Find(key);
-    if (slab == nullptr) return 0;
+    const GroupRef* g = groups_.Find(key);
+    if (g == nullptr) return 0;
     return Dispatch(*this, [&](const auto& store) -> size_t {
-      return store.Size(*slab);
+      return store.Size(g->slab);
     });
   }
 
@@ -270,51 +288,60 @@ class GroupedIndex {
     uint32_t slab;
     uint32_t offset;
   };
-  using Groups = DenseMap<Tuple, uint32_t, TupleHash, TupleEq>;
+  /// A group-map value: the group's slab and, on the heap store, that
+  /// slab's buffer, so that a group read goes from the map entry straight
+  /// to the records. Re-pointed wherever the buffer may move: after each
+  /// append, and in a copy of the index.
+  struct GroupRef {
+    uint32_t slab;
+    const uint32_t* words;
+  };
+  using Groups = DenseMap<Tuple, GroupRef, TupleHash, TupleEq>;
   /// No slab (a group being created, an unindexed id's loc) or no member
   /// (nothing moved on a swap-remove).
   static constexpr uint32_t kNone = UINT32_MAX;
 
-  /// Heap member store: one vector of record words per slab, one loc
-  /// vector.
+  /// Heap member store: one vector of words per slab, one loc vector. A
+  /// slab's words are its member count, then its records (word 0 of
+  /// record i at 1 + i * stride), so that a group map entry's buffer
+  /// pointer alone yields the group.
   struct HeapStore {
     uint32_t stride = 1;  // words per member record
     std::vector<std::vector<uint32_t>> slabs;
     std::vector<Loc> locs;
 
+    static GroupView View(const uint32_t* words, uint32_t stride) {
+      return {words + 1, words[0], stride};
+    }
     uint32_t NewSlab() {
-      slabs.emplace_back();
+      slabs.emplace_back(1, 0);
       return static_cast<uint32_t>(slabs.size() - 1);
     }
-    uint32_t Size(uint32_t s) const {
-      return static_cast<uint32_t>(slabs[s].size() / stride);
-    }
-    bool Empty(uint32_t s) const { return slabs[s].empty(); }
+    const uint32_t* Words(uint32_t s) const { return slabs[s].data(); }
+    uint32_t Size(uint32_t s) const { return slabs[s][0]; }
+    bool Empty(uint32_t s) const { return slabs[s][0] == 0; }
     /// Appends a member record; returns its offset.
     uint32_t Push(uint32_t s, const uint32_t* rec) {
       std::vector<uint32_t>& g = slabs[s];
-      const uint32_t offset = static_cast<uint32_t>(g.size() / stride);
       g.insert(g.end(), rec, rec + stride);
-      return offset;
+      return g[0]++;
     }
     /// Swap-removes the member at offset `i`; returns the member moved into
     /// `i`, or kNone when `i` was last.
     uint32_t RemoveAt(uint32_t s, uint32_t i) {
       std::vector<uint32_t>& g = slabs[s];
-      const size_t at = size_t{i} * stride;
+      const size_t at = 1 + size_t{i} * stride;
       uint32_t moved = kNone;
       if (at + stride != g.size()) {
         std::copy(g.end() - stride, g.end(), g.begin() + at);
         moved = g[at];
       }
       g.resize(g.size() - stride);
+      --g[0];
       return moved;
     }
     void SetMember(uint32_t s, uint32_t i, uint32_t id) {
-      slabs[s][size_t{i} * stride] = id;
-    }
-    GroupView View(uint32_t s) const {
-      return {slabs[s].data(), Size(s), stride};
+      slabs[s][1 + size_t{i} * stride] = id;
     }
     size_t NumLocs() const { return locs.size(); }
     Loc GetLoc(uint32_t id) const { return locs[id]; }
@@ -393,6 +420,7 @@ class GroupedIndex {
       slabs.emplace_back();
       return static_cast<uint32_t>(slabs.size() - 1);
     }
+    const uint32_t* Words(uint32_t) const { return nullptr; }
     uint32_t Size(uint32_t s) const { return slabs[s].size; }
     bool Empty(uint32_t s) const { return slabs[s].size == 0; }
     uint32_t Push(uint32_t s, const uint32_t* rec) {

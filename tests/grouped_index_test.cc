@@ -190,8 +190,8 @@ TEST(GroupedIndexMemoryTest, TwentyBytesPerEntryPlusGroupOverhead) {
   const size_t overhead = small - 20 * 4096;
   EXPECT_EQ(large - 20 * (size_t{1} << 18), overhead);
   EXPECT_LE(overhead, 64 * 256u);  // at most 256 bytes per group
-  EXPECT_EQ(small, 88704u);
-  EXPECT_EQ(large, 5249664u);
+  EXPECT_EQ(small, 89728u);
+  EXPECT_EQ(large, 5250688u);
 }
 
 }  // namespace

@@ -182,9 +182,9 @@ size_t IndexBytes(int64_t n) {
 TEST(GroupedIndexMemoryTest, TwentyBytesPerEntryPlusGroupOverhead) {
   // Power-of-two member counts at both sizes, so the golden is exact: per
   // entry an 8-byte loc and a 12-byte member record, its 4-byte id and
-  // its one 8-byte rest column (20 * n), per group one group-map record
-  // and one slab header (a fixed overhead independent of n; 64 groups
-  // here).
+  // its one 8-byte rest column (20 * n), per group one group-map record,
+  // one slab header and the slab's member count (a fixed overhead
+  // independent of n; 64 groups here).
   const size_t small = IndexBytes(4096);
   const size_t large = IndexBytes(size_t{1} << 18);
   const size_t overhead = small - 20 * 4096;

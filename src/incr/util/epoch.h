@@ -84,14 +84,15 @@ class Manager {
   /// True when the calling thread holds a pin at or below `e`. A writer
   /// waiting for every such pin to go would then wait on itself forever,
   /// whatever other readers do. Assumes a guard is released on the thread
-  /// that took it: only this thread writes its own token, and it clears it
-  /// before unpinning, so it never reads its token in a slot it does not
-  /// hold (relaxed loads suffice for that: coherence on one location).
+  /// that took it (a guard moved to another thread still counts as its
+  /// pinning thread's): only that thread writes its token into a slot, and
+  /// it clears it before unpinning, so a thread never reads its own token
+  /// in a slot it does not hold.
   bool HoldsOwnPinAtOrBelow(uint64_t e) const {
     const uint64_t self = ThisThreadToken();
     for (const Slot& s : slots_) {
-      if (s.owner.load(std::memory_order_relaxed) == self &&
-          s.epoch.load(std::memory_order_relaxed) <= e) {
+      if (s.owner.load(std::memory_order_seq_cst) == self &&
+          s.epoch.load(std::memory_order_seq_cst) <= e) {
         return true;
       }
     }
@@ -116,8 +117,7 @@ class Manager {
     std::atomic<uint64_t> epoch{kIdle};
     // ThisThreadToken() of the pinning thread; 0 while unpinned. Written
     // only by the pinning thread, set after the pin and cleared before the
-    // unpin; only that thread's own reads rely on it, so relaxed stores
-    // suffice and add no fence to Pin or Unpin.
+    // unpin.
     std::atomic<uint64_t> owner{0};
   };
 
@@ -132,7 +132,7 @@ class Manager {
                 expected, e, std::memory_order_seq_cst)) {
           continue;
         }
-        slots_[i].owner.store(ThisThreadToken(), std::memory_order_relaxed);
+        slots_[i].owner.store(ThisThreadToken(), std::memory_order_seq_cst);
         // Validate: if the writer bumped between our store and this load it
         // may have missed our pin in its MinActive scan, so re-pin the
         // newer epoch until store and published agree.
@@ -148,7 +148,7 @@ class Manager {
   }
 
   void Unpin(size_t slot) {
-    slots_[slot].owner.store(0, std::memory_order_relaxed);
+    slots_[slot].owner.store(0, std::memory_order_seq_cst);
     slots_[slot].epoch.store(kIdle, std::memory_order_seq_cst);
   }
 

@@ -11,10 +11,10 @@
 //     dominates: the *negative control* (q-hierarchical-style O(1) updates
 //     have nothing to parallelize; THEORY.md's cost model).
 //   * retailer-item: the same join, streaming Item(ksn) deltas — each delta
-//     fans out to every (locn, date) holding that item, the ByRange fallback
-//     with real per-delta work: the case parallelism is for.
-//   * triangle: the cyclic triangle count under a path order — ByRange
-//     multi-atom probing, medium fan-out.
+//     fans out to every (locn, date) holding that item, real per-delta
+//     work: the case parallelism is for.
+//   * triangle: the cyclic triangle count under a path order — multi-atom
+//     probing, medium fan-out.
 //
 // threads == 1 short-circuits to the exact sequential path (no pool, no
 // partitioning); speedups are reported relative to it. The final aggregate
@@ -195,7 +195,7 @@ int main() {
   std::printf(
       "hardware_concurrency %u; shards fixed at %zu; threads only decide "
       "who runs the morsel grid%s\n",
-      hw, ViewTree<IntRing>::DefaultDeltaShards(),
+      hw, kParallelShards,
       smoke ? "  [SMOKE]" : "");
   Row({"query", "batch", "threads", "ns/delta", "speedup"});
   JsonArrayWriter json;
@@ -240,7 +240,7 @@ int main() {
   }
 
   // E18: the morsel-size sweep. Fixed thread count, fan-out workloads
-  // (the ByRange path is the only consumer of the grid), morsel sizes
+  // (the ones with real work per grid cell), morsel sizes
   // from one-cache-line to effectively-one-morsel. Scheduling only:
   // every cell must land on the same aggregate.
   Section("E18: morsel-size sweep (ns/delta)");

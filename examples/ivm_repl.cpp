@@ -18,7 +18,7 @@
 // without a QUIT the shell runs a demo script.
 //
 // Engine configuration comes from the environment (EngineOptions::FromEnv):
-// INCR_THREADS, INCR_SHARDS and INCR_MORSEL_BYTES for batch maintenance;
+// INCR_THREADS and INCR_MORSEL_BYTES for batch maintenance;
 // INCR_STORAGE_BACKEND, INCR_STORAGE_POOL_BYTES, INCR_STORAGE_PAGE_BYTES
 // and INCR_STORAGE_SPILL_DIR for paged view state; INCR_METRICS_PATH and
 // INCR_METRICS_INTERVAL_MS for a Prometheus textfile export (written once

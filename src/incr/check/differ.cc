@@ -792,8 +792,8 @@ DiffResult RunDiffer(const GenQuery& q, const Stream& stream,
   // Drive the durable passes through the parallel morsel path too: Open
   // configures the inner engine with these options after recovery, and
   // serialization is canonical, so live, recovered, and shadow engines
-  // dump identical bytes as long as they share one (threads, shards,
-  // morsel) configuration.
+  // dump identical bytes as long as they share one (threads, morsel)
+  // configuration.
   dopts.threads = opts.threads;
   dopts.morsel_bytes = opts.morsel_bytes;
   auto make_inner = [&q]() -> std::unique_ptr<IvmEngine<IntRing>> {

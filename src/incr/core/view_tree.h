@@ -145,8 +145,6 @@ class ViewTree {
     const auto& nodes = plan_.nodes();
     lifts_.resize(nodes.size());
     node_stats_.resize(nodes.size());
-    atom_sharding_.resize(nodes.size());
-    child_sharding_.resize(nodes.size());
     for (size_t i = 0; i < nodes.size(); ++i) {
       ts.w.push_back(std::make_unique<ShardedRelation<R>>(
           nodes[i].w_schema, nodes[i].key.size(), 1, ctx_));
@@ -154,12 +152,6 @@ class ViewTree {
       ts.m.push_back(std::make_unique<Relation<R>>(nodes[i].key, ctx_));
       for (const Schema& key : plan_.m_indexes()[i]) {
         ts.m.back()->AddIndex(key);
-      }
-      for (const DeltaProgram& p : nodes[i].atom_programs) {
-        atom_sharding_[i].push_back(ComputeSharding(p, nodes[i].key.size()));
-      }
-      for (const DeltaProgram& p : nodes[i].child_programs) {
-        child_sharding_[i].push_back(ComputeSharding(p, nodes[i].key.size()));
       }
     }
   }
@@ -206,36 +198,27 @@ class ViewTree {
   const ViewTreePlan& plan() const { return plan_; }
   const Query& query() const { return plan_.query(); }
 
-  /// Shard count used by the parallel batch path. Fixed (not derived from
-  /// the thread count) so that results are invariant under the number of
-  /// threads: the partition of work is always the same, threads only decide
-  /// who executes each shard. Resolved once per process from INCR_SHARDS
-  /// (default 16) — see NumShards() in data/delta.h.
-  static size_t DefaultDeltaShards() { return NumShards(); }
-
   /// Configures parallel batch maintenance: `threads` total threads
-  /// (0 = ThreadPool::DefaultThreads()), data-parallel over `shards` hash
-  /// shards (0 = DefaultDeltaShards()). threads == 1 restores the exact
+  /// (0 = ThreadPool::DefaultThreads()), data-parallel over kParallelShards
+  /// hash shards of each W view. threads == 1 restores the exact
   /// sequential path (single-shard W layout, no pool). W views are
   /// resharded in place — O(total W size) — so call this before bulk work.
   /// Single-tuple Update()s are unaffected either way.
-  void SetThreads(size_t threads, size_t shards = 0) {
+  void SetThreads(size_t threads) {
     // Catch up under the old layout first: the pending replay runs with
     // the shard count it was logged under.
     EnsureBuild();
     if (threads == 0) threads = ThreadPool::DefaultThreads();
     if (threads <= 1) {
       pool_.reset();
-      shards_ = 1;
     } else {
       pool_ = std::make_unique<ThreadPool>(threads);
-      shards_ = shards == 0 ? DefaultDeltaShards() : shards;
     }
-    for (auto& w : build_->w) w->Reshard(shards_);
+    for (auto& w : build_->w) w->Reshard(num_shards());
     auto& reg = obs::MetricsRegistry::Global();
     reg.GetGauge("viewtree.threads")
         ->Set(static_cast<int64_t>(pool_ ? pool_->num_threads() : 1));
-    reg.GetGauge("viewtree.shards")->Set(static_cast<int64_t>(shards_));
+    reg.GetGauge("viewtree.shards")->Set(static_cast<int64_t>(num_shards()));
     if (snap_ != nullptr) {
       // The resharded W layout is unreachable by batch replay, so retired
       // versions with the old layout must be cloned away, not recycled.
@@ -246,7 +229,8 @@ class ViewTree {
 
   /// The pool driving parallel batches; nullptr in sequential mode.
   ThreadPool* pool() const { return pool_.get(); }
-  size_t num_shards() const { return shards_; }
+  /// Shards of each W view: kParallelShards with a pool, else 1.
+  size_t num_shards() const { return pool_ ? kParallelShards : 1; }
 
   /// Morsel granularity of the parallel batch path, in bytes of input
   /// delta entries per morsel (the unit of work-stealing in
@@ -1157,51 +1141,20 @@ class ViewTree {
     }
   }
 
-  /// How a node's delta source maps onto the shard partition of the node's
-  /// key space. by_key holds iff the source tuple determines every key
-  /// column of the node (its program binds all key slots from the source),
-  /// in which case key_cols[k] is the source column providing key slot k.
-  struct SourceSharding {
-    bool by_key = false;
-    SmallVector<uint32_t, 4> key_cols;
-  };
-
-  static SourceSharding ComputeSharding(const DeltaProgram& prog,
-                                        size_t key_size) {
-    SourceSharding s;
-    s.key_cols.resize(key_size, 0);
-    SmallVector<uint32_t, 4> found;
-    found.resize(key_size, 0);
-    for (size_t i = 0; i < prog.source_slots.size(); ++i) {
-      uint32_t slot = prog.source_slots[i];
-      if (slot < key_size) {
-        s.key_cols[slot] = static_cast<uint32_t>(i);
-        found[slot] = 1;
-      }
-    }
-    s.by_key = true;
-    for (size_t k = 0; k < key_size; ++k) s.by_key &= found[k] != 0;
-    return s;
-  }
-
   /// Shard-parallel counterpart of ProcessNodeBatch. Same product-rule
-  /// source order and the same fold, decomposed over `shards_` hash shards
-  /// of the node's key space so that threads never share a DenseMap.
+  /// source order and the same fold, decomposed over kParallelShards hash
+  /// shards of the node's key space so that threads never share a
+  /// DenseMap.
   ///
   /// Emissions are collected as an ordered list of *emit segments*: each
   /// segment holds S shard-local buffers, and for every shard s the
   /// concatenation of segment buffers seg[0][s], seg[1][s], ... is exactly
-  /// the sequential w_deltas emission order restricted to shard s. Two
-  /// segment producers:
-  ///
-  ///   * A ByKey source (source tuple determines the node key) runs as one
-  ///     segment: the same hash partitions source deltas and node keys, so
-  ///     source shard s emits straight into the segment's buffer s.
-  ///   * A ByRange source runs morsel-driven (ThreadPool::ParallelMorsels):
-  ///     its input span is carved on a fixed cache-sized morsel grid and
-  ///     each grid cell is one segment, filled by whichever thread steals
-  ///     it. Grid boundaries depend only on the input size and morsel
-  ///     bytes — never on thread count or schedule.
+  /// the sequential w_deltas emission order restricted to shard s. Every
+  /// source runs morsel-driven (ThreadPool::ParallelMorsels): its input
+  /// span is carved on a fixed cache-sized morsel grid and each grid cell
+  /// is one segment, filled by whichever thread steals it. Grid boundaries
+  /// depend only on the input size and morsel bytes — never on thread
+  /// count or schedule.
   ///
   /// The fold is fused with emission bookkeeping: shard s walks the
   /// segment list in order and applies each buffer s directly into W
@@ -1210,9 +1163,9 @@ class ViewTree {
   /// disjoint keys and are merged sequentially in shard order.
   ///
   /// Determinism: the segment order is the sequential source/emission
-  /// order and the shard partition depends only on shards_ (fixed), so
-  /// per W-tuple and per M-key the ring-operation sequence is identical
-  /// to the sequential path — payloads match bit-for-bit even for
+  /// order and the shard partition is fixed (kParallelShards), so per
+  /// W-tuple and per M-key the ring-operation sequence is identical to the
+  /// sequential path — payloads match bit-for-bit even for
   /// non-associative float rings, at any thread count and morsel size.
   void ProcessNodeBatchParallel(
       int node, const DeltaBatch<R>& batch,
@@ -1228,11 +1181,11 @@ class ViewTree {
     NodeObs& no = node_stats_[static_cast<size_t>(node)];
     if (obs_on) ++no.batch_calls;
 
-    const size_t S = shards_;
+    const size_t S = kParallelShards;
     ThreadPool* pool = pool_.get();
     const size_t key_size = pn.key.size();
     // One emit segment = S shard-local buffers. Segments are appended in
-    // source order; within a ByRange source, in morsel-grid order.
+    // source order; within a source, in morsel-grid order.
     using EmitSegment = std::vector<std::vector<std::pair<Tuple, RV>>>;
     std::vector<EmitSegment> segments;
     // Morsels are sized in bytes of input entries (cache-resident units).
@@ -1244,38 +1197,17 @@ class ViewTree {
           HashSpan64(reinterpret_cast<const uint64_t*>(wt.data()), key_size),
           S);
     };
-    // Program work counts, one slot per parallel task (a ByKey shard or a
-    // ByRange grid cell), summed into NodeObs after each source.
+    // Program work counts, one slot per grid cell, summed into NodeObs
+    // after each source.
     std::vector<WorkCounts> task_wc;
-    auto fold_wc = [&] {
-      for (const WorkCounts& w : task_wc) w.AddTo(&no);
-    };
-    auto run_source = [&](const DeltaProgram& prog, const SourceSharding& ss,
+    auto run_source = [&](const DeltaProgram& prog,
                           std::span<const typename DeltaBatch<R>::Entry>
                               entries) {
-      if (ss.by_key) {
-        // Source shard s touches only node keys of shard s, so it can emit
-        // directly into the segment's buffer s: the same hash partitions
-        // both sides. One segment per ByKey source.
-        auto parts = DeltaShards<R>::ByKey(
-            entries, {ss.key_cols.data(), ss.key_cols.size()}, S);
-        segments.emplace_back(S);
-        EmitSegment& seg = segments.back();
-        task_wc.assign(obs_on ? S : 0, WorkCounts{});
-        pool->ParallelFor(S, [&](size_t s) {
-          WorkCounts* wc = obs_on ? &task_wc[s] : nullptr;
-          for (const auto& e : parts.shard(s)) {
-            RunProgram(prog, e.key, e.value, pn.w_schema, &seg[s], wc);
-          }
-        });
-        fold_wc();
-        return;
-      }
-      // Fallback: morsel-driven over the raw input span. Each fixed grid
-      // cell [begin, end) owns segment first + begin/morsel_elems and
-      // scatters its emissions into that segment's shard buffers — no
-      // thread ever writes another cell's segment, and no gather runs:
-      // the fold consumes the segments where they were written.
+      // Each fixed grid cell [begin, end) owns segment
+      // first + begin/morsel_elems and scatters its emissions into that
+      // segment's shard buffers — no thread ever writes another cell's
+      // segment, and no gather runs: the fold consumes the segments where
+      // they were written.
       const size_t nseg = (entries.size() + morsel_elems - 1) / morsel_elems;
       const size_t first = segments.size();
       for (size_t k = 0; k < nseg; ++k) segments.emplace_back(S);
@@ -1295,7 +1227,7 @@ class ViewTree {
                                                std::move(wd));
             }
           });
-      fold_wc();
+      for (const WorkCounts& w : task_wc) w.AddTo(&no);
     };
 
     for (size_t i = 0; i < pn.atoms.size(); ++i) {
@@ -1307,9 +1239,7 @@ class ViewTree {
         if (atom.num_indexes() > 0) no.indexed_writes += d.size();
       }
       atom.ApplyBatch(batch.entries(pn.atoms[i]), pool);
-      run_source(pn.atom_programs[i],
-                 atom_sharding_[static_cast<size_t>(node)][i],
-                 batch.entries(pn.atoms[i]));
+      run_source(pn.atom_programs[i], batch.entries(pn.atoms[i]));
     }
     for (size_t i = 0; i < pn.children.size(); ++i) {
       auto& parked = (*pending)[static_cast<size_t>(pn.children[i])];
@@ -1322,8 +1252,7 @@ class ViewTree {
       std::span<const typename Relation<R>::Entry> entries(parked->begin(),
                                                            parked->size());
       cm.ApplyBatch(entries, pool);
-      run_source(pn.child_programs[i],
-                 child_sharding_[static_cast<size_t>(node)][i], entries);
+      run_source(pn.child_programs[i], entries);
       parked.reset();
     }
     bool any = false;
@@ -1444,13 +1373,9 @@ class ViewTree {
   /// moved out by its publish (null in between).
   std::unique_ptr<TreeState> build_;
   std::vector<Lift> lifts_;
-  /// Per node, per anchored atom / per child: how that source partitions.
-  std::vector<std::vector<SourceSharding>> atom_sharding_;
-  std::vector<std::vector<SourceSharding>> child_sharding_;
   std::vector<NodeObs> node_stats_;
   std::unique_ptr<ThreadPool> pool_;  // null: sequential batch path
-  size_t shards_ = 1;
-  // Input bytes per morsel for ByRange sources (see SetMorselBytes).
+  // Input bytes per morsel of the parallel path (see SetMorselBytes).
   size_t morsel_bytes_ = kDefaultMorselBytes;
   std::unique_ptr<SnapshotCtl> snap_;  // null: exclusive (non-snapshot) mode
   bool stats_muted_ = false;  // true only during catch-up replay
@@ -1466,6 +1391,10 @@ class ViewTree {
 /// max_retained_epochs) to keep the writer from waiting on reclamation.
 /// Cheap to take (one slot CAS plus two atomic loads) and movable; safe to
 /// take and use from any thread while a single maintainer keeps writing.
+/// A handle moved to another thread is that thread's pin from its first
+/// read there, so a maintainer that hands its snapshot to a reader waits
+/// for the reader at the retention cap instead of failing its self-pin
+/// check.
 template <RingType R>
 class ViewTreeSnapshot {
  public:
@@ -1474,7 +1403,7 @@ class ViewTreeSnapshot {
   /// The epoch whose state this handle observes. At least the pinned
   /// epoch; monotonically non-decreasing across handles taken by one
   /// thread (the head only ever advances).
-  uint64_t epoch() const { return state_->epoch; }
+  uint64_t epoch() const { return State().epoch; }
 
   const ViewTree<R>& tree() const { return *tree_; }
 
@@ -1494,6 +1423,12 @@ class ViewTreeSnapshot {
   ViewTreeSnapshot(const ViewTree<R>* tree, epoch::ReadGuard guard,
                    const typename ViewTree<R>::TreeState* state)
       : tree_(tree), guard_(std::move(guard)), state_(state) {}
+
+  // Every read goes through here: it credits the pin to the reading thread.
+  const typename ViewTree<R>::TreeState& State() const {
+    guard_.Adopt();
+    return *state_;
+  }
 
   const ViewTree<R>* tree_;
   epoch::ReadGuard guard_;
@@ -1769,20 +1704,21 @@ typename R::Value ViewTree<R>::OutputPayload(const TreeState& ts,
 template <RingType R>
 typename R::Value ViewTreeSnapshot<R>::Aggregate() const {
   RV acc = R::One();
+  const typename ViewTree<R>::TreeState& state = State();
   for (int r : tree_->plan_.roots()) {
-    acc = R::Mul(acc, state_->m[static_cast<size_t>(r)]->Payload(Tuple{}));
+    acc = R::Mul(acc, state.m[static_cast<size_t>(r)]->Payload(Tuple{}));
   }
   return acc;
 }
 
 template <RingType R>
 typename R::Value ViewTreeSnapshot<R>::OutputPayload(const Tuple& t) const {
-  return tree_->OutputPayload(*state_, t);
+  return tree_->OutputPayload(State(), t);
 }
 
 template <RingType R>
 ViewTreeEnumerator<R> ViewTreeSnapshot<R>::Enumerate(Binding binding) const {
-  return ViewTreeEnumerator<R>(*tree_, *state_, std::move(binding));
+  return ViewTreeEnumerator<R>(*tree_, State(), std::move(binding));
 }
 
 }  // namespace incr

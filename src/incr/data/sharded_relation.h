@@ -11,8 +11,7 @@
 // property set by Reshard(), deliberately decoupled from the thread count:
 // parallel results must not depend on how many threads exist, so callers fix
 // the shard count and let threads pick up shards dynamically. The view tree
-// sizes its sharded W storage from NumShards() in data/delta.h (INCR_SHARDS
-// env var, default 16).
+// runs its parallel batch path over kParallelShards shards.
 #ifndef INCR_DATA_SHARDED_RELATION_H_
 #define INCR_DATA_SHARDED_RELATION_H_
 
@@ -29,6 +28,12 @@
 #include "incr/util/hash.h"
 
 namespace incr {
+
+/// Shard count of W storage on the parallel batch path (and the chunk count
+/// of the parallel batch merge). A constant, not derived from the thread
+/// count: the partition of work is the same at every thread count, so
+/// results are too.
+inline constexpr size_t kParallelShards = 16;
 
 template <RingType R>
 class ShardedRelation {

@@ -84,7 +84,7 @@ DeltaBatch<R> MergeNamedBatch(const ViewTree<R>& tree,
     }
   };
   ThreadPool* pool = tree.pool();
-  const size_t kChunks = ViewTree<R>::DefaultDeltaShards();
+  const size_t kChunks = kParallelShards;
   if (pool == nullptr || batch.size() < 2 * kChunks) {
     add_range(&merged, 0, batch.size());
     return merged;
@@ -359,7 +359,7 @@ class ViewTreeEngine : public IvmEngine<R> {
 
   void Configure(const EngineOptions& opts) override {
     ApplyObsOptions(opts);
-    tree_.SetThreads(opts.threads, opts.shards);
+    tree_.SetThreads(opts.threads);
     tree_.SetMorselBytes(opts.morsel_bytes);
     if (opts.snapshot_reads) {
       tree_.EnableSnapshots(opts.max_retained_epochs);

@@ -25,12 +25,6 @@ EngineOptions EngineOptions::FromEnv() {
       opts.threads = static_cast<size_t>(v);
     }
   }
-  if (const char* env = std::getenv("INCR_SHARDS")) {
-    if (ParseEnvInt("INCR_SHARDS", env, 1,
-                    static_cast<long long>(kMaxShards), &v)) {
-      opts.shards = static_cast<size_t>(v);
-    }
-  }
   if (const char* env = std::getenv("INCR_MORSEL_BYTES")) {
     if (ParseEnvInt("INCR_MORSEL_BYTES", env, 0,
                     static_cast<long long>(kMaxMorselBytes), &v)) {

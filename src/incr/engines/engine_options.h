@@ -1,7 +1,7 @@
 // EngineOptions: the single configuration struct of the public API. Every
 // knob that used to live in its own setter, environment variable, or
-// constructor argument — thread count, shard count, observability,
-// durability — is a field here, and every IvmEngine constructor (and the
+// constructor argument — thread count, observability, durability — is a
+// field here, and every IvmEngine constructor (and the
 // REPL) accepts one. Engines read the fields they understand and ignore the
 // rest, so options written for one engine kind work unchanged on another.
 #ifndef INCR_ENGINES_ENGINE_OPTIONS_H_
@@ -12,8 +12,8 @@
 #include <optional>
 #include <string>
 
-#include "incr/data/delta.h"
 #include "incr/data/page_store.h"
+#include "incr/util/thread_pool.h"
 
 namespace incr {
 
@@ -21,10 +21,6 @@ struct EngineOptions {
   /// Threads for batch maintenance: 1 = sequential (the default), 0 = pick
   /// automatically (INCR_THREADS / hardware concurrency), n > 1 = that many.
   size_t threads = 1;
-
-  /// Hash shards for the parallel batch path; 0 = the process default
-  /// (INCR_SHARDS, default 16). Ignored when threads resolve to 1.
-  size_t shards = 0;
 
   /// Morsel granularity of the parallel batch path: bytes of input delta
   /// entries per work-stealing morsel (ViewTree::SetMorselBytes). 0 = the
@@ -92,8 +88,8 @@ struct EngineOptions {
   /// never fatal.
   StorageOptions storage;
 
-  /// Reads the INCR_THREADS / INCR_SHARDS / INCR_MORSEL_BYTES / INCR_OBS /
-  /// INCR_FSYNC / INCR_WAL_BUFFER_BYTES / INCR_GROUP_COMMIT_US /
+  /// Reads the INCR_THREADS / INCR_MORSEL_BYTES / INCR_OBS / INCR_FSYNC /
+  /// INCR_WAL_BUFFER_BYTES / INCR_GROUP_COMMIT_US /
   /// INCR_SNAPSHOT_READS / INCR_MAX_RETAINED_EPOCHS / INCR_METRICS_PATH /
   /// INCR_METRICS_INTERVAL_MS / INCR_STORAGE_BACKEND /
   /// INCR_STORAGE_PAGE_BYTES / INCR_STORAGE_POOL_BYTES /
@@ -108,8 +104,7 @@ struct EngineOptions {
   // Sanity ceilings for environment-supplied values. Generous — they exist
   // to catch unit mistakes (e.g. a byte count in a microsecond knob), not
   // to police reasonable configurations.
-  static constexpr size_t kMaxThreads = 1024;
-  static constexpr size_t kMaxShards = ::incr::kMaxShards;
+  static constexpr size_t kMaxThreads = ThreadPool::kMaxThreads;
   static constexpr size_t kMaxMorselBytes = size_t{1} << 30;  // 1 GiB
   static constexpr size_t kMaxWalBufferBytes = size_t{1} << 30;  // 1 GiB
   static constexpr uint32_t kMaxGroupCommitUs = 60 * 1000 * 1000;  // 1 min

@@ -67,7 +67,7 @@ class MixedStaticDynamicEngine : public IvmEngine<R> {
 
   void Configure(const EngineOptions& opts) override {
     ApplyObsOptions(opts);
-    tree_.SetThreads(opts.threads, opts.shards);
+    tree_.SetThreads(opts.threads);
     tree_.SetMorselBytes(opts.morsel_bytes);
     if (opts.snapshot_reads) {
       tree_.EnableSnapshots(opts.max_retained_epochs);

@@ -118,7 +118,7 @@ class EagerFactStrategy : public IvmStrategy<R> {
 
   void Configure(const EngineOptions& opts) override {
     ApplyObsOptions(opts);
-    tree_.SetThreads(opts.threads, opts.shards);
+    tree_.SetThreads(opts.threads);
     tree_.SetMorselBytes(opts.morsel_bytes);
   }
 
@@ -264,7 +264,7 @@ class LazyFactStrategy : public IvmStrategy<R> {
 
   void Configure(const EngineOptions& opts) override {
     ApplyObsOptions(opts);
-    tree_.SetThreads(opts.threads, opts.shards);
+    tree_.SetThreads(opts.threads);
     tree_.SetMorselBytes(opts.morsel_bytes);
   }
 
@@ -342,7 +342,7 @@ class LazyListStrategy : public IvmStrategy<R> {
 
   void Configure(const EngineOptions& opts) override {
     ApplyObsOptions(opts);
-    tree_.SetThreads(opts.threads, opts.shards);
+    tree_.SetThreads(opts.threads);
     tree_.SetMorselBytes(opts.morsel_bytes);
   }
 

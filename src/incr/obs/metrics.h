@@ -168,7 +168,7 @@ class MetricsRegistry {
   StatsSnapshot Snapshot() const;
 
   /// Zeroes every counter and histogram. Gauges keep their values: they
-  /// are levels their owners set (config.shards is set once per process).
+  /// are levels their owners set (viewtree.threads is set per SetThreads).
   /// Registration is preserved.
   void Reset();
 

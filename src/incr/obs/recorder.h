@@ -4,7 +4,7 @@
 // moments (epoch publish, WAL flush, checkpoint, hash-table rehash,
 // steal-fail burst, recovery step) and begin/end pairs around the traced
 // spans (viewtree.apply_batch > viewtree.node, viewtree.rebuild,
-// threadpool.parallel_for/parallel_morsels, engine.<name>.apply_batch/
+// threadpool.parallel_morsels, engine.<name>.apply_batch/
 // enumerate). The merged tail is dumped as text on fatal error (INCR_CHECK)
 // or next to auto-shrunk fuzzer `.repro` files, and as Chrome trace_event
 // JSON (chrome://tracing, Perfetto) at exit when INCR_TRACE=<path> is set.

@@ -1,5 +1,6 @@
 // Bounded parsing of integer environment variables, shared by every reader
-// of the INCR_* configuration surface (EngineOptions::FromEnv, NumShards).
+// of the INCR_* configuration surface (EngineOptions::FromEnv,
+// ThreadPool::DefaultThreads).
 #ifndef INCR_UTIL_ENV_H_
 #define INCR_UTIL_ENV_H_
 

@@ -21,9 +21,9 @@
 //
 // Slots are a fixed array of cache-line-padded atomics: pinning is a scan
 // for a free slot (cheap at realistic reader counts), never an allocation.
-// Each slot also records the thread that pinned it, so a writer that waits
-// for pins can tell when one of them is its own: a wait that can never end
-// (see HoldsOwnPinAtOrBelow).
+// Each slot also records the thread that holds its pin, so a writer that
+// waits for pins can tell when one of them is its own: a wait that can
+// never end (see HoldsOwnPinAtOrBelow).
 #ifndef INCR_UTIL_EPOCH_H_
 #define INCR_UTIL_EPOCH_H_
 
@@ -83,11 +83,11 @@ class Manager {
 
   /// True when the calling thread holds a pin at or below `e`. A writer
   /// waiting for every such pin to go would then wait on itself forever,
-  /// whatever other readers do. Assumes a guard is released on the thread
-  /// that took it (a guard moved to another thread still counts as its
-  /// pinning thread's): only that thread writes its token into a slot, and
-  /// it clears it before unpinning, so a thread never reads its own token
-  /// in a slot it does not hold.
+  /// whatever other readers do. A pin belongs to the thread that last used
+  /// its guard: the pinning thread, until a guard moved to another thread
+  /// is used there (ReadGuard::Adopt re-stamps the slot). A token is
+  /// written only by the thread it names while it holds the guard, and the
+  /// holder clears it before unpinning.
   bool HoldsOwnPinAtOrBelow(uint64_t e) const {
     const uint64_t self = ThisThreadToken();
     for (const Slot& s : slots_) {
@@ -115,9 +115,9 @@ class Manager {
 
   struct alignas(64) Slot {
     std::atomic<uint64_t> epoch{kIdle};
-    // ThisThreadToken() of the pinning thread; 0 while unpinned. Written
-    // only by the pinning thread, set after the pin and cleared before the
-    // unpin.
+    // ThisThreadToken() of the thread holding the pin; 0 while unpinned.
+    // Written only by the holder: set after the pin, re-stamped by Adopt
+    // on a new thread, cleared before the unpin.
     std::atomic<uint64_t> owner{0};
   };
 
@@ -144,6 +144,14 @@ class Manager {
         }
       }
       std::this_thread::yield();  // every slot busy; wait for a reader
+    }
+  }
+
+  void Adopt(size_t slot) {
+    const uint64_t self = ThisThreadToken();
+    std::atomic<uint64_t>& owner = slots_[slot].owner;
+    if (owner.load(std::memory_order_relaxed) != self) {
+      owner.store(self, std::memory_order_seq_cst);
     }
   }
 
@@ -187,6 +195,14 @@ class ReadGuard {
   /// The pinned epoch. The version the holder reads may be newer (the head
   /// advanced between pin and load); it is protected either way.
   uint64_t epoch() const { return epoch_; }
+
+  /// Credits the pin to the calling thread. A guard moved to another
+  /// thread calls this on use there, so the thread that will release the
+  /// pin is the one Manager::HoldsOwnPinAtOrBelow names. One relaxed load
+  /// when the caller already holds the credit.
+  void Adopt() const {
+    if (mgr_ != nullptr) mgr_->Adopt(slot_);
+  }
 
  private:
   void Release() {

@@ -5,6 +5,7 @@
 
 #include "incr/obs/metrics.h"
 #include "incr/obs/recorder.h"
+#include "incr/util/env.h"
 
 namespace incr {
 
@@ -21,7 +22,6 @@ struct PoolMetrics {
   obs::Histogram* job_ns;
   obs::Histogram* task_ns;
   obs::Histogram* wake_ns;
-  obs::SpanId parallel_for;
   obs::SpanId parallel_morsels;
 };
 
@@ -37,7 +37,6 @@ const PoolMetrics& Metrics() {
         r.GetHistogram("threadpool.job_ns"),
         r.GetHistogram("threadpool.task_ns"),
         r.GetHistogram("threadpool.wake_ns"),
-        obs::InternSpan("threadpool.parallel_for", "n"),
         obs::InternSpan("threadpool.parallel_morsels", "morsels"),
     };
   }();
@@ -86,63 +85,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::ParallelFor(size_t n,
-                             const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  const bool obs_on = obs::Enabled();
-  const obs::SpanId span = Metrics().parallel_for;
-  const uint64_t job_start = obs_on ? obs::NowNs() : 0;
-  if (obs_on) {
-    Metrics().jobs->Inc();
-    Metrics().tasks->Add(n);
-    obs::SpanBegin(span, job_start, n);
-  }
-  if (workers_.empty() || n == 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    if (obs_on) {
-      Metrics().caller_tasks->Add(n);
-      EndJob(span, job_start, n);
-    }
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    // Serialize concurrent ParallelFor callers, and wait out any worker
-    // that woke for the previous job but has not yet re-parked — it may
-    // still hold pointers to the old job state we are about to overwrite.
-    idle_cv_.wait(lock, [this] {
-      return job_fn_ == nullptr && morsel_fn_ == nullptr &&
-             active_workers_ == 0;
-    });
-    job_fn_ = &fn;
-    job_n_ = n;
-    job_error_ = nullptr;
-    job_failed_.store(false, std::memory_order_relaxed);
-    next_.store(0, std::memory_order_relaxed);
-    pending_.store(n, std::memory_order_relaxed);
-    job_submit_ns_.store(obs_on ? obs::NowNs() : 0,
-                         std::memory_order_relaxed);
-    ++epoch_;
-    epoch_hint_.store(epoch_, std::memory_order_release);
-  }
-  wake_cv_.notify_all();
-  size_t mine = RunTasks(&fn, n);  // the calling thread participates
-  if (obs_on) Metrics().caller_tasks->Add(mine);
-  std::exception_ptr err;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] {
-      return pending_.load(std::memory_order_acquire) == 0;
-    });
-    job_fn_ = nullptr;
-    err = job_error_;
-    job_error_ = nullptr;
-  }
-  idle_cv_.notify_all();
-  if (obs_on) EndJob(span, job_start, n);
-  if (err) std::rethrow_exception(err);
-}
-
 void ThreadPool::ParallelMorsels(
     size_t n, size_t morsel, const std::function<void(size_t, size_t)>& fn) {
   if (n == 0) return;
@@ -170,9 +112,11 @@ void ThreadPool::ParallelMorsels(
   }
   {
     std::unique_lock<std::mutex> lock(mu_);
+    // Serialize concurrent callers, and wait out any worker that woke for
+    // the previous job but has not yet re-parked — it may still hold
+    // pointers to the old job state we are about to overwrite.
     idle_cv_.wait(lock, [this] {
-      return job_fn_ == nullptr && morsel_fn_ == nullptr &&
-             active_workers_ == 0;
+      return morsel_fn_ == nullptr && active_workers_ == 0;
     });
     morsel_fn_ = &fn;
     morsel_n_ = n;
@@ -217,39 +161,6 @@ void ThreadPool::ParallelMorsels(
   if (err) std::rethrow_exception(err);
 }
 
-size_t ThreadPool::RunTasks(const std::function<void(size_t)>* fn,
-                            size_t n) {
-  const bool obs_on = obs::Enabled();
-  size_t executed = 0;
-  for (;;) {
-    size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n) return executed;
-    // Fail fast after a task threw: skip the body of every index claimed
-    // from here on, but still count each one down — pending_ must reach 0
-    // or ParallelFor (and the next job) would wait forever.
-    if (!job_failed_.load(std::memory_order_acquire)) {
-      try {
-        if (obs_on) {
-          const uint64_t t0 = obs::NowNs();
-          (*fn)(i);
-          Metrics().task_ns->Record(obs::NowNs() - t0);
-        } else {
-          (*fn)(i);
-        }
-        ++executed;
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!job_error_) job_error_ = std::current_exception();
-        job_failed_.store(true, std::memory_order_release);
-      }
-    }
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_cv_.notify_all();
-    }
-  }
-}
-
 size_t ThreadPool::RunMorsels(const std::function<void(size_t, size_t)>* fn,
                               size_t n, size_t morsel, size_t slot) {
   const bool obs_on = obs::Enabled();
@@ -271,8 +182,9 @@ size_t ThreadPool::RunMorsels(const std::function<void(size_t, size_t)>* fn,
     }
     const size_t begin = m * morsel;
     const size_t end = std::min(begin + morsel, n);
-    // Same fail-fast contract as RunTasks: after an exception, claimed
-    // morsels are skipped but still drain pending_.
+    // Fail fast after a task threw: skip the body of every morsel claimed
+    // from here on, but still count each one down — pending_ must reach 0
+    // or the caller (and the next job) would wait forever.
     if (!job_failed_.load(std::memory_order_acquire)) {
       try {
         if (obs_on) {
@@ -318,14 +230,10 @@ void ThreadPool::WorkerLoop() {
     wake_cv_.wait(lock, [&] { return stop_ || epoch_ != seen_epoch; });
     if (stop_) return;
     seen_epoch = epoch_;
-    const std::function<void(size_t)>* fn = job_fn_;
-    const std::function<void(size_t, size_t)>* mfn = morsel_fn_;
-    size_t n = job_n_;
-    size_t mn = morsel_n_;
-    size_t msize = morsel_size_;
-    if (fn == nullptr && mfn == nullptr) {
-      continue;  // job already finished and was cleared
-    }
+    const std::function<void(size_t, size_t)>* fn = morsel_fn_;
+    const size_t n = morsel_n_;
+    const size_t morsel = morsel_size_;
+    if (fn == nullptr) continue;  // job already finished and was cleared
     const uint64_t submit_ns = job_submit_ns_.load(std::memory_order_relaxed);
     ++active_workers_;
     lock.unlock();
@@ -333,14 +241,9 @@ void ThreadPool::WorkerLoop() {
       const uint64_t now = obs::NowNs();
       if (now > submit_ns) Metrics().wake_ns->Record(now - submit_ns);
     }
-    size_t executed;
-    if (mfn != nullptr) {
-      const size_t slot =
-          join_slot_.fetch_add(1, std::memory_order_relaxed) % ranges_.size();
-      executed = RunMorsels(mfn, mn, msize, slot);
-    } else {
-      executed = RunTasks(fn, n);
-    }
+    const size_t slot =
+        join_slot_.fetch_add(1, std::memory_order_relaxed) % ranges_.size();
+    const size_t executed = RunMorsels(fn, n, morsel, slot);
     if (executed > 0 && obs::Enabled()) {
       Metrics().stolen_tasks->Add(executed);
     }
@@ -351,18 +254,15 @@ void ThreadPool::WorkerLoop() {
 }
 
 size_t ThreadPool::DefaultThreads() {
+  long long v = 0;
   if (const char* env = std::getenv("INCR_THREADS")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<size_t>(v);
+    if (ParseEnvInt("INCR_THREADS", env, 1,
+                    static_cast<long long>(kMaxThreads), &v)) {
+      return static_cast<size_t>(v);
+    }
   }
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);
-}
-
-ThreadPool* ThreadPool::Global() {
-  static ThreadPool* pool = new ThreadPool(DefaultThreads());
-  return pool;
 }
 
 }  // namespace incr

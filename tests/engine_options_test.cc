@@ -10,12 +10,13 @@
 
 #include "incr/engines/engine_options.h"
 #include "incr/util/env.h"
+#include "incr/util/thread_pool.h"
 
 namespace incr {
 namespace {
 
 const char* const kAllVars[] = {
-    "INCR_THREADS",    "INCR_SHARDS",           "INCR_MORSEL_BYTES",
+    "INCR_THREADS",    "INCR_MORSEL_BYTES",
     "INCR_OBS",        "INCR_FSYNC",            "INCR_WAL_BUFFER_BYTES",
     "INCR_GROUP_COMMIT_US",                     "INCR_STORAGE_BACKEND",
     "INCR_STORAGE_PAGE_BYTES",                  "INCR_STORAGE_POOL_BYTES",
@@ -38,7 +39,6 @@ TEST_F(EngineOptionsEnvTest, UnsetEnvironmentYieldsDefaults) {
   EngineOptions opts = EngineOptions::FromEnv();
   EngineOptions defaults;
   EXPECT_EQ(opts.threads, defaults.threads);
-  EXPECT_EQ(opts.shards, defaults.shards);
   EXPECT_FALSE(opts.obs.has_value());
   EXPECT_EQ(opts.fsync, defaults.fsync);
   EXPECT_EQ(opts.wal_buffer_bytes, defaults.wal_buffer_bytes);
@@ -47,7 +47,6 @@ TEST_F(EngineOptionsEnvTest, UnsetEnvironmentYieldsDefaults) {
 
 TEST_F(EngineOptionsEnvTest, ValidValuesAreApplied) {
   setenv("INCR_THREADS", "8", 1);
-  setenv("INCR_SHARDS", "32", 1);
   setenv("INCR_MORSEL_BYTES", "4096", 1);
   setenv("INCR_WAL_BUFFER_BYTES", "65536", 1);
   setenv("INCR_GROUP_COMMIT_US", "0", 1);
@@ -55,7 +54,6 @@ TEST_F(EngineOptionsEnvTest, ValidValuesAreApplied) {
   setenv("INCR_OBS", "1", 1);
   EngineOptions opts = EngineOptions::FromEnv();
   EXPECT_EQ(opts.threads, 8u);
-  EXPECT_EQ(opts.shards, 32u);
   EXPECT_EQ(opts.morsel_bytes, 4096u);
   EXPECT_EQ(opts.wal_buffer_bytes, 65536u);
   EXPECT_EQ(opts.group_commit_window_us, 0u);
@@ -73,12 +71,10 @@ TEST_F(EngineOptionsEnvTest, MalformedNumbersFallBackToDefaults) {
   for (const std::string& v : bad) {
     ClearAll();
     setenv("INCR_THREADS", v.c_str(), 1);
-    setenv("INCR_SHARDS", v.c_str(), 1);
     setenv("INCR_WAL_BUFFER_BYTES", v.c_str(), 1);
     setenv("INCR_GROUP_COMMIT_US", v.c_str(), 1);
     EngineOptions opts = EngineOptions::FromEnv();
     EXPECT_EQ(opts.threads, defaults.threads) << "value '" << v << "'";
-    EXPECT_EQ(opts.shards, defaults.shards) << "value '" << v << "'";
     EXPECT_EQ(opts.wal_buffer_bytes, defaults.wal_buffer_bytes)
         << "value '" << v << "'";
     EXPECT_EQ(opts.group_commit_window_us, defaults.group_commit_window_us)
@@ -95,9 +91,6 @@ TEST_F(EngineOptionsEnvTest, OutOfRangeValuesFallBackToDefaults) {
   const std::vector<Case> cases = {
       {"INCR_THREADS", "-1"},
       {"INCR_THREADS", "1000000"},
-      {"INCR_SHARDS", "0"},        // zero shards is meaningless
-      {"INCR_SHARDS", "-4"},
-      {"INCR_SHARDS", "999999999"},
       {"INCR_WAL_BUFFER_BYTES", "0"},
       {"INCR_WAL_BUFFER_BYTES", "-1"},
       {"INCR_WAL_BUFFER_BYTES", "99999999999999999"},
@@ -112,7 +105,6 @@ TEST_F(EngineOptionsEnvTest, OutOfRangeValuesFallBackToDefaults) {
     EngineOptions opts = EngineOptions::FromEnv();
     EXPECT_EQ(opts.threads, defaults.threads)
         << c.var << "=" << c.value;
-    EXPECT_EQ(opts.shards, defaults.shards) << c.var << "=" << c.value;
     EXPECT_EQ(opts.morsel_bytes, defaults.morsel_bytes)
         << c.var << "=" << c.value;
     EXPECT_EQ(opts.wal_buffer_bytes, defaults.wal_buffer_bytes)
@@ -130,27 +122,25 @@ TEST_F(EngineOptionsEnvTest, BoundaryValuesAreAccepted) {
   ClearAll();
   setenv("INCR_THREADS", std::to_string(EngineOptions::kMaxThreads).c_str(),
          1);
-  setenv("INCR_SHARDS", std::to_string(EngineOptions::kMaxShards).c_str(),
-         1);
   opts = EngineOptions::FromEnv();
   EXPECT_EQ(opts.threads, EngineOptions::kMaxThreads);
-  EXPECT_EQ(opts.shards, EngineOptions::kMaxShards);
 }
 
-// NumShards() and FromEnv read INCR_SHARDS through this one parser and
-// range. Only the parser is exercised: no tree is built at these values.
-TEST(ParseEnvIntTest, ShardCountsOutsideOneToMaxShardsAreRejected) {
-  const long long max = static_cast<long long>(kMaxShards);
-  for (const char* bad : {"999999999", "0", "-4", "16x", ""}) {
+// ThreadPool::DefaultThreads reads INCR_THREADS through this one parser
+// and range. Only the parser is exercised: no pool is built at these
+// values.
+TEST(ParseEnvIntTest, ThreadCountsOutsideOneToMaxThreadsAreRejected) {
+  const long long max = static_cast<long long>(ThreadPool::kMaxThreads);
+  for (const char* bad : {"100000", "0", "-4", "16x", ""}) {
     long long v = 7;
-    EXPECT_FALSE(ParseEnvInt("INCR_SHARDS", bad, 1, max, &v)) << bad;
+    EXPECT_FALSE(ParseEnvInt("INCR_THREADS", bad, 1, max, &v)) << bad;
     EXPECT_EQ(v, 7) << bad;  // untouched
   }
   long long v = 0;
-  EXPECT_TRUE(ParseEnvInt("INCR_SHARDS", "1", 1, max, &v));
+  EXPECT_TRUE(ParseEnvInt("INCR_THREADS", "1", 1, max, &v));
   EXPECT_EQ(v, 1);
   EXPECT_TRUE(
-      ParseEnvInt("INCR_SHARDS", std::to_string(max).c_str(), 1, max, &v));
+      ParseEnvInt("INCR_THREADS", std::to_string(max).c_str(), 1, max, &v));
   EXPECT_EQ(v, max);
 }
 

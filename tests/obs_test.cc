@@ -387,21 +387,6 @@ TEST(ObsEngineTest, FacadeRecordsPerEngineHistograms) {
   EXPECT_EQ(delay_ns->Stats().count, delays0 + 1);
 }
 
-TEST(ObsConfigTest, ShardCountComesFromEnvAndIsRecorded) {
-  size_t shards = NumShards();  // sets the gauge, once per process
-  // Other tests in the same process reset the registry; the gauge must
-  // survive that.
-  obs::MetricsRegistry::Global().Reset();
-  EXPECT_GE(shards, 1u);
-  const char* env = std::getenv("INCR_SHARDS");
-  if (env == nullptr || *env == '\0') {
-    EXPECT_EQ(shards, 16u);
-  }
-  EXPECT_EQ(ViewTree<IntRing>::DefaultDeltaShards(), shards);
-  auto* gauge = obs::MetricsRegistry::Global().GetGauge("config.shards");
-  EXPECT_EQ(gauge->Value(), static_cast<int64_t>(shards));
-}
-
 TEST(ObsBuildInfoTest, BuildJsonNamesTheToolchain) {
   std::string info = BuildInfoJson();
   EXPECT_NE(info.find("\"commit\""), std::string::npos);

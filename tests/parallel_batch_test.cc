@@ -1,5 +1,5 @@
-// The parallel batch-maintenance layer: ThreadPool, DeltaShards,
-// ShardedRelation, and the headline invariant — parallel ViewTree::ApplyBatch
+// The parallel batch-maintenance layer: ThreadPool, ShardedRelation, and
+// the headline invariant — parallel ViewTree::ApplyBatch
 // is ring-identical to the sequential path for every ring and every thread
 // count (results must not depend on threads; shard partition is fixed).
 #include <atomic>
@@ -28,21 +28,21 @@ namespace {
 
 enum : Var { A = 0, B = 1, C = 2 };
 
-// Q-hierarchical: both atom sources bind the node keys (ByKey sharding).
+// Q-hierarchical: both atom sources bind every node key, so each source
+// delta lands in the W shard of its own key.
 Query TheQuery() {
   return Query("Q", Schema{A, B, C},
                {Atom{"R", Schema{A, B}}, Atom{"S", Schema{A, C}}});
 }
 
 // Non-q-hierarchical fan-out under a path order: the S(B) source does not
-// bind node B's key (A), forcing the ByRange fallback with shard-local
-// accumulators.
+// bind node B's key (A), so one source delta fans out over many W shards.
 Query FanoutQuery() {
   return Query("Q", Schema{A}, {Atom{"R", Schema{A, B}}, Atom{"S", Schema{B}}});
 }
 
 // Cyclic triangle under a path order: multi-atom nodes where every atom
-// misses part of the node key — the ByRange path under heavy churn.
+// misses part of the node key — the morsel grid under heavy churn.
 Query TriangleQuery() {
   return Query("Q", Schema{},
                {Atom{"R", Schema{A, B}}, Atom{"S", Schema{B, C}},
@@ -192,72 +192,6 @@ TEST(ThreadPoolMorselTest, ReusableAcrossManyJobs) {
 }
 
 // ---------------------------------------------------------------------------
-// DeltaShards
-
-using IntEntry = DeltaBatch<IntRing>::Entry;
-
-TEST(DeltaShardsTest, ByKeyIsCompleteDisjointAndStable) {
-  // value = input position, so stability is checkable per shard.
-  std::vector<IntEntry> entries;
-  Rng rng(21);
-  for (int64_t i = 0; i < 500; ++i) {
-    entries.push_back({Tuple{rng.UniformInt(0, 40), rng.UniformInt(0, 5)}, i});
-  }
-  const uint32_t proj[] = {0};
-  auto shards =
-      DeltaShards<IntRing>::ByKey(entries, std::span<const uint32_t>(proj), 7);
-  ASSERT_EQ(shards.num_shards(), 7u);
-  size_t total = 0;
-  std::vector<int64_t> key_shard(41, -1);  // every key in exactly one shard
-  for (size_t s = 0; s < 7; ++s) {
-    int64_t prev = -1;
-    for (const IntEntry& e : shards.shard(s)) {
-      ASSERT_GT(e.value, prev) << "shard order must preserve input order";
-      prev = e.value;
-      int64_t& seen = key_shard[static_cast<size_t>(e.key[0])];
-      if (seen == -1) {
-        seen = static_cast<int64_t>(s);
-      } else {
-        ASSERT_EQ(seen, static_cast<int64_t>(s))
-            << "same key split across shards";
-      }
-      ++total;
-    }
-  }
-  EXPECT_EQ(total, entries.size());
-}
-
-TEST(DeltaShardsTest, ByRangeConcatenatesToInput) {
-  std::vector<IntEntry> entries;
-  for (int64_t i = 0; i < 23; ++i) entries.push_back({Tuple{i}, i});
-  auto shards = DeltaShards<IntRing>::ByRange(
-      std::span<const IntEntry>(entries), 5);
-  ASSERT_EQ(shards.num_shards(), 5u);
-  int64_t next = 0;
-  for (size_t s = 0; s < 5; ++s) {
-    for (const IntEntry& e : shards.shard(s)) ASSERT_EQ(e.value, next++);
-  }
-  EXPECT_EQ(next, 23);
-}
-
-TEST(DeltaShardsTest, InputSmallerThanShardCount) {
-  std::vector<IntEntry> entries;
-  for (int64_t i = 0; i < 3; ++i) entries.push_back({Tuple{i, i}, i + 1});
-  const uint32_t proj[] = {0, 1};
-  for (auto& shards :
-       {DeltaShards<IntRing>::ByKey(entries, std::span<const uint32_t>(proj),
-                                    16),
-        DeltaShards<IntRing>::ByRange(std::span<const IntEntry>(entries),
-                                      16)}) {
-    size_t total = 0;
-    for (size_t s = 0; s < shards.num_shards(); ++s) {
-      total += shards.shard(s).size();
-    }
-    EXPECT_EQ(total, 3u);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // ShardedRelation
 
 TEST(ShardedRelationTest, MatchesPlainRelationAndSurvivesReshard) {
@@ -383,7 +317,7 @@ TEST(ParallelBatchTest, MatchesSequentialCovarRing) {
 }
 
 TEST(ParallelBatchTest, MatchesSequentialFanout) {
-  // ByRange fallback: S(B) cannot be partitioned by node B's key (A).
+  // S(B) does not bind node B's key (A): each delta fans out over shards.
   Query q = FanoutQuery();
   auto vo = VariableOrder::FromPath(q, {A, B});
   ASSERT_TRUE(vo.ok());
@@ -555,8 +489,8 @@ void CheckMorselEquivalence(const Query& q, const VariableOrder* vo,
 }
 
 TEST(MorselBatchTest, MatchesSequentialIntRingTriangle) {
-  // Cyclic query under a path order: every source takes the ByRange
-  // morsel-grid path, so this sweep exercises the emit segments hardest.
+  // Cyclic query under a path order: every source fans out, so this sweep
+  // exercises the emit segments hardest.
   Query q = TriangleQuery();
   auto vo = VariableOrder::FromPath(q, {A, B, C});
   ASSERT_TRUE(vo.ok());
@@ -570,9 +504,9 @@ TEST(MorselBatchTest, MatchesSequentialIntRingTriangle) {
       41);
 }
 
-TEST(MorselBatchTest, MatchesSequentialIntRingByKey) {
-  // Q-hierarchical: ByKey sources ignore the morsel grid, and must keep
-  // ignoring it — the knob may not perturb the hash-partitioned path.
+TEST(MorselBatchTest, MatchesSequentialIntRingQHierarchical) {
+  // Q-hierarchical: every source binds the node key, and its deltas run
+  // the same morsel grid as the fan-out shapes.
   CheckMorselEquivalence<IntRing>(
       TheQuery(), nullptr,
       [](Rng& rng) {
@@ -623,30 +557,28 @@ TEST(MorselBatchTest, MatchesSequentialCovarRingFanout) {
       44);
 }
 
-TEST(MorselBatchTest, ShardLayoutInvariantUnderMorselSize) {
-  // Stronger than payload equality: at a fixed thread count, trees run at
-  // different morsel sizes share the same fixed shard partition, so even
-  // the physical shard layouts coincide.
-  Query q = TriangleQuery();
-  auto vo = VariableOrder::FromPath(q, {A, B, C});
-  ASSERT_TRUE(vo.ok());
+// Stronger than payload equality: at a fixed thread count, trees run at
+// different morsel sizes share the same fixed shard partition and fold
+// each shard in the sequential emission order, so even the physical
+// layouts coincide — every W shard holds the same entries in the same
+// dense order.
+template <typename DrawFn>
+void CheckShardLayoutUnderMorselSize(const Query& q, const VariableOrder* vo,
+                                     DrawFn&& draw, uint64_t seed) {
   std::vector<ViewTree<IntRing>> trees;
   for (size_t morsel :
        {size_t{1}, size_t{64}, size_t{0}, size_t{1} << 20}) {
-    auto t = ViewTree<IntRing>::Make(q, *vo);
+    auto t = vo == nullptr ? ViewTree<IntRing>::Make(q)
+                           : ViewTree<IntRing>::Make(q, *vo);
     ASSERT_TRUE(t.ok());
     trees.push_back(*std::move(t));
     trees.back().SetThreads(4);
     trees.back().SetMorselBytes(morsel);
   }
-  Rng rng(45);
+  Rng rng(seed);
   for (int round = 0; round < 8; ++round) {
     std::vector<ViewTree<IntRing>::BatchEntry> batch;
-    for (int i = 0; i < 150; ++i) {
-      batch.push_back({rng.Uniform(3),
-                       Tuple{rng.UniformInt(0, 4), rng.UniformInt(0, 4)},
-                       rng.Chance(0.4) ? -1 : 1});
-    }
+    for (int i = 0; i < 150; ++i) batch.push_back(draw(rng));
     for (auto& t : trees) {
       t.ApplyBatch(std::span<const ViewTree<IntRing>::BatchEntry>(batch));
     }
@@ -657,12 +589,52 @@ TEST(MorselBatchTest, ShardLayoutInvariantUnderMorselSize) {
         const auto& wb = trees[k].NodeW(static_cast<int>(n));
         ASSERT_EQ(wa.num_shards(), wb.num_shards());
         for (size_t s = 0; s < wa.num_shards(); ++s) {
-          ASSERT_EQ(wa.shard(s).size(), wb.shard(s).size())
+          const Relation<IntRing>& sa = wa.shard(s);
+          const Relation<IntRing>& sb = wb.shard(s);
+          ASSERT_EQ(sa.size(), sb.size())
               << "tree " << k << " node " << n << " shard " << s;
+          auto ib = sb.begin();
+          for (const auto& ea : sa) {
+            ASSERT_EQ(ea.key, ib->key)
+                << "tree " << k << " node " << n << " shard " << s;
+            ASSERT_EQ(ea.value, ib->value);
+            ++ib;
+          }
         }
       }
     }
   }
+}
+
+TEST(MorselBatchTest, ShardLayoutInvariantUnderMorselSize) {
+  auto draw_pair = [](Rng& rng, size_t atoms, int64_t domain) {
+    return ViewTree<IntRing>::BatchEntry{
+        rng.Uniform(atoms),
+        Tuple{rng.UniformInt(0, domain), rng.UniformInt(0, domain)},
+        rng.Chance(0.4) ? -1 : 1};
+  };
+  Query tri = TriangleQuery();
+  auto tri_vo = VariableOrder::FromPath(tri, {A, B, C});
+  ASSERT_TRUE(tri_vo.ok());
+  CheckShardLayoutUnderMorselSize(
+      tri, &*tri_vo, [&](Rng& rng) { return draw_pair(rng, 3, 4); }, 45);
+  CheckShardLayoutUnderMorselSize(
+      TheQuery(), nullptr, [&](Rng& rng) { return draw_pair(rng, 2, 9); },
+      46);
+  Query fan = FanoutQuery();
+  auto fan_vo = VariableOrder::FromPath(fan, {A, B});
+  ASSERT_TRUE(fan_vo.ok());
+  CheckShardLayoutUnderMorselSize(
+      fan, &*fan_vo,
+      [](Rng& rng) {
+        if (rng.Chance(0.5)) {
+          return ViewTree<IntRing>::BatchEntry{
+              0, Tuple{rng.UniformInt(0, 20), rng.UniformInt(0, 3)}, 1};
+        }
+        return ViewTree<IntRing>::BatchEntry{
+            1, Tuple{rng.UniformInt(0, 3)}, rng.Chance(0.4) ? -1 : 1};
+      },
+      47);
 }
 
 TEST(MorselBatchTest, SetMorselBytesZeroRestoresDefault) {

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -17,6 +18,7 @@
 
 #include "incr/engines/engine.h"
 #include "incr/obs/explain.h"
+#include "incr/obs/recorder.h"
 #include "incr/ring/int_ring.h"
 #include "incr/util/epoch.h"
 #include "incr/util/rng.h"
@@ -371,7 +373,7 @@ TEST(SnapshotTest, EveryMutatorCatchesUpBeforeItActs) {
 
   {
     ViewTreeSnapshot<IntRing> held = snap.tree().Snapshot();
-    both([](auto& e) { e.tree().SetThreads(2, 4); });
+    both([](auto& e) { e.tree().SetThreads(2); });
     ExpectSameLiveState(snap, plain, "SetThreads(2)");
     both([&](auto& e) { ApplyBatches(e, DrawUpdates(60, 18), 10); });
     ExpectSameLiveState(snap, plain, "parallel batches");
@@ -498,6 +500,51 @@ TEST(ServingTest, ReaderHoldsSnapshotAcrossThousandBatches) {
   EXPECT_FALSE(fail.load()) << "held snapshot changed under writes";
   EXPECT_EQ(e.tree().published_epoch(), pinned + 1000);
   EXPECT_EQ(SnapEnumMap(e), EnumMap(e));
+}
+
+TEST(ServingTest, ReaderTakesOverTheMaintainersSnapshot) {
+  // Cap 3, as in MaintainerSelfPinFailsInsteadOfHanging, but the pin taken
+  // on the maintainer moves to a reader, which reads it once. From then on
+  // it is the reader's pin: the third write waits for the reader instead
+  // of failing the self-pin check, and the reader lets go once it sees
+  // that wait in the flight recorder.
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  obs::ResetRecorder();
+  ViewTreeEngine<IntRing> e = MakeEngine();
+  e.Configure(SnapshotOpts(3));  // publishes epoch 1
+  ApplyBatches(e, DrawUpdates(40, 12), 40);
+  ViewTreeSnapshot<IntRing> held = e.tree().Snapshot();
+  const uint64_t pinned = held.epoch();
+  const RowList want = SnapRows(held);
+
+  std::atomic<bool> read{false}, same{false}, saw_wait{false}, wrote{false};
+  std::thread reader([&, held = std::move(held)]() mutable {
+    std::optional<ViewTreeSnapshot<IntRing>> mine(std::move(held));
+    same.store(SnapRows(*mine) == want && mine->epoch() == pinned);
+    read.store(true, std::memory_order_release);
+    while (!wrote.load()) {
+      if (obs::DumpRecorderText(obs::kRingEvents).find("snapshot-wait") !=
+          std::string::npos) {
+        saw_wait.store(true);
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    mine.reset();  // the maintainer's wait ends here
+  });
+  while (!read.load(std::memory_order_acquire)) std::this_thread::yield();
+  for (uint64_t seed = 0; seed < 4; ++seed) {  // 4 more publishes
+    ApplyBatches(e, DrawUpdates(8, 30 + seed), 8);
+  }
+  wrote.store(true);
+  reader.join();
+
+  EXPECT_TRUE(saw_wait.load()) << "the writes never waited for the reader";
+  EXPECT_TRUE(same.load()) << "the moved snapshot changed";
+  EXPECT_EQ(e.tree().published_epoch(), pinned + 4);
+  EXPECT_EQ(SnapEnumMap(e), EnumMap(e));
+  obs::SetEnabled(was_enabled);
 }
 
 TEST(ServingTest, ConcurrentReadersUnderParallelMaintainer) {

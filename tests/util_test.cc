@@ -1,8 +1,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -249,6 +252,30 @@ TEST(ThreadPoolTest, InlinePathPropagatesException) {
   std::atomic<size_t> ran{0};
   pool.ParallelFor(8, [&](size_t) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 8u);
+}
+
+TEST(ThreadPoolTest, DefaultThreadsIgnoresInvalidThreadsEnv) {
+  // Only DefaultThreads() is called: no pool is built at these values.
+  const char* env = std::getenv("INCR_THREADS");
+  const std::string saved = env == nullptr ? "" : env;
+  const unsigned hw = std::thread::hardware_concurrency();
+  const size_t fallback = hw == 0 ? 1 : hw;
+  unsetenv("INCR_THREADS");
+  EXPECT_EQ(ThreadPool::DefaultThreads(), fallback);
+  for (const char* bad :
+       {"100000", "1025", "0", "-3", "abc", "8x", "0x10", ""}) {
+    setenv("INCR_THREADS", bad, 1);
+    EXPECT_EQ(ThreadPool::DefaultThreads(), fallback) << "'" << bad << "'";
+  }
+  setenv("INCR_THREADS", "3", 1);
+  EXPECT_EQ(ThreadPool::DefaultThreads(), 3u);
+  setenv("INCR_THREADS", std::to_string(ThreadPool::kMaxThreads).c_str(), 1);
+  EXPECT_EQ(ThreadPool::DefaultThreads(), ThreadPool::kMaxThreads);
+  if (env == nullptr) {
+    unsetenv("INCR_THREADS");
+  } else {
+    setenv("INCR_THREADS", saved.c_str(), 1);
+  }
 }
 
 TEST(StatsTest, LogLogSlopeSkipsNonPositive) {

@@ -152,7 +152,7 @@ std::string Counts(const ViewTree<R>& tree) {
 template <RingType R>
 std::string StreamCounts(const char* sql_text, size_t threads = 1) {
   Compiled<R> q = Compile<R>(sql_text);
-  q.tree.SetThreads(threads, /*shards=*/4);
+  q.tree.SetThreads(threads);
   q.tree.ResetNodeStats();
   for (const auto& batch : Stream()) ApplyBatch(&q, batch);
   return Counts(q.tree);
@@ -180,6 +180,9 @@ TEST(WorkCountTest, ParallelPathCountsTheSameWork) {
   EnabledGuard obs_on;
   EXPECT_EQ(StreamCounts<IntRing>(kSqlScan, /*threads=*/2),
             StreamCounts<IntRing>(kSqlScan));
+  // The q-hierarchical shape: every source binds its node's key.
+  EXPECT_EQ(StreamCounts<IntRing>(kSqlCount, /*threads=*/2),
+            StreamCounts<IntRing>(kSqlCount));
 }
 
 TEST(WorkCountTest, CountsOnlyWhileObsIsOn) {

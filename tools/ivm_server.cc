@@ -6,7 +6,7 @@
 //       (the resolved port — useful with --port 0) and, on shutdown,
 //       "bye" after a graceful Stop(). Engine configuration comes from
 //       the environment (EngineOptions::FromEnv), as in the REPL:
-//       INCR_THREADS, INCR_SHARDS, INCR_MORSEL_BYTES, INCR_STORAGE_*,
+//       INCR_THREADS, INCR_MORSEL_BYTES, INCR_STORAGE_*,
 //       INCR_METRICS_PATH and INCR_METRICS_INTERVAL_MS (the file is
 //       written once more before "bye"), INCR_TRACE=<file> for a Chrome
 //       trace of the recorder's rings at exit, INCR_OBS=off.
@@ -128,8 +128,8 @@ int main(int argc, char** argv) {
       std::printf(
           "usage: ivm_server [--host H] [--port P] [--workers N]\n"
           "       ivm_server --script FILE --port P [--host H]\n"
-          "environment (server mode): INCR_THREADS INCR_SHARDS\n"
-          "  INCR_MORSEL_BYTES INCR_STORAGE_BACKEND INCR_STORAGE_POOL_BYTES\n"
+          "environment (server mode): INCR_THREADS INCR_MORSEL_BYTES\n"
+          "  INCR_STORAGE_BACKEND INCR_STORAGE_POOL_BYTES\n"
           "  INCR_STORAGE_PAGE_BYTES INCR_STORAGE_SPILL_DIR INCR_METRICS_PATH\n"
           "  INCR_METRICS_INTERVAL_MS INCR_MAX_RETAINED_EPOCHS INCR_TRACE\n"
           "  INCR_OBS\n");

@@ -13,6 +13,8 @@
 
 #include <utility>
 
+#include "incr/obs/metrics.h"
+
 namespace incr {
 namespace serve {
 
@@ -26,8 +28,9 @@ int SetNonBlocking(int fd) {
 
 }  // namespace
 
-/// Per-socket state. The IO thread owns the fd and the decoder; workers
-/// only touch `pending` and `outbuf`, under the server's connection mutex.
+/// Per-socket state. The IO thread owns the decoder and closes the fd;
+/// workers touch `pending`, `outbuf` and `poison_err`, and send on the fd,
+/// only under the server's connection mutex.
 struct IvmServer::Connection {
   Connection(int fd_in, size_t max_frame) : fd(fd_in), decoder(max_frame) {}
 
@@ -35,14 +38,42 @@ struct IvmServer::Connection {
   FrameDecoder decoder;
   std::deque<std::string> pending;  ///< decoded, not-yet-executed commands
   std::string outbuf;               ///< framed replies awaiting the socket
+  /// The poison ERR of a connection poisoned while busy: the worker that
+  /// holds it queues this after its reply, so the ERR stays the last frame.
+  std::string poison_err;
   bool busy = false;     ///< queued or executing in a worker
   bool closing = false;  ///< close once outbuf flushes (QUIT / poison)
   bool poisoned = false;
   bool dead = false;  ///< fd closed; workers must drop their reference
 };
 
+/// Sends as much of `c.outbuf` as the socket takes without blocking, and
+/// erases what went out. False on a send error other than a full buffer
+/// (the connection is broken). Caller holds conn_mu_ and has checked that
+/// `c.dead` is false.
+bool IvmServer::FlushLocked(Connection& c) {
+  size_t sent = 0;
+  bool ok = true;
+  while (sent < c.outbuf.size()) {
+    ssize_t n = ::send(c.fd, c.outbuf.data() + sent, c.outbuf.size() - sent,
+                       MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      sent += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    ok = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+    break;
+  }
+  c.outbuf.erase(0, sent);
+  return ok;
+}
+
 IvmServer::IvmServer(ServerOptions opts)
-    : opts_(std::move(opts)), session_(opts_.engine) {
+    : opts_(std::move(opts)),
+      replies_deferred_(obs::MetricsRegistry::Global().GetCounter(
+          "server.replies_deferred")),
+      session_(opts_.engine) {
   if (opts_.workers == 0) opts_.workers = 1;
 }
 
@@ -219,11 +250,16 @@ void IvmServer::IoLoop() {
           if (!conn->decoder.Error().ok() && !conn->poisoned) {
             // Framing violation: one ERR reply, then close after flush.
             // Pending commands decoded before the poison are abandoned —
-            // the stream can no longer be trusted.
+            // the stream can no longer be trusted. A worker holding the
+            // connection queues the ERR after its reply, so it stays last.
             conn->poisoned = true;
             conn->pending.clear();
-            AppendFrame("ERR " + conn->decoder.Error().message(),
-                        &conn->outbuf);
+            std::string err = "ERR " + conn->decoder.Error().message();
+            if (conn->busy) {
+              conn->poison_err = std::move(err);
+            } else {
+              AppendFrame(err, &conn->outbuf);
+            }
             conn->closing = true;
           }
           if (!conn->busy && !conn->closing && !conn->pending.empty()) {
@@ -235,18 +271,7 @@ void IvmServer::IoLoop() {
       }
       if (!drop && (rev & POLLOUT)) {
         std::lock_guard<std::mutex> lock(conn_mu_);
-        while (!conn->outbuf.empty()) {
-          ssize_t n = ::send(fd, conn->outbuf.data(), conn->outbuf.size(),
-                             MSG_NOSIGNAL);
-          if (n > 0) {
-            conn->outbuf.erase(0, static_cast<size_t>(n));
-            continue;
-          }
-          if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-          if (errno == EINTR) continue;
-          drop = true;
-          break;
-        }
+        drop = !FlushLocked(*conn);
       }
       if (drop) {
         std::lock_guard<std::mutex> lock(conn_mu_);
@@ -265,6 +290,21 @@ void IvmServer::IoLoop() {
   conns_.clear();
 }
 
+bool IvmServer::QueueReplyLocked(Connection& c, const std::string* reply) {
+  const bool was_empty = c.outbuf.empty();
+  if (reply != nullptr) AppendFrame(*reply, &c.outbuf);
+  if (!c.poison_err.empty()) {
+    AppendFrame(c.poison_err, &c.outbuf);
+    c.poison_err.clear();
+  }
+  // Nothing queued ahead: send now rather than hop through the IO
+  // thread. Whatever the socket does not take (full buffer, short send,
+  // error) stays in outbuf for the IO thread's POLLOUT flush.
+  if (was_empty && !c.outbuf.empty()) (void)FlushLocked(c);
+  if (!c.outbuf.empty()) replies_deferred_->Inc();
+  return !c.outbuf.empty() || c.closing;
+}
+
 void IvmServer::WorkerLoop() {
   for (;;) {
     std::shared_ptr<Connection> conn;
@@ -277,7 +317,12 @@ void IvmServer::WorkerLoop() {
       conn = std::move(ready_.front());
       ready_.pop_front();
       if (conn->dead || conn->pending.empty()) {
+        // Poisoned while queued: the held ERR is the connection's last
+        // frame.
+        const bool wake = !conn->dead && QueueReplyLocked(*conn, nullptr);
         conn->busy = false;
+        lock.unlock();
+        if (wake) Wake();
         continue;
       }
       cmd = std::move(conn->pending.front());
@@ -285,11 +330,13 @@ void IvmServer::WorkerLoop() {
     }
     bool close_after = false;
     std::string reply = session_.Execute(cmd, &close_after);
+    bool wake = false;
     {
       std::lock_guard<std::mutex> lock(conn_mu_);
       if (!conn->dead) {
-        AppendFrame(reply, &conn->outbuf);
         if (close_after) conn->closing = true;
+        // The IO thread must flush a remainder, or close the connection.
+        wake = QueueReplyLocked(*conn, &reply);
         if (!conn->closing && !conn->pending.empty()) {
           ready_.push_back(conn);
           work_cv_.notify_one();
@@ -300,7 +347,7 @@ void IvmServer::WorkerLoop() {
         conn->busy = false;
       }
     }
-    Wake();  // the IO thread must start POLLOUT-ing the reply
+    if (wake) Wake();
   }
 }
 

@@ -10,19 +10,24 @@
 // Transport: each command is one serve/protocol.h frame, each reply one
 // frame. QUIT's reply is the connection's last frame. Errors reply
 // "ERR <reason>" and keep the connection open, except framing violations
-// (oversized length prefix) which poison the decoder: one ERR reply, then
-// close. A torn frame (connection dying mid-frame) just drops the
+// (oversized length prefix) which poison the decoder: commands not yet
+// started are dropped, a command already executing still gets its reply,
+// then one ERR reply, then close. A torn frame (connection dying mid-frame) just drops the
 // connection; the accept loop is unaffected.
 //
-// Threading: ONE IO thread owns every socket — it accepts, reads bytes
-// into per-connection frame decoders, and flushes reply buffers (poll(2)
-// with a self-pipe for wakeups). N worker threads execute commands:
-// a connection with pending commands is enqueued once (its `busy` flag),
-// a worker pops ONE command, executes it on the server's one Session, and
-// appends the reply to the connection's output buffer — so commands from
-// one client run in order while different clients proceed in parallel.
-// Workers never touch file descriptors, which lets the IO thread close a
-// dead connection immediately without racing a worker.
+// Threading: ONE IO thread owns every socket's reads — it accepts, reads
+// bytes into per-connection frame decoders, and flushes the replies that
+// did not go out at once (poll(2) with a self-pipe for wakeups). N worker
+// threads execute commands: a connection with pending commands is enqueued
+// once (its `busy` flag), a worker pops ONE command, executes it on the
+// server's one Session, and appends the reply to the connection's output
+// buffer — so commands from one client run in order while different
+// clients proceed in parallel. When nothing was queued ahead of its reply,
+// the worker sends it itself (non-blocking, under conn_mu_) and leaves
+// only a remainder — full socket buffer, short send, error — to the IO
+// thread, counted in `server.replies_deferred`. Every fd is closed only
+// under conn_mu_ and marked `dead` first, so a worker never writes a
+// closed or reused fd.
 #ifndef INCR_SERVE_SERVER_H_
 #define INCR_SERVE_SERVER_H_
 
@@ -38,6 +43,7 @@
 #include <vector>
 
 #include "incr/engines/engine_options.h"
+#include "incr/obs/metrics.h"
 #include "incr/serve/protocol.h"
 #include "incr/serve/session.h"
 #include "incr/util/status.h"
@@ -85,6 +91,11 @@ class IvmServer {
   void IoLoop();
   void WorkerLoop();
   void Wake();
+  bool FlushLocked(Connection& c);
+  /// Appends `reply` (if any) and a held poison ERR to `c.outbuf`, sending
+  /// at once when nothing was queued ahead. True when the IO thread must
+  /// wake: bytes remain, or the connection is closing. Holds conn_mu_.
+  bool QueueReplyLocked(Connection& c, const std::string* reply);
 
   ServerOptions opts_;
   uint16_t bound_port_ = 0;
@@ -92,13 +103,16 @@ class IvmServer {
   int wake_pipe_[2] = {-1, -1};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> started_{false};
+  // server.replies_deferred: replies (or their remainders) a worker left
+  // to the IO thread's POLLOUT flush.
+  obs::Counter* replies_deferred_;
 
   std::thread io_thread_;
   std::vector<std::thread> workers_;
 
   // Connections: owned by the IO thread's map; workers hold shared_ptrs
-  // and only ever touch decoder-popped commands and the output buffer,
-  // both under conn_mu_.
+  // and only ever touch decoder-popped commands, the output buffer and
+  // the socket's send side, all under conn_mu_.
   std::mutex conn_mu_;
   std::condition_variable work_cv_;
   std::map<int, std::shared_ptr<Connection>> conns_;

@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "incr/serve/client.h"
 #include "incr/serve/protocol.h"
@@ -134,6 +138,57 @@ TEST_F(ServerFaultTest, OversizedFrameGetsErrorReplyThenClose) {
   // The connection is then closed from the server side.
   auto after = c.Recv();
   EXPECT_FALSE(after.ok());
+  ExpectServerAlive();
+}
+
+// A framing violation that lands while a worker executes the
+// connection's command must not overtake that command's reply: the client
+// reads the reply then the ERR, or (the bad header arrived before the
+// command started) the ERR alone — never an ERR followed by a reply. The
+// sleeps sweep the header's arrival across the BATCH's execution.
+TEST_F(ServerFaultTest, PoisonErrNeverOvertakesAnInFlightReply) {
+  {
+    Client setup = Connect();
+    auto reg = setup.Call(
+        "REGISTER CREATE TABLE R (a, b); CREATE TABLE S (b, c); "
+        "SELECT R.a, COUNT(*) FROM R, S WHERE R.b = S.b GROUP BY R.a;");
+    ASSERT_TRUE(reg.ok() && *reg == "OK q0") << reg.status().ToString();
+  }
+  constexpr int kDeltas = 4000;
+  std::string batch = "BATCH";
+  for (int i = 0; i < kDeltas; ++i) {
+    batch += i % 2 == 0 ? "\nR " + std::to_string(i) + " " +
+                              std::to_string(i % 50)
+                        : "\nS " + std::to_string(i % 50) + " " +
+                              std::to_string(i);
+  }
+  const std::string ok_reply =
+      "OK deltas=" + std::to_string(kDeltas) + " routed=1";
+  for (int sleep_us : {0, 100, 500, 1000, 2000, 4000, 8000}) {
+    Client c = Connect();
+    ASSERT_TRUE(c.Send(batch).ok());
+    std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
+    char hdr[4] = {0, 0, 0, 0x20};  // claims 512 MiB
+    ASSERT_TRUE(c.SendRaw(std::string_view(hdr, 4)).ok());
+    std::vector<std::string> frames;
+    for (;;) {
+      auto frame = c.Recv();
+      if (!frame.ok()) {
+        EXPECT_EQ(frame.status().code(), StatusCode::kNotFound)
+            << "sleep " << sleep_us << "us: " << frame.status().ToString();
+        break;
+      }
+      frames.push_back(*std::move(frame));
+    }
+    ASSERT_FALSE(frames.empty()) << "sleep " << sleep_us << "us";
+    ASSERT_LE(frames.size(), 2u) << "sleep " << sleep_us << "us";
+    EXPECT_EQ(frames.back().rfind("ERR", 0), 0u)
+        << "sleep " << sleep_us << "us: last frame " << frames.back();
+    EXPECT_NE(frames.back().find("exceeds"), std::string::npos);
+    if (frames.size() == 2) {
+      EXPECT_EQ(frames[0], ok_reply);
+    }
+  }
   ExpectServerAlive();
 }
 

@@ -6,9 +6,11 @@
 // interleaving must land on the same state). A longer 32-client variant
 // lives in stress_test.cc (label: slow).
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -19,8 +21,10 @@
 #include "incr/core/view_tree.h"
 #include "incr/core/view_tree_plan.h"
 #include "incr/engines/engine.h"
+#include "incr/obs/metrics.h"
 #include "incr/ring/int_ring.h"
 #include "incr/serve/client.h"
+#include "incr/serve/protocol.h"
 #include "incr/serve/server.h"
 #include "incr/sql/sql.h"
 
@@ -282,6 +286,112 @@ TEST_F(ServerTest, RegisterRejectsBadSqlWithPreciseError) {
   EXPECT_EQ(reply.rfind("ERR", 0), 0u) << reply;
   EXPECT_NE(reply.find("parse error at line"), std::string::npos) << reply;
   EXPECT_EQ(server_->num_queries(), 0u);
+}
+
+// ---- Reply paths: direct from the worker, or via the IO thread ----------
+
+uint64_t RepliesDeferred() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("server.replies_deferred")
+      ->Value();
+}
+
+std::string Framed(const std::vector<std::string>& cmds) {
+  std::string wire;
+  for (const std::string& cmd : cmds) AppendFrame(cmd, &wire);
+  return wire;
+}
+
+constexpr const char* kPipelineSql =
+    "REGISTER CREATE TABLE R (a, b); CREATE TABLE S (b, c); "
+    "SELECT R.a, S.c, COUNT(*) FROM R, S WHERE R.b = S.b "
+    "GROUP BY R.a, S.c;";
+
+// Many frames in one write: the replies come back in order, each
+// byte-identical to the reply the same command gets when sent alone, and
+// a client that keeps up gets every reply straight from its worker.
+TEST_F(ServerTest, PipelinedFramesReplyInOrderLikeSingleCalls) {
+  const std::vector<std::string> cmds = {
+      "UPDATE R 1 2",   "UPDATE S 2 7",  "PING",
+      "BATCH\nR 3 2\nS 2 8 x2\n-R 1 2\nR 5 4\nS 4 9",
+      "ENUMERATE q0",   "UPDATE +R 1 2", "ENUMERATE q0 2",
+      "UPDATE -S 2 7",  "ENUMERATE q0",  "PING"};
+  // The reference: a second server, one round trip per command.
+  std::vector<std::string> alone;
+  {
+    ServerOptions opts;
+    opts.workers = 4;
+    IvmServer ref(opts);
+    ASSERT_TRUE(ref.Start().ok());
+    auto c = Client::Connect("127.0.0.1", ref.port());
+    ASSERT_TRUE(c.ok());
+    ASSERT_EQ(*c->Call(kPipelineSql), "OK q0");
+    for (const std::string& cmd : cmds) alone.push_back(*c->Call(cmd));
+  }
+  Client c = Connect();
+  ASSERT_EQ(Call(c, kPipelineSql), "OK q0");
+  const uint64_t deferred = RepliesDeferred();
+  ASSERT_TRUE(c.SendRaw(Framed(cmds)).ok());
+  for (size_t i = 0; i < cmds.size(); ++i) {
+    auto reply = c.Recv();
+    ASSERT_TRUE(reply.ok()) << i << ": " << reply.status().ToString();
+    EXPECT_EQ(*reply, alone[i]) << cmds[i];
+  }
+  EXPECT_EQ(RepliesDeferred(), deferred);
+}
+
+// A reader that sends many large reads and reads nothing back until the
+// server has executed them all: the replies outgrow the socket buffers, so
+// the workers leave them to the IO thread's POLLOUT flush, which must still
+// deliver every reply complete and in order, QUIT's last.
+TEST_F(ServerTest, SlowReaderGetsEveryReplyThroughTheIoThread) {
+  constexpr int kRows = 20000;
+  constexpr int kReads = 48;
+  Client c = Connect();
+  ASSERT_EQ(Call(c, "REGISTER CREATE TABLE R (a, b); "
+                    "SELECT R.a, R.b, COUNT(*) FROM R GROUP BY R.a, R.b;"),
+            "OK q0");
+  std::string batch = "BATCH";
+  for (int i = 0; i < kRows; ++i) {
+    const std::string v = std::to_string(100000 + i);
+    batch += "\nR " + v + " " + v;
+  }
+  ASSERT_EQ(Call(c, batch),
+            "OK deltas=" + std::to_string(kRows) + " routed=1");
+  const std::string alone = Call(c, "ENUMERATE q0");
+  ASSERT_EQ(alone.rfind("OK rows=" + std::to_string(kRows), 0), 0u);
+  // Replies total about 18 MiB: several times the socket buffers, even
+  // at their autotuned maximum. A small receive buffer pins the client's
+  // share.
+  int rcvbuf = 64 << 10;
+  ::setsockopt(c.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+
+  obs::Histogram* enum_ns =
+      obs::MetricsRegistry::Global().GetHistogram("server.q0.enum_ns");
+  const uint64_t enums = enum_ns->Stats().count;
+  const uint64_t deferred = RepliesDeferred();
+  std::vector<std::string> cmds(kReads, "ENUMERATE q0");
+  cmds.push_back("QUIT");
+  ASSERT_TRUE(c.SendRaw(Framed(cmds)).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (enum_ns->Stats().count < enums + kReads &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(enum_ns->Stats().count, enums + kReads);
+  for (int i = 0; i < kReads; ++i) {
+    auto reply = c.Recv();
+    ASSERT_TRUE(reply.ok()) << i << ": " << reply.status().ToString();
+    ASSERT_EQ(*reply, alone) << "read " << i;
+  }
+  auto bye = c.Recv();
+  ASSERT_TRUE(bye.ok()) << bye.status().ToString();
+  EXPECT_EQ(*bye, "OK bye");
+  auto eof = c.Recv();
+  ASSERT_FALSE(eof.ok());
+  EXPECT_EQ(eof.status().code(), StatusCode::kNotFound);
+  EXPECT_GT(RepliesDeferred(), deferred);
 }
 
 // ---- The concurrency soak -----------------------------------------------

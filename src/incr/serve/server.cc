@@ -42,8 +42,9 @@ struct IvmServer::Connection {
   /// holds it queues this after its reply, so the ERR stays the last frame.
   std::string poison_err;
   bool busy = false;     ///< queued or executing in a worker
-  bool closing = false;  ///< close once outbuf flushes (QUIT / poison)
-  bool poisoned = false;
+  /// Close once outbuf flushes and no worker holds the connection (QUIT /
+  /// poison); commands still pending then never run.
+  bool closing = false;
   bool dead = false;  ///< fd closed; workers must drop their reference
 };
 
@@ -176,10 +177,10 @@ void IvmServer::IoLoop() {
     {
       std::lock_guard<std::mutex> lock(conn_mu_);
       // Sweep connections whose graceful close already flushed: nothing
-      // buffered, nothing pending, no worker holding them.
+      // buffered, no worker holding them.
       for (auto it = conns_.begin(); it != conns_.end();) {
         Connection& c = *it->second;
-        if (c.closing && c.outbuf.empty() && c.pending.empty() && !c.busy) {
+        if (c.closing && c.outbuf.empty() && !c.busy) {
           c.dead = true;
           ::close(c.fd);
           it = conns_.erase(it);
@@ -247,12 +248,11 @@ void IvmServer::IoLoop() {
           while (auto frame = conn->decoder.Pop()) {
             conn->pending.push_back(*std::move(frame));
           }
-          if (!conn->decoder.Error().ok() && !conn->poisoned) {
+          if (!conn->decoder.Error().ok() && !conn->closing) {
             // Framing violation: one ERR reply, then close after flush.
             // Pending commands decoded before the poison are abandoned —
             // the stream can no longer be trusted. A worker holding the
             // connection queues the ERR after its reply, so it stays last.
-            conn->poisoned = true;
             conn->pending.clear();
             std::string err = "ERR " + conn->decoder.Error().message();
             if (conn->busy) {

@@ -7,6 +7,7 @@
 // lives in stress_test.cc (label: slow).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 
 #include <algorithm>
 #include <atomic>
@@ -338,6 +339,26 @@ TEST_F(ServerTest, PipelinedFramesReplyInOrderLikeSingleCalls) {
     EXPECT_EQ(*reply, alone[i]) << cmds[i];
   }
   EXPECT_EQ(RepliesDeferred(), deferred);
+}
+
+// QUIT's reply is the connection's last frame: commands behind it never
+// run, and they must not keep the server from closing the connection.
+TEST_F(ServerTest, CommandsBehindQuitNeitherRunNorHoldTheConnection) {
+  Client c = Connect();
+  timeval timeout{};
+  timeout.tv_sec = 5;  // a connection left open fails instead of hanging
+  ::setsockopt(c.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  ASSERT_TRUE(c.SendRaw(Framed({"PING", "QUIT", "PING"})).ok());
+  auto pong = c.Recv();
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(*pong, "OK pong");
+  auto bye = c.Recv();
+  ASSERT_TRUE(bye.ok()) << bye.status().ToString();
+  EXPECT_EQ(*bye, "OK bye");
+  auto eof = c.Recv();
+  ASSERT_FALSE(eof.ok()) << "a command behind QUIT ran: " << *eof;
+  EXPECT_EQ(eof.status().code(), StatusCode::kNotFound)
+      << eof.status().ToString();
 }
 
 // A reader that sends many large reads and reads nothing back until the

@@ -22,10 +22,11 @@
 // once (its `busy` flag), a worker pops ONE command, executes it on the
 // server's one Session, and appends the reply to the connection's output
 // buffer — so commands from one client run in order while different
-// clients proceed in parallel. When nothing was queued ahead of its reply,
-// the worker sends it itself (non-blocking, under conn_mu_) and leaves
-// only a remainder — full socket buffer, short send, error — to the IO
-// thread, counted in `server.replies_deferred`. Every fd is closed only
+// clients proceed in parallel. When nothing was queued ahead of its reply
+// and no other connection waits for a worker, the worker sends the reply
+// itself (non-blocking, under conn_mu_); otherwise, and for a remainder —
+// full socket buffer, short send, error — the IO thread sends it. Replies
+// left to the IO thread are counted in `server.replies_deferred`. Every fd is closed only
 // under conn_mu_ and marked `dead` first, so a worker never writes a
 // closed or reused fd.
 #ifndef INCR_SERVE_SERVER_H_
@@ -93,8 +94,9 @@ class IvmServer {
   void Wake();
   bool FlushLocked(Connection& c);
   /// Appends `reply` (if any) and a held poison ERR to `c.outbuf`, sending
-  /// at once when nothing was queued ahead. True when the IO thread must
-  /// wake: bytes remain, or the connection is closing. Holds conn_mu_.
+  /// at once when nothing was queued ahead and `ready_` is empty. True
+  /// when the IO thread must wake: bytes remain, or the connection is
+  /// closing. Holds conn_mu_.
   bool QueueReplyLocked(Connection& c, const std::string* reply);
 
   ServerOptions opts_;

@@ -12,8 +12,8 @@
 // "ERR <reason>" and keep the connection open, except framing violations
 // (oversized length prefix) which poison the decoder: commands not yet
 // started are dropped, a command already executing still gets its reply,
-// then one ERR reply, then close. A torn frame (connection dying mid-frame) just drops the
-// connection; the accept loop is unaffected.
+// then one ERR reply, then close. A torn frame (connection dying
+// mid-frame) just drops the connection; the accept loop is unaffected.
 //
 // Threading: ONE IO thread owns every socket's reads — it accepts, reads
 // bytes into per-connection frame decoders, and flushes the replies that
@@ -26,9 +26,9 @@
 // and no other connection waits for a worker, the worker sends the reply
 // itself (non-blocking, under conn_mu_); otherwise, and for a remainder —
 // full socket buffer, short send, error — the IO thread sends it. Replies
-// left to the IO thread are counted in `server.replies_deferred`. Every fd is closed only
-// under conn_mu_ and marked `dead` first, so a worker never writes a
-// closed or reused fd.
+// left to the IO thread are counted in `server.replies_deferred`. Every fd
+// is closed only under conn_mu_ and marked `dead` first, so a worker never
+// writes a closed or reused fd.
 #ifndef INCR_SERVE_SERVER_H_
 #define INCR_SERVE_SERVER_H_
 

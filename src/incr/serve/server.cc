@@ -303,7 +303,7 @@ bool IvmServer::QueueReplyLocked(Connection& c, const std::string* reply) {
   // one-worker server under two clients 4-7% on wire-oltp (4-core x86).
   // Whatever the socket does not take (full buffer, short send, error)
   // also stays in outbuf for the IO thread's POLLOUT flush.
-  if (was_empty && ready_.empty() && !c.outbuf.empty()) (void)FlushLocked(c);
+  if (was_empty && ready_.empty()) (void)FlushLocked(c);
   if (!c.outbuf.empty()) replies_deferred_->Inc();
   return !c.outbuf.empty() || c.closing;
 }

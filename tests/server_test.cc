@@ -1,10 +1,11 @@
 // IvmServer end-to-end: every ring through the wire, stats/explain
-// introspection, and the concurrency soak — many clients interleaving
-// registrations, batched updates, and snapshot enumerations, with the
-// final enumeration compared bit-for-bit against a sequential shadow
-// engine fed the same deltas (ring addition commutes, so any cross-client
-// interleaving must land on the same state). A longer 32-client variant
-// lives in stress_test.cc (label: slow).
+// introspection, the two reply paths (a worker's own send, and the IO
+// thread's flush for a slow reader), and the concurrency soak — many
+// clients interleaving registrations, batched updates, and snapshot
+// enumerations, with the final enumeration compared bit-for-bit against a
+// sequential shadow engine fed the same deltas (ring addition commutes,
+// so any cross-client interleaving must land on the same state). A longer
+// 32-client variant lives in stress_test.cc (label: slow).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/time.h>

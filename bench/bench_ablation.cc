@@ -38,16 +38,19 @@ MapNumbers MeasureDenseMap(int64_t n) {
   DenseMap<Tuple, int64_t, TupleHash, TupleEq> m;
   Stopwatch ins;
   for (int64_t i = 0; i < n; ++i) {
-    m.GetOrInsert(Tuple{rng.UniformInt(0, n), rng.UniformInt(0, n)}, 0) += 1;
+    const size_t slot =
+        m.FindOrInsert(Tuple{rng.UniformInt(0, n), rng.UniformInt(0, n)}, 0)
+            .slot;
+    ++m.ValueAt(m.EntryOf(slot));
   }
   out.insert_ns = NsPerOp(ins.ElapsedSeconds(), n);
   Rng probe(2);
   Stopwatch lk;
   int64_t acc = 0;
   for (int64_t i = 0; i < n; ++i) {
-    const int64_t* v =
-        m.Find(Tuple{probe.UniformInt(0, n), probe.UniformInt(0, n)});
-    acc += v ? *v : 0;
+    const size_t slot =
+        m.FindSlot(Tuple{probe.UniformInt(0, n), probe.UniformInt(0, n)});
+    acc += slot == kNoSlot ? 0 : m.ValueAt(m.EntryOf(slot));
   }
   out.lookup_ns = NsPerOp(lk.ElapsedSeconds(), n);
   Stopwatch sc;
@@ -57,7 +60,7 @@ MapNumbers MeasureDenseMap(int64_t n) {
   const int64_t kChurn = 200000;
   for (int64_t i = 0; i < kChurn; ++i) {
     Tuple t{i % n, i % n};
-    m.GetOrInsert(t, 0) += 1;
+    ++m.ValueAt(m.EntryOf(m.FindOrInsert(t, 0).slot));
     m.Erase(t);
   }
   out.churn_ns = NsPerOp(ch.ElapsedSeconds(), 2 * kChurn);

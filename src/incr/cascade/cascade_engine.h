@@ -72,7 +72,8 @@ class CascadeEngine : public IvmEngine<R> {
     for (ViewTreeEnumerator<R> it(tree2_); it.Valid(); it.Next()) {
       Tuple t = it.tuple();
       RV p = it.payload();
-      auto& entry = vq2_.GetOrInsert(t, Entry{R::Zero(), 0});
+      Entry& entry = vq2_.ValueAt(
+          vq2_.EntryOf(vq2_.FindOrInsert(t, Entry{R::Zero(), 0}).slot));
       if (!(R::IsZero(R::Add(p, R::Neg(entry.payload))))) {
         tree1_.UpdateAtom(0, t, R::Add(p, R::Neg(entry.payload)));
         entry.payload = p;
@@ -83,12 +84,12 @@ class CascadeEngine : public IvmEngine<R> {
     }
     // Sweep tuples that left Q2's output (amortized against the size of the
     // previous enumeration).
-    std::vector<Tuple> stale;
+    std::vector<std::pair<Tuple, RV>> stale;
     for (const auto& e : vq2_) {
-      if (e.value.epoch != epoch_) stale.push_back(e.key);
+      if (e.value.epoch != epoch_) stale.emplace_back(e.key, e.value.payload);
     }
-    for (const Tuple& t : stale) {
-      tree1_.UpdateAtom(0, t, R::Neg(vq2_.Find(t)->payload));
+    for (const auto& [t, payload] : stale) {
+      tree1_.UpdateAtom(0, t, R::Neg(payload));
       vq2_.Erase(t);
     }
     dirty_ = false;

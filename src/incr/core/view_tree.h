@@ -461,20 +461,19 @@ class ViewTree {
     // Old payloads of potentially affected tuples.
     DenseMap<Tuple, RV, TupleHash, TupleEq> old;
     for (ViewTreeEnumerator<R> it(*this, binding); it.Valid(); it.Next()) {
-      old.GetOrInsert(it.tuple(), it.payload());
+      old.FindOrInsert(it.tuple(), it.payload());
     }
     UpdateAtom(atom_id, t, d);
     for (ViewTreeEnumerator<R> it(*this, binding); it.Valid(); it.Next()) {
       Tuple out = it.tuple();
       RV now = it.payload();
-      const RV* before = old.Find(out);
-      if (before == nullptr) {
+      const size_t slot = old.FindSlot(out);
+      if (slot == kNoSlot) {
         sink(out, R::Zero(), now);
       } else {
-        if (!R::IsZero(R::Add(now, R::Neg(*before)))) {
-          sink(out, *before, now);
-        }
-        old.Erase(out);
+        const RV& before = old.ValueAt(old.EntryOf(slot));
+        if (!R::IsZero(R::Add(now, R::Neg(before)))) sink(out, before, now);
+        old.EraseSlot(slot);
       }
     }
     // Tuples that disappeared from the output.

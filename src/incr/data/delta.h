@@ -10,8 +10,10 @@
 #define INCR_DATA_DELTA_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "incr/data/dense_map.h"
@@ -40,6 +42,30 @@ struct Delta {
   typename R::Value delta;
 };
 
+/// What one ApplyNet did to the map's entry set: sign +1 inserted entry
+/// `id`; -1 erased entry `id`, after which the entry that was last (`last`)
+/// lives at `id`; 0 changed a payload in place (or nothing, for a zero d).
+struct NetChange {
+  int sign = 0;
+  uint32_t id = 0;
+  uint32_t last = 0;
+};
+
+/// The one ring-payload upsert (paper §2): payload(t) += d on a DenseMap of
+/// R payloads over either record store, erasing t when the sum is zero. One
+/// walk finds t or appends it; then an in-place update or a swap-remove.
+template <RingType R, typename Map>
+NetChange ApplyNet(Map& m, const Tuple& t, const typename R::Value& d) {
+  if (R::IsZero(d)) return {};
+  const auto [slot, inserted] = m.FindOrInsert(t, d);
+  const uint32_t id = m.EntryOf(slot);
+  if (inserted) return {1, id, 0};
+  typename R::Value v = R::Add(m.ValueAt(id), d);
+  if (R::IsZero(v)) return {-1, id, m.EraseSlot(slot)};
+  m.SetAt(slot, std::move(v));
+  return {};
+}
+
 /// A batch of deltas grouped per atom, with ring-payload merging: duplicate
 /// tuples within an atom are pre-summed on insertion and deltas whose
 /// merged payload is zero are dropped. `size()` counts the surviving
@@ -56,20 +82,8 @@ class DeltaBatch {
 
   /// Merges one single-tuple delta into the batch.
   void Add(size_t atom, const Tuple& t, const RV& d) {
-    if (R::IsZero(d)) return;
     if (atom >= per_atom_.size()) per_atom_.resize(atom + 1);
-    Map& m = per_atom_[atom];
-    RV* existing = m.Find(t);
-    if (existing == nullptr) {
-      m.GetOrInsert(t, d);
-      ++size_;
-      return;
-    }
-    *existing = R::Add(*existing, d);
-    if (R::IsZero(*existing)) {
-      m.Erase(t);
-      --size_;
-    }
+    size_ += ApplyNet<R>(per_atom_[atom], t, d).sign;
   }
 
   void Add(const AtomDelta<R>& e) { Add(e.atom, e.tuple, e.delta); }
@@ -106,9 +120,11 @@ class DeltaBatch {
   /// duplicates, zero results dropped). Together with per-chunk local
   /// batches this gives a parallel batch merge: partition the input into
   /// contiguous chunks, build one DeltaBatch per chunk concurrently, then
-  /// MergeFrom the chunks in input order — per (atom, tuple) the additions
-  /// happen in original input order, so the result is identical to a
-  /// sequential merge even for non-associative float payloads.
+  /// MergeFrom the chunks in input order. Each chunk pre-sums its own
+  /// deltas, so the additions are regrouped, not reordered: the merged
+  /// payloads equal a sequential merge's whenever ring addition is
+  /// associative (not for arbitrary float payloads), and the dense order
+  /// can differ where a tuple cancels and comes back.
   void MergeFrom(const DeltaBatch& other) {
     for (size_t a = 0; a < other.num_atoms(); ++a) {
       for (const Entry& e : other.of(a)) Add(a, e.key, e.value);

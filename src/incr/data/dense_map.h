@@ -46,11 +46,11 @@
 // indexes of data/grouped_index.h) follow it with array writes instead of
 // re-hashing anything.
 //
-// Two access levels. Slot level (both stores): FindSlot / InsertNew /
-// EntryOf / SetAt / EraseSlot, plus KeyAt / ValueAt by entry id; a slot
-// stays valid until the next insert or rebuild (SetAt and EraseSlot never
-// move other slots). Pointer level (heap store only): Find / GetOrInsert
-// and begin/end/at, whose references are invalidated by any mutation.
+// One access API, the same on both stores: FindSlot / FindOrInsert /
+// EntryOf / SetAt / EraseSlot / Erase, plus KeyAt / ValueAt by entry id. A
+// slot stays valid until the next insert or rebuild (SetAt and EraseSlot
+// never move other slots). The heap store also offers begin/end/at, a
+// dense view whose references any mutation invalidates.
 #ifndef INCR_DATA_DENSE_MAP_H_
 #define INCR_DATA_DENSE_MAP_H_
 
@@ -133,6 +133,9 @@ struct GroupProbe {
 
 }  // namespace detail
 
+/// The slot DenseMap::FindSlot returns for an absent key.
+inline constexpr size_t kNoSlot = SIZE_MAX;
+
 template <typename K, typename V>
 struct DenseEntry {
   K key;
@@ -186,7 +189,6 @@ template <typename K, typename V, typename Hash = std::hash<K>,
 class DenseMap {
  public:
   using Entry = DenseEntry<K, V>;
-  static constexpr size_t kNoSlot = SIZE_MAX;
 
   DenseMap() { InitTable(kMinCapacity); }
   explicit DenseMap(Records records) : records_(std::move(records)) {
@@ -253,23 +255,32 @@ class DenseMap {
   /// Bytes of page storage held by the record store (0 on the heap).
   size_t PagedBytes() const { return records_.PagedBytes(); }
 
-  // --- Slot level (both record stores) -----------------------------------
-
   /// The slot holding `key`, or kNoSlot.
   size_t FindSlot(const K& key) const {
     const uint64_t h = hash_(key);
     return Walk(h, KeyHit(key, h), nullptr);
   }
 
-  /// Inserts a key known to be absent (callers probe first); returns the
-  /// new record's entry id (always size() - 1 afterwards).
-  uint32_t InsertNew(const K& key, V v) {
-    MaybeRebuild();
+  /// FindOrInsert's answer: the slot holding the key, and whether this call
+  /// appended it (its entry id is then size() - 1).
+  struct Found {
+    size_t slot;
+    bool inserted;
+  };
+
+  /// The slot of `key`, appending a record {key, v} first if it is absent.
+  /// One walk finds both the key and, on a miss, the slot an insert takes;
+  /// `v` is only converted to V on a miss.
+  template <typename U = V>
+  Found FindOrInsert(const K& key, U&& v) {
     const uint64_t h = hash_(key);
     size_t at = 0;
-    Walk(h, [](uint32_t) { return false; }, &at);
-    Place(at, key, std::move(v), h);
-    return static_cast<uint32_t>(size() - 1);
+    const size_t slot = Walk(h, KeyHit(key, h), &at);
+    if (slot != kNoSlot) return {slot, false};
+    // A rebuild moves every slot: walk the new table for the insert slot.
+    if (MaybeRebuild()) at = InsertSlot(h);
+    Place(at, key, V(std::forward<U>(v)), h);
+    return {at, true};
   }
 
   /// The entry id of the record in `slot`.
@@ -314,30 +325,6 @@ class DenseMap {
     if (slot == kNoSlot) return false;
     EraseSlot(slot);
     return true;
-  }
-
-  // --- Pointer level (heap store only) -----------------------------------
-
-  /// Returns a pointer to the value for `key`, or nullptr.
-  V* Find(const K& key) {
-    const size_t slot = FindSlot(key);
-    return slot == kNoSlot ? nullptr : &records_.Value(slots_[slot]);
-  }
-  const V* Find(const K& key) const {
-    const size_t slot = FindSlot(key);
-    return slot == kNoSlot ? nullptr : &records_.Value(slots_[slot]);
-  }
-
-  /// Returns the value for `key`, inserting `def` first if absent — one
-  /// probe either way.
-  V& GetOrInsert(const K& key, V def = V{}) {
-    MaybeRebuild();
-    const uint64_t h = hash_(key);
-    size_t at = 0;
-    const size_t slot = Walk(h, KeyHit(key, h), &at);
-    if (slot != kNoSlot) return records_.Value(slots_[slot]);
-    Place(at, key, std::move(def), h);
-    return records_.Value(static_cast<uint32_t>(size() - 1));
   }
 
  private:
@@ -417,6 +404,13 @@ class DenseMap {
     }
   }
 
+  /// The slot an insert of hash `h` takes (a walk that matches nothing).
+  size_t InsertSlot(uint64_t h) const {
+    size_t at = 0;
+    Walk(h, [](uint32_t) { return false; }, &at);
+    return at;
+  }
+
   /// Fills slot `at` (from Walk's insert_at) with a new record at the end
   /// of the dense array.
   void Place(size_t at, const K& key, V v, uint64_t h) {
@@ -427,14 +421,17 @@ class DenseMap {
     hashes_.push_back(h);
   }
 
-  void MaybeRebuild() {
+  /// Rebuilds before an insert if it would break the load bound; returns
+  /// whether it did.
+  bool MaybeRebuild() {
     // Keep live + tombstone load under 7/8; grow only if live load alone
     // exceeds 1/2, otherwise rebuild at the same size to purge tombstones.
     size_t used = size() + tombstones_ + 1;
-    if (used * 8 < Capacity() * 7) return;
+    if (used * 8 < Capacity() * 7) return false;
     size_t cap = Capacity();
     if ((size() + 1) * 2 >= cap) cap <<= 1;
     Rebuild(cap);
+    return true;
   }
 
   void Rebuild(size_t capacity) {
@@ -443,8 +440,7 @@ class DenseMap {
     tombstones_ = 0;
     for (uint32_t idx = 0; idx < size(); ++idx) {
       // Cached hash: a rebuild never re-hashes a key.
-      size_t at = 0;
-      Walk(hashes_[idx], [](uint32_t) { return false; }, &at);
+      const size_t at = InsertSlot(hashes_[idx]);
       ctrl_[at] = H2(hashes_[idx]);
       slots_[at] = idx;
     }

@@ -188,7 +188,9 @@ class GroupedIndex {
                   &t[rest_positions_[j]], sizeof(Value));
     }
     Dispatch(*this, [&](auto& store) {
-      GroupRef& g = groups_.GetOrInsert(KeyOf(t), GroupRef{kNone, nullptr});
+      const size_t slot =
+          groups_.FindOrInsert(KeyOf(t), GroupRef{kNone, nullptr}).slot;
+      GroupRef& g = groups_.ValueAt(groups_.EntryOf(slot));
       if (g.slab == kNone) g.slab = NewSlab(store);
       store.SetLoc(id, Loc{g.slab, store.Push(g.slab, rec.data())});
       g.words = store.Words(g.slab);  // the append may have moved it
@@ -229,18 +231,20 @@ class GroupedIndex {
   /// the view is invalidated by any mutation of the index (or reuse of the
   /// scratch).
   GroupView Group(const Tuple& key, std::vector<uint32_t>* scratch) const {
-    const GroupRef* g = groups_.Find(key);
-    if (g == nullptr) return {};
-    if (!paged_) return HeapStore::View(g->words, heap_.stride);
-    return paged_->Decode(g->slab, scratch);
+    const size_t slot = groups_.FindSlot(key);
+    if (slot == kNoSlot) return {};
+    const GroupRef& g = groups_.ValueAt(groups_.EntryOf(slot));
+    if (!paged_) return HeapStore::View(g.words, heap_.stride);
+    return paged_->Decode(g.slab, scratch);
   }
 
   /// Number of members in the group of `key` (its degree).
   size_t GroupSize(const Tuple& key) const {
-    const GroupRef* g = groups_.Find(key);
-    if (g == nullptr) return 0;
-    return Dispatch(*this, [&](const auto& store) -> size_t {
-      return store.Size(g->slab);
+    const size_t slot = groups_.FindSlot(key);
+    if (slot == kNoSlot) return 0;
+    const uint32_t slab = groups_.ValueAt(groups_.EntryOf(slot)).slab;
+    return Dispatch(*this, [slab](const auto& store) -> size_t {
+      return store.Size(slab);
     });
   }
 

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "incr/data/delta.h"
 #include "incr/data/dense_map.h"
 #include "incr/data/grouped_index.h"
 #include "incr/data/page_store.h"
@@ -150,16 +151,18 @@ class Relation {
 
   /// Applies a delta: payload(t) += d, removing t if the result is zero.
   /// This is the single mutation entry point; all indexes stay in sync.
-  void Apply(const Tuple& t, const RV& d) {
+  /// Returns what it did to the entry set: +1 inserted t, -1 erased it, 0
+  /// changed its payload in place (or nothing, for a zero d).
+  int Apply(const Tuple& t, const RV& d) {
     INCR_DCHECK(t.size() == schema_.size());
-    if (R::IsZero(d)) return;
-    const Net net =
-        Dispatch(*this, [&](auto& m) { return ApplyNet(m, t, d); });
+    const NetChange net =
+        Dispatch(*this, [&](auto& m) { return ApplyNet<R>(m, t, d); });
     if (net.sign > 0) {
       for (auto& idx : indexes_) idx->Insert(t, net.id);
     } else if (net.sign < 0) {
       for (auto& idx : indexes_) idx->Erase(t, net.id, net.last);
     }
+    return net.sign;
   }
 
   /// Bulk delta application. Pre-reserves the map and every grouped index
@@ -250,8 +253,6 @@ class Relation {
   }
 
  private:
-  static constexpr size_t kNoSlot = HeapMap::kNoSlot;
-
   /// The one heap/paged dispatch point: runs fn on the map backing `self`.
   template <typename Self, typename Fn>
   static auto Dispatch(Self& self, Fn&& fn) {
@@ -261,33 +262,11 @@ class Relation {
     return fn(self.data_);
   }
 
-  /// What one ApplyNet did to the entry set: sign +1 inserted entry `id`;
-  /// -1 erased entry `id`, after which the entry that was last (`last`)
-  /// lives at `id`; 0 changed a payload in place.
-  struct Net {
-    int sign = 0;
-    uint32_t id = 0;
-    uint32_t last = 0;
-  };
-
   /// One index op of a batch: what batch entry `i` did to the entry set.
   struct IndexOp {
     uint32_t i;
-    Net net;
+    NetChange net;
   };
-
-  // payload(t) += d on `m` with one probe, then an in-place update, append,
-  // or swap-remove.
-  template <typename Map>
-  static Net ApplyNet(Map& m, const Tuple& t, const RV& d) {
-    const size_t slot = m.FindSlot(t);
-    if (slot == kNoSlot) return Net{1, m.InsertNew(t, d), 0};
-    const uint32_t id = m.EntryOf(slot);
-    RV v = R::Add(m.ValueAt(id), d);
-    if (R::IsZero(v)) return Net{-1, id, m.EraseSlot(slot)};
-    m.SetAt(slot, std::move(v));
-    return Net{};
-  }
 
   template <typename Map>
   void ApplyBatchTo(Map& m, std::span<const Entry> batch, ThreadPool* pool) {
@@ -303,8 +282,7 @@ class Relation {
     size_t erases = 0;
     for (uint32_t i = 0; i < batch.size(); ++i) {
       const Entry& e = batch[i];
-      if (R::IsZero(e.value)) continue;
-      const Net net = ApplyNet(m, e.key, e.value);
+      const NetChange net = ApplyNet<R>(m, e.key, e.value);
       if (net.sign == 0) continue;
       ++(net.sign > 0 ? inserts : erases);
       if (indexed) ops.push_back({i, net});

@@ -88,8 +88,7 @@ class ShatteredEngine : public IvmEngine<R> {
     bool new_value = false;
     for (size_t i = 0; i < info.small_cols.size(); ++i) {
       auto& domain = domains_[info.small_slots[i]];
-      if (domain.Find(t[info.small_cols[i]]) == nullptr) {
-        domain.GetOrInsert(t[info.small_cols[i]], 1);
+      if (domain.FindOrInsert(t[info.small_cols[i]], 1).inserted) {
         new_value = true;
       }
     }
@@ -237,7 +236,8 @@ class ShatteredEngine : public IvmEngine<R> {
 
   void BuildShardsRec(size_t i, Tuple* assignment) {
     if (i == small_.size()) {
-      if (shards_.Find(*assignment) != nullptr) return;
+      const auto [slot, inserted] = shards_.FindOrInsert(*assignment, Shard{});
+      if (!inserted) return;
       auto tree_or = ViewTree<R>::Make(residual_);
       INCR_CHECK(tree_or.ok());
       auto tree = std::make_unique<ViewTree<R>>(*std::move(tree_or));
@@ -253,7 +253,7 @@ class ShatteredEngine : public IvmEngine<R> {
         }
       }
       tree->Rebuild();
-      shards_.GetOrInsert(*assignment, Shard{std::move(tree)});
+      shards_.ValueAt(shards_.EntryOf(slot)).tree = std::move(tree);
       return;
     }
     for (const auto& v : domains_[i]) {

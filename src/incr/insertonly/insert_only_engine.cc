@@ -110,21 +110,18 @@ void InsertOnlyEngine::Insert(const std::string& rel, const Tuple& t,
 void InsertOnlyEngine::InsertIntoNode(size_t node_id, const Tuple& t,
                                       int64_t m) {
   Node& node = nodes_[node_id];
-  TupleState* existing = node.tuples.Find(t);
-  if (existing != nullptr) {
-    existing->payload += m;  // multiplicity bump, no structural change
-    return;
-  }
-  TupleState st;
-  st.payload = m;
+  const auto [slot, inserted] = node.tuples.FindOrInsert(t, TupleState{});
+  const uint32_t id = node.tuples.EntryOf(slot);
+  TupleState& st = node.tuples.ValueAt(id);
+  st.payload += m;  // a tuple already present gets only this bump
+  if (!inserted) return;
   for (size_t ci = 0; ci < node.children.size(); ++ci) {
     const Node& child = nodes_[static_cast<size_t>(node.children[ci])];
     Tuple key = node.child_probe[ci]->KeyOf(t);
-    if (child.alive_key_count.Find(key) != nullptr) ++st.satisfied;
+    if (child.alive_key_count.FindSlot(key) != kNoSlot) ++st.satisfied;
     ++activation_work_;
   }
   st.alive = st.satisfied == node.children.size();
-  const uint32_t id = node.tuples.InsertNew(t, st);
   for (auto& probe : node.child_probe) probe->Insert(t, id);
   ++activation_work_;
   if (st.alive) Activate(node_id, id);
@@ -144,9 +141,9 @@ void InsertOnlyEngine::Activate(size_t node_id, uint32_t id) {
     ++activation_work_;
     if (node.parent < 0) continue;
     Tuple key = ProjectTuple(tup, node.parent_key_positions);
-    int64_t& cnt = node.alive_key_count.GetOrInsert(key, 0);
-    ++cnt;
-    if (cnt != 1) continue;  // key already supported the parent
+    const auto [slot, inserted] = node.alive_key_count.FindOrInsert(key, 0);
+    ++node.alive_key_count.ValueAt(node.alive_key_count.EntryOf(slot));
+    if (!inserted) continue;  // key already supported the parent
     // First alive tuple for this key: bump the parent tuples joining it.
     Node& parent = nodes_[static_cast<size_t>(node.parent)];
     size_t child_slot = 0;

@@ -25,15 +25,13 @@ HeavyLightRelation::Part HeavyLightRelation::Apply(Value key, Value other,
   if (d == 0) return PartOf(key);
   Part p = PartOf(key);
   Relation<IntRing>& rel = parts_[p];
-  Tuple t{key, other};
-  bool existed = rel.Contains(t);
-  rel.Apply(t, d);
-  bool exists = rel.Contains(t);
-  if (existed != exists) {
-    int64_t& deg = degrees_.GetOrInsert(key, 0);
-    deg += exists ? 1 : -1;
+  const int sign = rel.Apply(Tuple{key, other}, d);
+  if (sign != 0) {
+    const size_t slot = degrees_.FindOrInsert(key, 0).slot;
+    int64_t& deg = degrees_.ValueAt(degrees_.EntryOf(slot));
+    deg += sign;
     INCR_DCHECK(deg >= 0);
-    if (deg == 0 && p == kLight) degrees_.Erase(key);
+    if (deg == 0 && p == kLight) degrees_.EraseSlot(slot);
   }
   return p;
 }
@@ -55,7 +53,7 @@ void HeavyLightRelation::Migrate(Value key) {
     parts_[to].Apply(t, payload);
   }
   if (to == kHeavy) {
-    heavy_keys_.GetOrInsert(key, 1);
+    heavy_keys_.FindOrInsert(key, 1);
   } else {
     heavy_keys_.Erase(key);
     if (Degree(key) == 0) degrees_.Erase(key);
@@ -79,7 +77,7 @@ bool HeavyLightRelation::InvariantsHold() const {
   for (size_t g = 0; g < light.NumGroups(); ++g) {
     const Tuple& key_tuple = light.GroupKey(g);
     Value key = key_tuple[0];
-    if (heavy_keys_.Find(key) != nullptr) return false;  // parts overlap
+    if (PartOf(key) == kHeavy) return false;  // parts overlap
     if (Degree(key) >= 2 * theta_) return false;
     if (static_cast<int64_t>(light.GroupSize(key_tuple)) != Degree(key)) {
       return false;
@@ -91,7 +89,7 @@ bool HeavyLightRelation::InvariantsHold() const {
   // Every heavy part group's key must be marked heavy.
   const GroupedIndex& heavy = parts_[kHeavy].index(kByKey);
   for (size_t g = 0; g < heavy.NumGroups(); ++g) {
-    if (heavy_keys_.Find(heavy.GroupKey(g)[0]) == nullptr) return false;
+    if (PartOf(heavy.GroupKey(g)[0]) != kHeavy) return false;
   }
   return true;
 }

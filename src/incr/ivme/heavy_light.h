@@ -43,14 +43,14 @@ class HeavyLightRelation {
 
   /// Which part currently holds tuples with this key.
   Part PartOf(Value key) const {
-    return heavy_keys_.Find(key) != nullptr ? kHeavy : kLight;
+    return heavy_keys_.FindSlot(key) != kNoSlot ? kHeavy : kLight;
   }
 
   /// Number of tuples with this key (across both parts; exactly one part is
   /// ever populated for a given key).
   int64_t Degree(Value key) const {
-    const int64_t* d = degrees_.Find(key);
-    return d == nullptr ? 0 : *d;
+    const size_t slot = degrees_.FindSlot(key);
+    return slot == kNoSlot ? 0 : degrees_.ValueAt(degrees_.EntryOf(slot));
   }
 
   /// Applies payload delta d to (key, other); returns the part it landed in.

@@ -68,12 +68,14 @@ TEST(SchemaTest, ProjectionPositions) {
 struct IndexedSet {
   explicit IndexedSet(const Schema& key) : idx(Schema{0, 1}, key) {}
 
-  void Insert(const Tuple& t) { idx.Insert(t, map.InsertNew(t, 1)); }
+  void Insert(const Tuple& t) {
+    const auto [slot, inserted] = map.FindOrInsert(t, 1);
+    ASSERT_TRUE(inserted);
+    idx.Insert(t, map.EntryOf(slot));
+  }
   bool Erase(const Tuple& t) {
     const size_t slot = map.FindSlot(t);
-    if (slot == DenseMap<Tuple, char, TupleHash, TupleEq>::kNoSlot) {
-      return false;
-    }
+    if (slot == kNoSlot) return false;
     const uint32_t id = map.EntryOf(slot);
     idx.Erase(t, id, map.EraseSlot(slot));
     return true;

@@ -1,7 +1,6 @@
 // DenseMap unit + property tests: oracle comparison against
 // std::unordered_map under random operation streams (DESIGN.md invariant 2),
-// over both record stores (heap vector and paged records) and, for the heap
-// store, both APIs (pointer-level and slot-level).
+// over both record stores (heap vector and paged records).
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -22,32 +21,54 @@
 namespace incr {
 namespace {
 
+/// The value of `key`, or nullopt.
+template <typename Map, typename Key>
+std::optional<int64_t> Lookup(const Map& m, const Key& key) {
+  const size_t slot = m.FindSlot(key);
+  if (slot == kNoSlot) return std::nullopt;
+  return m.ValueAt(m.EntryOf(slot));
+}
+
 TEST(DenseMapTest, InsertFindErase) {
   DenseMap<int64_t, int64_t> m;
   EXPECT_TRUE(m.empty());
-  m.GetOrInsert(1, 10);
-  m.GetOrInsert(2, 20);
-  ASSERT_NE(m.Find(1), nullptr);
-  EXPECT_EQ(*m.Find(1), 10);
-  EXPECT_EQ(m.Find(3), nullptr);
+  EXPECT_TRUE(m.FindOrInsert(1, 10).inserted);
+  EXPECT_TRUE(m.FindOrInsert(2, 20).inserted);
+  EXPECT_EQ(Lookup(m, 1), 10);
+  EXPECT_EQ(Lookup(m, 3), std::nullopt);
   EXPECT_TRUE(m.Erase(1));
   EXPECT_FALSE(m.Erase(1));
-  EXPECT_EQ(m.Find(1), nullptr);
+  EXPECT_EQ(Lookup(m, 1), std::nullopt);
   EXPECT_EQ(m.size(), 1u);
 }
 
-TEST(DenseMapTest, GetOrInsertReturnsExisting) {
+TEST(DenseMapTest, FindOrInsertReturnsExisting) {
   DenseMap<int64_t, int64_t> m;
-  m.GetOrInsert(5, 50);
-  int64_t& v = m.GetOrInsert(5, 999);
-  EXPECT_EQ(v, 50);
-  v = 51;
-  EXPECT_EQ(*m.Find(5), 51);
+  const auto first = m.FindOrInsert(5, 50);
+  EXPECT_TRUE(first.inserted);
+  EXPECT_EQ(m.EntryOf(first.slot), 0u);
+  const auto again = m.FindOrInsert(5, 999);
+  EXPECT_FALSE(again.inserted);
+  EXPECT_EQ(again.slot, first.slot);
+  EXPECT_EQ(m.ValueAt(m.EntryOf(again.slot)), 50);
+  m.SetAt(again.slot, 51);
+  EXPECT_EQ(Lookup(m, 5), 51);
+  EXPECT_EQ(m.size(), 1u);
+}
+
+TEST(DenseMapTest, FindOrInsertConsumesTheValueOnlyOnAMiss) {
+  DenseMap<int64_t, std::unique_ptr<int>> m;
+  EXPECT_TRUE(m.FindOrInsert(1, std::make_unique<int>(7)).inserted);
+  auto spare = std::make_unique<int>(8);
+  const auto hit = m.FindOrInsert(1, std::move(spare));
+  EXPECT_FALSE(hit.inserted);
+  EXPECT_NE(spare, nullptr);  // not moved from
+  EXPECT_EQ(*m.ValueAt(m.EntryOf(hit.slot)), 7);
 }
 
 TEST(DenseMapTest, DenseIterationSeesAllEntries) {
   DenseMap<int64_t, int64_t> m;
-  for (int64_t i = 0; i < 100; ++i) m.GetOrInsert(i, i * 2);
+  for (int64_t i = 0; i < 100; ++i) m.FindOrInsert(i, i * 2);
   int64_t sum = 0;
   size_t count = 0;
   for (const auto& e : m) {
@@ -60,19 +81,24 @@ TEST(DenseMapTest, DenseIterationSeesAllEntries) {
 
 TEST(DenseMapTest, GrowsThroughRehash) {
   DenseMap<int64_t, int64_t> m;
-  for (int64_t i = 0; i < 10000; ++i) m.GetOrInsert(i, i);
-  EXPECT_EQ(m.size(), 10000u);
   for (int64_t i = 0; i < 10000; ++i) {
-    ASSERT_NE(m.Find(i), nullptr) << i;
-    EXPECT_EQ(*m.Find(i), i);
+    // The returned slot is the new record's, also when the insert rebuilt
+    // the table.
+    const auto [slot, inserted] = m.FindOrInsert(i, i);
+    ASSERT_TRUE(inserted);
+    ASSERT_EQ(m.EntryOf(slot), m.size() - 1) << i;
+    ASSERT_EQ(m.KeyAt(m.EntryOf(slot)), i);
   }
+  EXPECT_EQ(m.size(), 10000u);
+  EXPECT_GT(m.rehashes(), 0u);
+  for (int64_t i = 0; i < 10000; ++i) ASSERT_EQ(Lookup(m, i), i) << i;
 }
 
 TEST(DenseMapTest, TombstonePurgeKeepsLookupsCorrect) {
   DenseMap<int64_t, int64_t> m;
   // Repeated insert/erase at steady size forces tombstone-purging rebuilds.
   for (int64_t round = 0; round < 50; ++round) {
-    for (int64_t i = 0; i < 100; ++i) m.GetOrInsert(round * 1000 + i, i);
+    for (int64_t i = 0; i < 100; ++i) m.FindOrInsert(round * 1000 + i, i);
     for (int64_t i = 0; i < 100; ++i) EXPECT_TRUE(m.Erase(round * 1000 + i));
   }
   EXPECT_TRUE(m.empty());
@@ -80,41 +106,39 @@ TEST(DenseMapTest, TombstonePurgeKeepsLookupsCorrect) {
 
 TEST(DenseMapTest, SwapRemovePatchesMovedSlot) {
   DenseMap<int64_t, int64_t> m;
-  for (int64_t i = 0; i < 10; ++i) m.GetOrInsert(i, i);
+  for (int64_t i = 0; i < 10; ++i) m.FindOrInsert(i, i);
   // Erase an element in the middle of the dense array; the last element is
   // moved into its place and must still be findable.
-  EXPECT_TRUE(m.Erase(0));
-  for (int64_t i = 1; i < 10; ++i) {
-    ASSERT_NE(m.Find(i), nullptr) << i;
-    EXPECT_EQ(*m.Find(i), i);
-  }
+  const size_t slot = m.FindSlot(0);
+  EXPECT_EQ(m.EraseSlot(slot), 9u);  // entry 9 moved into entry 0
+  EXPECT_EQ(m.KeyAt(0), 9);
+  for (int64_t i = 1; i < 10; ++i) ASSERT_EQ(Lookup(m, i), i) << i;
 }
 
 TEST(DenseMapTest, TupleKeys) {
   DenseMap<Tuple, int64_t, TupleHash, TupleEq> m;
-  m.GetOrInsert(Tuple{1, 2}, 12);
-  m.GetOrInsert(Tuple{2, 1}, 21);
-  EXPECT_EQ(*m.Find(Tuple{1, 2}), 12);
-  EXPECT_EQ(*m.Find(Tuple{2, 1}), 21);
-  EXPECT_EQ(m.Find(Tuple{1, 1}), nullptr);
+  m.FindOrInsert(Tuple{1, 2}, 12);
+  m.FindOrInsert(Tuple{2, 1}, 21);
+  EXPECT_EQ(Lookup(m, Tuple{1, 2}), 12);
+  EXPECT_EQ(Lookup(m, Tuple{2, 1}), 21);
+  EXPECT_EQ(Lookup(m, Tuple{1, 1}), std::nullopt);
 }
 
 TEST(DenseMapTest, ReserveDoesNotLoseEntries) {
   DenseMap<int64_t, int64_t> m;
-  for (int64_t i = 0; i < 10; ++i) m.GetOrInsert(i, i);
+  for (int64_t i = 0; i < 10; ++i) m.FindOrInsert(i, i);
   m.Reserve(100000);
-  for (int64_t i = 0; i < 10; ++i) ASSERT_NE(m.Find(i), nullptr);
+  for (int64_t i = 0; i < 10; ++i) ASSERT_EQ(Lookup(m, i), i);
 }
 
 // ---------------------------------------------------------------------------
 // Adversarial probing: hash functors chosen to break the group-probing
 // slot table — every key in one probe chain, false-positive control
-// matches, tombstone-saturated chains. Each suite runs three arms: the heap
-// store through the pointer-level API (GetOrInsert/Find, which share one
-// walk for match and insert-slot choice), the heap store through the
-// slot-level API, and PagedRecords through the slot-level API (the only one
-// it supports) on a 4-frame pool of 512-byte pages, so the paged arm also
-// evicts and reloads records constantly.
+// matches, tombstone-saturated chains. Each suite runs two arms: the heap
+// store, and PagedRecords on a 4-frame pool of 512-byte pages, so the paged
+// arm also evicts and reloads records constantly. Both write through
+// FindOrInsert, so its one walk (match, else the first tombstone or empty
+// slot on the chain) is what these chains exercise.
 
 // Every key lands in group 0 with H2 fragment 0: inserts form one long
 // probe chain across consecutive groups, and every lookup walks it.
@@ -138,15 +162,6 @@ template <typename Hash>
 using PagedRecordMap =
     DenseMap<Tuple, int64_t, Hash, TupleEq, PagedRecords<int64_t>>;
 
-// A heap map the helpers below drive through the pointer-level API.
-template <typename Hash>
-struct PointerApiMap : HeapMap<Hash> {};
-
-template <typename Map>
-struct UsesPointerApi : std::false_type {};
-template <typename Hash>
-struct UsesPointerApi<PointerApiMap<Hash>> : std::true_type {};
-
 std::shared_ptr<PageStore> TinyPool() {
   StorageOptions so;
   so.backend = StorageBackend::kPaged;
@@ -159,23 +174,17 @@ std::shared_ptr<PageStore> TinyPool() {
   return ctx->store;
 }
 
-/// Runs `body(map)` on a fresh empty map for each arm: heap records via
-/// the pointer-level API, heap records via the slot-level API, paged
-/// records via the slot-level API.
+/// Runs `body(map)` on a fresh empty map for each arm: heap records, then
+/// paged records.
 template <typename Hash = TupleHash, typename Body>
 void OnEachArm(Body&& body) {
   {
-    SCOPED_TRACE("heap records, pointer API");
-    PointerApiMap<Hash> m;
-    body(m);
-  }
-  {
-    SCOPED_TRACE("heap records, slot API");
+    SCOPED_TRACE("heap records");
     HeapMap<Hash> m;
     body(m);
   }
   {
-    SCOPED_TRACE("paged records, slot API");
+    SCOPED_TRACE("paged records");
     PagedRecordMap<Hash> m(PagedRecords<int64_t>(TinyPool(), /*arity=*/1));
     body(m);
   }
@@ -185,39 +194,19 @@ Tuple K(int64_t k) { return Tuple{k}; }
 
 template <typename Map>
 std::optional<int64_t> Get(const Map& m, int64_t k) {
-  if constexpr (UsesPointerApi<Map>::value) {
-    const int64_t* v = m.Find(K(k));
-    if (v == nullptr) return std::nullopt;
-    return *v;
-  } else {
-    const size_t slot = m.FindSlot(K(k));
-    if (slot == Map::kNoSlot) return std::nullopt;
-    return m.ValueAt(m.EntryOf(slot));
-  }
+  return Lookup(m, K(k));
 }
 
 template <typename Map>
 void Put(Map& m, int64_t k, int64_t v) {
-  if constexpr (UsesPointerApi<Map>::value) {
-    m.GetOrInsert(K(k), 0) = v;
-  } else {
-    const size_t slot = m.FindSlot(K(k));
-    if (slot == Map::kNoSlot) {
-      m.InsertNew(K(k), v);
-    } else {
-      m.SetAt(slot, v);
-    }
-  }
+  const auto [slot, inserted] = m.FindOrInsert(K(k), v);
+  if (!inserted) m.SetAt(slot, v);
 }
 
 template <typename Map>
 std::vector<std::pair<Tuple, int64_t>> Dense(const Map& m) {
   std::vector<std::pair<Tuple, int64_t>> out;
-  if constexpr (UsesPointerApi<Map>::value) {
-    for (const auto& e : m) out.emplace_back(e.key, e.value);
-  } else {
-    m.ForEach([&](const Tuple& k, int64_t v) { out.emplace_back(k, v); });
-  }
+  m.ForEach([&](const Tuple& k, int64_t v) { out.emplace_back(k, v); });
   return out;
 }
 
@@ -228,11 +217,13 @@ TEST(DenseMapAdversarialTest, CollidingHashChainStaysCorrect) {
     for (int64_t i = 0; i < 500; ++i) ASSERT_EQ(Get(m, i), i * 3) << i;
     EXPECT_EQ(Get(m, 500), std::nullopt);  // full-chain walk to "absent"
     for (int64_t i = 0; i < 500; i += 2) ASSERT_TRUE(m.Erase(K(i)));
+    // Updates walk past the tombstones to the key; they must not insert.
+    for (int64_t i = 1; i < 500; i += 2) Put(m, i, -i);
     for (int64_t i = 0; i < 500; ++i) {
       if (i % 2 == 0) {
         ASSERT_EQ(Get(m, i), std::nullopt) << i;
       } else {
-        ASSERT_EQ(Get(m, i), i * 3) << i;
+        ASSERT_EQ(Get(m, i), -i) << i;
       }
     }
     EXPECT_EQ(m.size(), 250u);

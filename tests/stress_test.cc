@@ -89,13 +89,13 @@ TEST(StressTest, UndirectedTriangleVsKClique) {
     if (u == v) continue;
     Tuple key{std::min(u, v), std::max(u, v)};
     bool want = rng.Chance(0.55);
-    bool has = present.Find(key) != nullptr;
-    if (want == has) continue;
+    const size_t slot = present.FindSlot(key);
+    if (want == (slot != kNoSlot)) continue;
     int64_t d = want ? 1 : -1;
     if (want) {
-      present.GetOrInsert(key, 1);
+      present.FindOrInsert(key, 1);
     } else {
-      present.Erase(key);
+      present.EraseSlot(slot);
     }
     cliques.SetEdge(u, v, want);
     for (auto [x, y] : {std::pair{u, v}, std::pair{v, u}}) {

@@ -154,18 +154,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GroupedIndexPropertyTest,
 
 TEST(RelationTest, ApplyAccumulatesAndErasesZero) {
   Relation<IntRing> r(Schema{0, 1});
-  r.Apply(Tuple{1, 2}, 3);
+  // Apply returns what it did to the entry set: +1 inserted, -1 erased, 0
+  // changed in place.
+  EXPECT_EQ(r.Apply(Tuple{1, 2}, 3), 1);
   EXPECT_EQ(r.Payload(Tuple{1, 2}), 3);
   EXPECT_EQ(r.size(), 1u);
-  r.Apply(Tuple{1, 2}, -1);
+  EXPECT_EQ(r.Apply(Tuple{1, 2}, -1), 0);
   EXPECT_EQ(r.Payload(Tuple{1, 2}), 2);
-  r.Apply(Tuple{1, 2}, -2);
+  EXPECT_EQ(r.Apply(Tuple{1, 2}, -2), -1);
   EXPECT_EQ(r.Payload(Tuple{1, 2}), 0);
   EXPECT_EQ(r.size(), 0u);
   EXPECT_FALSE(r.Contains(Tuple{1, 2}));
   // Zero delta is a no-op and does not materialize a zero tuple.
-  r.Apply(Tuple{5, 5}, 0);
+  EXPECT_EQ(r.Apply(Tuple{5, 5}, 0), 0);
   EXPECT_EQ(r.size(), 0u);
+  EXPECT_EQ(r.Apply(Tuple{1, 2}, 4), 1);  // an erased tuple comes back
 }
 
 TEST(RelationTest, NegativePayloadsAreKept) {

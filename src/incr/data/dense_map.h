@@ -277,10 +277,7 @@ class DenseMap {
     size_t at = 0;
     const size_t slot = Walk(h, KeyHit(key, h), &at);
     if (slot != kNoSlot) return {slot, false};
-    // A rebuild moves every slot: walk the new table for the insert slot.
-    if (MaybeRebuild()) at = InsertSlot(h);
-    Place(at, key, V(std::forward<U>(v)), h);
-    return {at, true};
+    return {Place(at, key, V(std::forward<U>(v)), h), true};
   }
 
   /// The entry id of the record in `slot`.
@@ -411,14 +408,21 @@ class DenseMap {
     return at;
   }
 
-  /// Fills slot `at` (from Walk's insert_at) with a new record at the end
-  /// of the dense array.
-  void Place(size_t at, const K& key, V v, uint64_t h) {
+  /// Appends a new record {key, v} of hash `h` to the dense array and
+  /// returns its slot: `at`, the insert slot a missed walk found, unless the
+  /// insert first rebuilds the table. Out of line: inlined into
+  /// FindOrInsert, the insert and rebuild code slowed every call, hits
+  /// included (a heap relation insert with one index: 207 vs 190 ns on a
+  /// 4-core x86 host).
+  [[gnu::noinline]] size_t Place(size_t at, const K& key, V v, uint64_t h) {
+    // A rebuild moves every slot: walk the new table for the insert slot.
+    if (MaybeRebuild()) at = InsertSlot(h);
     if (ctrl_[at] == kDeleted) --tombstones_;
     ctrl_[at] = H2(h);
     slots_[at] = static_cast<uint32_t>(size());
     records_.Append(key, std::move(v));
     hashes_.push_back(h);
+    return at;
   }
 
   /// Rebuilds before an insert if it would break the load bound; returns

@@ -237,7 +237,9 @@ size_t ExpectLimitsAreSortedSubsetsOfFullList(Client& c, const std::string& q) {
         << cmd << ": misses a row of a smaller limit";
     auto again = c.Call(cmd);
     EXPECT_TRUE(again.ok() && *again == *got) << cmd << " read twice";
-    if (k >= n) EXPECT_EQ(*got, *full) << cmd;
+    if (k >= n) {
+      EXPECT_EQ(*got, *full) << cmd;
+    }
     smaller = mine;
   }
   return n;

@@ -68,8 +68,8 @@ size_t ForEachAtomNamed(const Query& q, const std::string& rel, Fn&& fn) {
 /// rule for self-joins). When `tree` runs parallel, the merge itself is
 /// parallel too: the input is cut into a fixed number of contiguous chunks,
 /// each chunk builds a thread-local DeltaBatch, and the chunks merge in
-/// input order — per (atom, tuple) the ring additions still happen in input
-/// order, so the result is identical to a sequential merge.
+/// input order. Chunks pre-sum their own deltas, so the payloads equal a
+/// sequential merge's when ring addition is associative (see MergeFrom).
 template <RingType R>
 DeltaBatch<R> MergeNamedBatch(const ViewTree<R>& tree,
                               std::span<const Delta<R>> batch) {

@@ -82,6 +82,7 @@ class DeltaBatch {
 
   /// Merges one single-tuple delta into the batch.
   void Add(size_t atom, const Tuple& t, const RV& d) {
+    if (R::IsZero(d)) return;  // a zero delta leaves the batch as it was
     if (atom >= per_atom_.size()) per_atom_.resize(atom + 1);
     size_ += ApplyNet<R>(per_atom_[atom], t, d).sign;
   }

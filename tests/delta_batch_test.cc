@@ -68,6 +68,10 @@ TEST(DeltaBatchTest, SizeCountsSurvivingDeltas) {
   b.Add(0, Tuple{2}, 1);
   EXPECT_EQ(b.size(), 2u);
 
+  b.Add(5, Tuple{1}, 0);  // a zero delta past num_atoms() leaves it as is
+  EXPECT_EQ(b.num_atoms(), 1u);
+  EXPECT_EQ(b.size(), 2u);
+
   b.Add(3, Tuple{1}, 1);  // an atom past num_atoms() grows the batch
   EXPECT_EQ(b.num_atoms(), 4u);
   EXPECT_EQ(b.size(), 3u);

@@ -29,7 +29,9 @@ int main() {
     hier_fd += hf;
     qh += qhier;
     qh_fd += qhf;
-    Row({"Q" + std::to_string(q.number), h ? "yes" : "-", hf ? "yes" : "-",
+    std::string name = "Q";
+    name += std::to_string(q.number);
+    Row({name, h ? "yes" : "-", hf ? "yes" : "-",
          qhier ? "yes" : "-", qhf ? "yes" : "-",
          IsAlphaAcyclic(q.full) ? "yes" : "-"},
         10);

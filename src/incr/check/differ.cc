@@ -21,6 +21,7 @@
 #include "incr/obs/recorder.h"
 #include "incr/query/cqap.h"
 #include "incr/query/parser.h"
+#include "incr/ring/product_ring.h"
 #include "incr/serve/session.h"
 #include "incr/sql/sql.h"
 #include "incr/store/recover.h"
@@ -62,31 +63,55 @@ std::string BatchCommand(const StreamStep& s) {
   std::string cmd = "BATCH";
   for (const Delta<IntRing>& d : s.deltas) {
     cmd += "\n" + d.relation;
-    for (Value v : d.tuple) cmd += " " + std::to_string(v);
-    cmd += " x" + std::to_string(d.delta);
+    for (Value v : d.tuple) {
+      cmd += ' ';
+      cmd += std::to_string(v);
+    }
+    cmd += " x";
+    cmd += std::to_string(d.delta);
   }
   return cmd;
 }
 
-/// The reply serve::Session gives to `ENUMERATE q<N> [limit]` for a COUNT
-/// query maintained by `e`: "OK rows=<k>" plus the first k = min(limit, n)
+using AvgRing = ProductRing<IntRing, IntRing>;
+
+int64_t CountOf(int64_t p) { return p; }
+int64_t CountOf(const std::pair<int64_t, int64_t>& p) { return p.first; }
+
+std::string RenderRow(int64_t p, bool /*count_only*/) {
+  return std::to_string(p);
+}
+std::string RenderRow(const std::pair<int64_t, int64_t>& p, bool count_only) {
+  if (count_only) return std::to_string(p.first);
+  std::string out = "count=";
+  out += std::to_string(p.first);
+  out += " sum=";
+  out += std::to_string(p.second);
+  return out;
+}
+
+/// The reply serve::Session gives to `ENUMERATE q<N> [limit]` for a query
+/// maintained by `e`: "OK rows=<k>" plus the first k = min(limit, n)
 /// "v.. -> payload" rows of the enumeration order, in byte order; a query
-/// with no free variables has the one row "-> <aggregate>". The session's
+/// with no free variables has the one row "-> <aggregate>". With
+/// `count_only`, a row shows its payload's count and rows whose count is 0
+/// are skipped: a COUNT query reading a shared AvgRing tree. The session's
 /// snapshots and `e`'s live tree share that order: it depends only on the
 /// sequence of updates.
-std::string EnumerateReply(ViewTreeEngine<IntRing>& e, bool scalar,
-                           size_t limit = SIZE_MAX) {
+template <RingType R>
+std::string EnumerateReply(ViewTreeEngine<R>& e, bool scalar,
+                           size_t limit = SIZE_MAX, bool count_only = true) {
   std::vector<std::string> rows;
   if (scalar) {
     if (limit > 0) {
-      rows.push_back("-> " + std::to_string(e.tree().Aggregate()));
+      rows.push_back("-> " + RenderRow(e.tree().Aggregate(), count_only));
     }
   } else {
-    e.Enumerate([&](const Tuple& t, const int64_t& p) {
-      if (rows.size() == limit) return;
+    e.Enumerate([&](const Tuple& t, const typename R::Value& p) {
+      if (rows.size() == limit || (count_only && CountOf(p) == 0)) return;
       std::string row;
       for (Value v : t) row += std::to_string(v) + " ";
-      rows.push_back(row + "-> " + std::to_string(p));
+      rows.push_back(row + "-> " + RenderRow(p, count_only));
     });
   }
   std::sort(rows.begin(), rows.end());
@@ -594,15 +619,91 @@ DiffResult RunDiffer(const GenQuery& q, const Stream& stream,
       return res;
     }
     const bool scalar = sq->query.free().empty();
+    // Sharing: a second session registers the query twice, as generated
+    // (COUNT) and as AVG over a column of a relation that is not
+    // self-joined, so both are maintained by one AvgRing tree. Even seeds
+    // register AVG first (COUNT reads its count component), odd seeds
+    // COUNT first (AVG widens the COUNT tree while it is empty). Queries
+    // without such a relation skip this tier. The reference is an
+    // unshared AvgRing twin fed one batch per step, as the session is.
+    std::string avg_sql;
+    for (size_t k = 0; k < cq->atoms().size() && avg_sql.empty(); ++k) {
+      const Atom& atom = cq->atoms()[k];
+      size_t occurrences = 0;
+      for (const Atom& other : cq->atoms()) {
+        occurrences += other.relation == atom.relation ? 1 : 0;
+      }
+      if (occurrences != 1) continue;
+      const size_t pos = q.sql_text.find("COUNT(*)");
+      if (pos == std::string::npos) break;
+      avg_sql = q.sql_text;
+      std::string agg = "AVG(t";
+      agg += std::to_string(k);
+      agg += ".c";
+      agg += std::to_string(opts.seed % atom.schema.size());
+      agg += ")";
+      avg_sql.replace(pos, 8, agg);
+    }
+    serve::Session shared;
+    std::string count_id = "q0";
+    std::string avg_id = "q1";
+    sql::CompiledSql avg_compiled;
+    std::unique_ptr<ViewTreeEngine<AvgRing>> avg_twin;
+    if (!avg_sql.empty()) {
+      VarRegistry avg_vars;
+      auto ac = sql::CompileSql(avg_sql, &avg_vars);
+      auto vo = ac.ok() ? incr::EnumerableOrderFor(ac->query)
+                        : StatusOr<VariableOrder>(ac.status());
+      auto tree = vo.ok() ? ViewTree<AvgRing>::Make(ac->query, *std::move(vo))
+                          : StatusOr<ViewTree<AvgRing>>(vo.status());
+      const std::string count_reg = "REGISTER " + q.sql_text;
+      const std::string avg_reg = "REGISTER " + avg_sql;
+      if (opts.seed % 2 == 0) std::swap(count_id, avg_id);
+      const bool avg_first = avg_id == "q0";
+      const std::string first =
+          shared.Execute(avg_first ? avg_reg : count_reg, &close);
+      const std::string second =
+          shared.Execute(avg_first ? count_reg : avg_reg, &close);
+      if (!tree.ok() || first != "OK q0" || second != "OK q1" ||
+          shared.num_trees() != 1) {
+        std::string detail = "REGISTER of ";
+        detail += avg_sql;
+        detail += " replied ";
+        detail += first;
+        detail += " / ";
+        detail += second;
+        detail += ", trees ";
+        detail += std::to_string(shared.num_trees());
+        detail += ", twin ";
+        detail += tree.status().ToString();
+        res.ok = false;
+        res.failures.push_back({"sql:session-shared", 0, std::move(detail)});
+        return res;
+      }
+      avg_compiled = *std::move(ac);
+      avg_twin =
+          std::make_unique<ViewTreeEngine<AvgRing>>(*std::move(tree));
+    }
     size_t step = 0;
     for (const StreamStep& s : stream.steps) {
       ApplyStep(*a, s, /*batch_mode=*/true);
       ApplyStep(*b, s, /*batch_mode=*/true);
-      const std::string batch = session.Execute(BatchCommand(s), &close);
+      const std::string cmd = BatchCommand(s);
+      const std::string batch = session.Execute(cmd, &close);
       ++step;
       if (batch.rfind("OK deltas=", 0) != 0) {
         fail_session(step, "BATCH replied " + batch);
         return res;
+      }
+      if (avg_twin != nullptr) {
+        shared.Execute(cmd, &close);
+        std::vector<Delta<AvgRing>> lifted;
+        for (const Delta<IntRing>& d : s.deltas) {
+          lifted.push_back(Delta<AvgRing>{
+              d.relation, d.tuple,
+              sql::LiftPair(avg_compiled, d.relation, d.tuple, d.delta)});
+        }
+        avg_twin->ApplyBatch(std::span<const Delta<AvgRing>>(lifted));
       }
       const bool checkpoint =
           (opts.check_every != 0 && step % opts.check_every == 0) ||
@@ -629,6 +730,35 @@ DiffResult RunDiffer(const GenQuery& q, const Stream& stream,
         res.failures.push_back({"sql:session-limit", step,
                                 "ENUMERATE q0 3 differs from the SQL twin: " +
                                     FirstByteDiff(got3, want3)});
+        return res;
+      }
+      if (avg_twin == nullptr) continue;
+      // Per read: the shared session's reply, and what it must equal. The
+      // COUNT query's full read equals the IntRing SQL twin's. Its limited
+      // read follows the AvgRing tree's dense order, which can differ from
+      // an IntRing tree's: within one batch an M-delta key whose count
+      // cancels while its sum does not stays in place in the AvgRing
+      // delta, but leaves the IntRing one and comes back at its end.
+      const std::pair<std::string, std::string> shared_reads[] = {
+          {shared.Execute("ENUMERATE " + count_id, &close), want},
+          {shared.Execute("ENUMERATE " + count_id + " 3", &close),
+           EnumerateReply(*avg_twin, scalar, 3)},
+          {shared.Execute("ENUMERATE " + avg_id, &close),
+           EnumerateReply(*avg_twin, scalar, SIZE_MAX, false)},
+          {shared.Execute("ENUMERATE " + avg_id + " 3", &close),
+           EnumerateReply(*avg_twin, scalar, 3, false)},
+      };
+      const char* const what[] = {"COUNT", "COUNT limit 3", "AVG",
+                                  "AVG limit 3"};
+      for (size_t r = 0; r < 4; ++r) {
+        if (shared_reads[r].first == shared_reads[r].second) continue;
+        std::string detail = what[r];
+        detail += " read of the shared tree (";
+        detail += avg_sql;
+        detail += ") differs: ";
+        detail += FirstByteDiff(shared_reads[r].first, shared_reads[r].second);
+        res.ok = false;
+        res.failures.push_back({"sql:session-shared", step, std::move(detail)});
         return res;
       }
     }

@@ -142,7 +142,11 @@ std::string RenderQuerySql(const Query& q, const VarRegistry& vars) {
     for (size_t i = 0; i < q.atoms().size(); ++i) {
       auto pos = FindVar(q.atoms()[i].schema, v);
       if (pos.has_value()) {
-        return "t" + std::to_string(i) + ".c" + std::to_string(*pos);
+        std::string ref = "t";
+        ref += std::to_string(i);
+        ref += ".c";
+        ref += std::to_string(*pos);
+        return ref;
       }
     }
     INCR_CHECK(false);
@@ -164,8 +168,10 @@ std::string RenderQuerySql(const Query& q, const VarRegistry& vars) {
     for (size_t i = 0; i < q.atoms().size(); ++i) {
       auto pos = FindVar(q.atoms()[i].schema, v);
       if (!pos.has_value()) continue;
-      std::string ref =
-          "t" + std::to_string(i) + ".c" + std::to_string(*pos);
+      std::string ref = "t";
+      ref += std::to_string(i);
+      ref += ".c";
+      ref += std::to_string(*pos);
       if (anchor.empty()) {
         anchor = ref;
       } else {

@@ -340,7 +340,7 @@ class GroupedIndex {
         std::copy(g.end() - stride, g.end(), g.begin() + at);
         moved = g[at];
       }
-      g.resize(g.size() - stride);
+      g.erase(g.end() - stride, g.end());
       --g[0];
       return moved;
     }

@@ -21,7 +21,9 @@ std::optional<Var> VarRegistry::Get(const std::string& name) const {
 
 std::string VarRegistry::Name(Var v) const {
   if (v < names_.size()) return names_[v];
-  return "?" + std::to_string(v);
+  std::string name = "?";
+  name += std::to_string(v);
+  return name;
 }
 
 std::optional<uint32_t> FindVar(const Schema& schema, Var v) {

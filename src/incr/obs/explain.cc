@@ -21,7 +21,9 @@ std::string NameOf(const std::vector<std::string>& names, int v) {
       !names[static_cast<size_t>(v)].empty()) {
     return names[static_cast<size_t>(v)];
   }
-  return "v" + std::to_string(v);
+  std::string name = "v";
+  name += std::to_string(v);
+  return name;
 }
 
 std::string KeyString(const std::vector<int>& key,
@@ -92,12 +94,16 @@ void AppendJsonNode(const ExplainReport& r, const ExplainNode& n,
   *out += ", \"key\": [";
   for (size_t i = 0; i < n.key.size(); ++i) {
     if (i > 0) *out += ", ";
-    *out += "\"" + JsonEscape(r.VarName(n.key[i])) + "\"";
+    *out += '"';
+    *out += JsonEscape(r.VarName(n.key[i]));
+    *out += '"';
   }
   *out += "], \"atoms\": [";
   for (size_t i = 0; i < n.atoms.size(); ++i) {
     if (i > 0) *out += ", ";
-    *out += "\"" + JsonEscape(n.atoms[i]) + "\"";
+    *out += '"';
+    *out += JsonEscape(n.atoms[i]);
+    *out += '"';
   }
   *out += "], \"programs\": " + std::to_string(n.programs);
   *out += ", \"scan_programs\": " + std::to_string(n.scan_programs);
@@ -221,7 +227,9 @@ std::string ExplainReport::ToJson() const {
   out += ", \"notes\": [";
   for (size_t i = 0; i < notes.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "\"" + JsonEscape(notes[i]) + "\"";
+    out += '"';
+    out += JsonEscape(notes[i]);
+    out += '"';
   }
   out += "], \"trees\": [";
   for (size_t t = 0; t < trees.size(); ++t) {

@@ -84,8 +84,12 @@ std::string Polynomial::ToString() const {
     }
     for (const auto& [var, pow] : mono) {
       if (printed) out += "*";
-      out += "x" + std::to_string(var);
-      if (pow > 1) out += "^" + std::to_string(pow);
+      out += 'x';
+      out += std::to_string(var);
+      if (pow > 1) {
+        out += '^';
+        out += std::to_string(pow);
+      }
       printed = true;
     }
   }

@@ -166,33 +166,42 @@ class RowArena {
   std::vector<Span> spans_;
 };
 
+/// A COUNT or plain SELECT: Z multiplicities, the count every wider tree
+/// over the same join carries.
+bool CountLike(sql::SqlAggregate agg) {
+  return agg == sql::SqlAggregate::kNone || agg == sql::SqlAggregate::kCount;
+}
+
 }  // namespace
 
 /// One delta as the wire names it: relation, tuple, Z multiplicity. Each
-/// registered query lifts the multiplicity into its own ring payload.
+/// maintained tree lifts the multiplicity into its own ring payload.
 struct NamedDelta {
   std::string relation;
   Tuple tuple;
   int64_t mult = 1;
 };
 
-class RegisteredQuery {
+/// One view tree with its maintenance mutex, shared by every registered
+/// query over the same join and group-by (same CompiledSql::cq_text, hence
+/// the same variable ids). `compiled` is the statement whose lifting
+/// functions define the payloads: the widest aggregate registered so far.
+/// A COUNT or plain query reads an AVG or COVAR tree through its count
+/// component, which the product ring maintains exactly as an IntRing tree
+/// would (ring/product_ring.h adds and multiplies componentwise).
+class MaintainedTree {
  public:
-  RegisteredQuery(int id, sql::CompiledSql compiled, VarRegistry vars)
-      : id_(id), compiled_(std::move(compiled)), vars_(std::move(vars)) {
-    auto& reg = obs::MetricsRegistry::Global();
-    const std::string prefix = "server.q" + std::to_string(id_) + ".";
-    updates_ = reg.GetCounter(prefix + "updates");
-    update_ns_ = reg.GetHistogram(prefix + "update_ns");
-    lock_wait_ns_ = reg.GetHistogram(prefix + "lock_wait_ns");
-    enum_ns_ = reg.GetHistogram(prefix + "enum_ns");
-  }
-  virtual ~RegisteredQuery() = default;
+  explicit MaintainedTree(sql::CompiledSql compiled)
+      : compiled_(std::move(compiled)) {}
+  virtual ~MaintainedTree() = default;
 
-  int id() const { return id_; }
   const sql::CompiledSql& compiled() const { return compiled_; }
 
-  /// True if a delta to `rel` with `arity` columns feeds this query.
+  /// The registered queries this tree maintains.
+  const std::vector<RegisteredQuery*>& queries() const { return queries_; }
+  void Attach(RegisteredQuery* q) { queries_.push_back(q); }
+
+  /// True if a delta to `rel` with `arity` columns feeds this tree.
   bool Matches(const std::string& rel, size_t arity) const {
     for (const Atom& a : compiled_.query.atoms()) {
       if (a.relation == rel && a.schema.size() == arity) return true;
@@ -200,19 +209,60 @@ class RegisteredQuery {
     return false;
   }
 
-  /// Applies `deltas` as one engine batch. Serialized per query by the
-  /// maintenance mutex — the ONE-maintainer shape the snapshot path wants.
-  /// lock_wait_ns times entry to owning that mutex; update_ns the whole
-  /// call.
-  void Apply(std::span<const NamedDelta> deltas) {
-    const uint64_t t0 = NowNs();
-    {
-      std::lock_guard<std::mutex> lock(maintain_mu_);
-      lock_wait_ns_->Record(NowNs() - t0);
-      ApplyImpl(deltas);
-    }
-    update_ns_->Record(NowNs() - t0);
-    updates_->Add(deltas.size());
+  /// Applies `deltas` as one engine batch, serialized by the maintenance
+  /// mutex: ONE maintainer per tree, the shape the snapshot path wants.
+  /// Every query the tree serves records the apply in its own metrics.
+  void Apply(std::span<const NamedDelta* const> deltas);
+
+  /// Renders the first `limit` output rows of a pinned snapshot into
+  /// `rows`; with `count_only`, each row's count component, and rows whose
+  /// count is zero are skipped (a Z-relation can cancel the count of a
+  /// group while its sums stay non-zero, which an IntRing tree drops).
+  virtual void CollectRows(size_t limit, bool count_only,
+                           const TokenWriter& tokens, RowArena* rows) = 0;
+
+  /// Takes the maintenance mutex: the report reads the maintainer's live
+  /// state and per-node stats, which another worker's Apply mutates.
+  obs::ExplainReport Explain(bool analyze) {
+    std::lock_guard<std::mutex> lock(maintain_mu_);
+    return ExplainImpl(analyze);
+  }
+
+ protected:
+  virtual void ApplyImpl(std::span<const NamedDelta* const> deltas) = 0;
+  virtual obs::ExplainReport ExplainImpl(bool analyze) = 0;
+
+ private:
+  const sql::CompiledSql compiled_;
+  std::mutex maintain_mu_;
+  std::vector<RegisteredQuery*> queries_;
+};
+
+/// One registered continuous query: id, compiled SQL, variable names and
+/// `server.q<N>.*` metrics, reading the tree that maintains it.
+class RegisteredQuery {
+ public:
+  RegisteredQuery(int id, sql::CompiledSql compiled, VarRegistry vars)
+      : id_(id),
+        compiled_(std::move(compiled)),
+        vars_(std::move(vars)),
+        reads_count_(CountLike(compiled_.agg)) {
+    auto& reg = obs::MetricsRegistry::Global();
+    const std::string prefix = "server.q" + std::to_string(id_) + ".";
+    updates_ = reg.GetCounter(prefix + "updates");
+    update_ns_ = reg.GetHistogram(prefix + "update_ns");
+    lock_wait_ns_ = reg.GetHistogram(prefix + "lock_wait_ns");
+    enum_ns_ = reg.GetHistogram(prefix + "enum_ns");
+  }
+
+  void set_tree(MaintainedTree* tree) { tree_ = tree; }
+
+  /// One apply of `deltas` deltas by the tree: `lock_wait_ns` to own its
+  /// maintenance mutex, `update_ns` for the whole call.
+  void RecordApply(uint64_t lock_wait_ns, uint64_t update_ns, size_t deltas) {
+    lock_wait_ns_->Record(lock_wait_ns);
+    update_ns_->Record(update_ns);
+    updates_->Add(deltas);
   }
 
   /// "OK rows=<k>" plus the first k = min(limit, n) "v1 v2 -> payload" rows
@@ -222,7 +272,7 @@ class RegisteredQuery {
   std::string EnumerateText(size_t limit, const TokenWriter& tokens) {
     const uint64_t t0 = NowNs();
     RowArena rows;
-    CollectRows(limit, tokens, &rows);
+    tree_->CollectRows(limit, reads_count_, tokens, &rows);
     std::string out = rows.Reply();
     enum_ns_->Record(NowNs() - t0);
     return out;
@@ -239,14 +289,9 @@ class RegisteredQuery {
     return out;
   }
 
-  /// Takes the maintenance mutex: the report reads the maintainer's live
-  /// state and per-node stats, which another worker's Apply mutates.
+  /// The report of the tree that maintains this query, in its names.
   std::string ExplainJson(bool analyze) {
-    obs::ExplainReport report;
-    {
-      std::lock_guard<std::mutex> lock(maintain_mu_);
-      report = Explain(analyze);
-    }
+    obs::ExplainReport report = tree_->Explain(analyze);
     // Swap the v<N> fallbacks for the statement's names and re-render the
     // query text with them.
     for (Var v : compiled_.query.AllVars()) {
@@ -259,75 +304,97 @@ class RegisteredQuery {
     return report.ToJson();
   }
 
- protected:
-  virtual void ApplyImpl(std::span<const NamedDelta> deltas) = 0;
-  /// Renders the first `limit` output rows of a pinned snapshot into `rows`.
-  virtual void CollectRows(size_t limit, const TokenWriter& tokens,
-                           RowArena* rows) = 0;
-  virtual obs::ExplainReport Explain(bool analyze) = 0;
-
  private:
   const int id_;
   const sql::CompiledSql compiled_;
   const VarRegistry vars_;
-  std::mutex maintain_mu_;
+  // COUNT or plain SELECT: the tree's count component (on an IntRing
+  // tree, the payload itself); otherwise the payload as maintained.
+  const bool reads_count_;
+  MaintainedTree* tree_ = nullptr;
   obs::Counter* updates_;
   obs::Histogram* update_ns_;
   obs::Histogram* lock_wait_ns_;
   obs::Histogram* enum_ns_;
 };
 
+void MaintainedTree::Apply(std::span<const NamedDelta* const> deltas) {
+  const uint64_t t0 = NowNs();
+  uint64_t wait_ns = 0;
+  {
+    std::lock_guard<std::mutex> lock(maintain_mu_);
+    wait_ns = NowNs() - t0;
+    ApplyImpl(deltas);
+  }
+  const uint64_t update_ns = NowNs() - t0;
+  for (RegisteredQuery* q : queries_) {
+    q->RecordApply(wait_ns, update_ns, deltas.size());
+  }
+}
+
 namespace {
 
+int64_t CountOf(int64_t v) { return v; }
+int64_t CountOf(const std::pair<int64_t, int64_t>& v) { return v.first; }
+int64_t CountOf(const CovarValue<2>& v) { return v.count; }
+
 template <RingType R>
-class TypedQuery : public RegisteredQuery {
+class TypedTree : public MaintainedTree {
  public:
-  TypedQuery(int id, sql::CompiledSql compiled, VarRegistry vars,
-             ViewTree<R> tree)
-      : RegisteredQuery(id, std::move(compiled), std::move(vars)),
-        engine_(std::move(tree)) {}
+  TypedTree(sql::CompiledSql compiled, ViewTree<R> tree)
+      : MaintainedTree(std::move(compiled)), engine_(std::move(tree)) {}
 
   ViewTreeEngine<R>& engine() { return engine_; }
 
- protected:
-  void ApplyImpl(std::span<const NamedDelta> deltas) override {
-    std::vector<Delta<R>> batch;
-    batch.reserve(deltas.size());
-    for (const NamedDelta& d : deltas) {
-      batch.push_back(Delta<R>{
-          d.relation, d.tuple,
-          LiftPayload<R>(compiled(), d.relation, d.tuple, d.mult)});
-    }
-    engine_.ApplyBatch(batch);
-  }
-
-  void CollectRows(size_t limit, const TokenWriter& tokens,
+  void CollectRows(size_t limit, bool count_only, const TokenWriter& tokens,
                    RowArena* rows) override {
     if (limit == 0) return;
     std::string& out = rows->bytes();
+    auto append = [&](const typename R::Value& p) {
+      if (count_only) {
+        AppendInt(out, CountOf(p));
+      } else {
+        AppendPayload(out, p);
+      }
+    };
     const ViewTreeSnapshot<R> snap = engine_.tree().Snapshot();
     if (compiled().query.free().empty()) {
       // Scalar aggregate: one row from the snapshot's root product.
       out += "-> ";
-      AppendPayload(out, snap.Aggregate());
+      append(snap.Aggregate());
       rows->EndRow(0);
       return;
     }
     size_t n = 0;
     for (ViewTreeEnumerator<R> it = snap.Enumerate(); it.Valid(); it.Next()) {
+      // payload() looks the row's factors up: compute it once.
+      const typename R::Value p = it.payload();
+      if (count_only && CountOf(p) == 0) continue;
       const size_t start = out.size();
       for (Value v : it.tuple()) {
         tokens.Append(out, v);
         out += ' ';
       }
       out += "-> ";
-      AppendPayload(out, it.payload());
+      append(p);
       rows->EndRow(start);
       if (++n == limit) break;
     }
   }
 
-  obs::ExplainReport Explain(bool analyze) override {
+ protected:
+  void ApplyImpl(std::span<const NamedDelta* const> deltas) override {
+    std::vector<Delta<R>> batch;
+    batch.reserve(deltas.size());
+    for (const NamedDelta* d : deltas) {
+      batch.push_back(Delta<R>{
+          d->relation, d->tuple,
+          LiftPayload<R>(compiled(), d->relation, d->tuple, d->mult)});
+    }
+    engine_.ApplyBatch(batch);
+  }
+
+  obs::ExplainReport ExplainImpl(bool analyze) override {
     return engine_.Explain(analyze);
   }
 
@@ -335,22 +402,51 @@ class TypedQuery : public RegisteredQuery {
   ViewTreeEngine<R> engine_;
 };
 
+/// Builds the tree of `compiled`. With `from` (an IntRing tree over the
+/// same join), it starts from `from`'s live atoms, each multiplicity lifted
+/// into this tree's ring, and rebuilt bottom-up.
 template <RingType R>
-StatusOr<std::unique_ptr<RegisteredQuery>> MakeTyped(int id,
-                                                     sql::CompiledSql compiled,
-                                                     VarRegistry vars,
-                                                     EngineOptions eopts) {
+StatusOr<std::unique_ptr<MaintainedTree>> MakeTree(
+    sql::CompiledSql compiled, EngineOptions eopts,
+    const ViewTree<IntRing>* from = nullptr) {
   auto vo = EnumerableOrderFor(compiled.query);
   if (!vo.ok()) return vo.status();
   auto tree = ViewTree<R>::Make(compiled.query, *std::move(vo), eopts.storage);
   if (!tree.ok()) return tree.status();
-  auto q = std::make_unique<TypedQuery<R>>(id, std::move(compiled),
-                                           std::move(vars), *std::move(tree));
+  auto t = std::make_unique<TypedTree<R>>(std::move(compiled),
+                                          *std::move(tree));
+  if (from != nullptr) {
+    ViewTree<R>& to = t->engine().tree();
+    const std::vector<Atom>& atoms = t->compiled().query.atoms();
+    size_t loaded = 0;
+    for (size_t a = 0; a < atoms.size(); ++a) {
+      from->AtomRelation(a).ForEachEntry(
+          [&](const Tuple& tuple, const int64_t& m) {
+            to.LoadAtom(a, tuple,
+                        LiftPayload<R>(t->compiled(), atoms[a].relation,
+                                       tuple, m));
+            ++loaded;
+          });
+    }
+    if (loaded > 0) to.Rebuild();
+  }
   // The ENUMERATE path reads epoch snapshots concurrently with the
   // maintainers; snapshots are therefore not optional here.
   eopts.snapshot_reads = true;
-  q->engine().Configure(eopts);
-  return std::unique_ptr<RegisteredQuery>(std::move(q));
+  t->engine().Configure(eopts);
+  return std::unique_ptr<MaintainedTree>(std::move(t));
+}
+
+/// Same aggregate over the same lifted columns.
+bool SameLifts(const sql::CompiledSql& a, const sql::CompiledSql& b) {
+  if (a.agg != b.agg || a.lifts.size() != b.lifts.size()) return false;
+  for (size_t i = 0; i < a.lifts.size(); ++i) {
+    if (a.lifts[i].relation != b.lifts[i].relation ||
+        a.lifts[i].column != b.lifts[i].column) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -362,6 +458,11 @@ Session::~Session() = default;
 size_t Session::num_queries() const {
   std::shared_lock<std::shared_mutex> lock(reg_mu_);
   return queries_.size();
+}
+
+size_t Session::num_trees() const {
+  std::shared_lock<std::shared_mutex> lock(reg_mu_);
+  return trees_.size();
 }
 
 std::string Session::Execute(std::string_view cmd, bool* close_after) {
@@ -409,27 +510,69 @@ std::string Session::CmdRegister(const std::string& sql_text) {
   VarRegistry vars;
   auto compiled = sql::CompileSql(sql_text, &vars, &catalog_);
   if (!compiled.ok()) return "ERR " + compiled.status().message();
-  const int id = next_query_id_;
-  StatusOr<std::unique_ptr<RegisteredQuery>> q =
-      Status::Internal("unreachable");
-  switch (compiled->agg) {
-    case sql::SqlAggregate::kNone:
-    case sql::SqlAggregate::kCount:
-    case sql::SqlAggregate::kSum:
-      q = MakeTyped<IntRing>(id, *std::move(compiled), std::move(vars),
-                             engine_opts_);
-      break;
-    case sql::SqlAggregate::kAvg:
-      q = MakeTyped<AvgRing>(id, *std::move(compiled), std::move(vars),
-                             engine_opts_);
-      break;
-    case sql::SqlAggregate::kCovar:
-      q = MakeTyped<CovarRing<2>>(id, *std::move(compiled), std::move(vars),
-                                  engine_opts_);
-      break;
+  const sql::SqlAggregate agg = compiled->agg;
+  // Find the tree this query shares: one with the same aggregate over the
+  // same lifted columns, or (for COUNT) any tree but a SUM one, whose count
+  // component it reads. An AVG or COVAR query widens a COUNT tree instead.
+  MaintainedTree* shared = nullptr;
+  size_t narrow = trees_.size();
+  for (size_t i = 0; i < trees_.size() && shared == nullptr; ++i) {
+    const sql::CompiledSql& tc = trees_[i]->compiled();
+    if (tc.cq_text != compiled->cq_text) continue;
+    if (CountLike(agg) ? tc.agg != sql::SqlAggregate::kSum
+                       : SameLifts(tc, *compiled)) {
+      shared = trees_[i].get();
+    } else if (CountLike(tc.agg) && narrow == trees_.size()) {
+      narrow = i;
+    }
   }
-  if (!q.ok()) return "ERR " + q.status().message();
-  queries_.emplace(id, *std::move(q));
+  if (shared == nullptr) {
+    const bool widen = narrow < trees_.size() &&
+                       (agg == sql::SqlAggregate::kAvg ||
+                        agg == sql::SqlAggregate::kCovar);
+    // A COUNT tree is always an IntRing tree (widening replaces it).
+    const ViewTree<IntRing>* from =
+        widen ? &static_cast<TypedTree<IntRing>*>(trees_[narrow].get())
+                     ->engine()
+                     .tree()
+              : nullptr;
+    StatusOr<std::unique_ptr<MaintainedTree>> t =
+        Status::Internal("unreachable");
+    switch (agg) {
+      case sql::SqlAggregate::kNone:
+      case sql::SqlAggregate::kCount:
+      case sql::SqlAggregate::kSum:
+        t = MakeTree<IntRing>(*compiled, engine_opts_);
+        break;
+      case sql::SqlAggregate::kAvg:
+        t = MakeTree<AvgRing>(*compiled, engine_opts_, from);
+        break;
+      case sql::SqlAggregate::kCovar:
+        t = MakeTree<CovarRing<2>>(*compiled, engine_opts_, from);
+        break;
+    }
+    if (!t.ok()) return "ERR " + t.status().message();
+    std::unique_ptr<MaintainedTree> made = *std::move(t);
+    shared = made.get();
+    if (widen) {
+      // The wider tree takes over the COUNT tree's queries and its place;
+      // REGISTER holds reg_mu_ exclusively, so no apply or snapshot of the
+      // retired tree is live.
+      for (RegisteredQuery* q : trees_[narrow]->queries()) {
+        q->set_tree(shared);
+        shared->Attach(q);
+      }
+      trees_[narrow] = std::move(made);
+    } else {
+      trees_.push_back(std::move(made));
+    }
+  }
+  const int id = next_query_id_;
+  auto q = std::make_unique<RegisteredQuery>(id, *std::move(compiled),
+                                             std::move(vars));
+  q->set_tree(shared);
+  shared->Attach(q.get());
+  queries_.emplace(id, std::move(q));
   ++next_query_id_;
   return "OK q" + std::to_string(id);
 }
@@ -495,11 +638,11 @@ std::string Session::CmdUpdate(const std::string& args) {
            std::to_string(d.tuple.size());
   }
   size_t routed = 0;
-  std::span<const NamedDelta> one(&d, 1);
-  for (auto& [id, q] : queries_) {
-    if (q->Matches(d.relation, d.tuple.size())) {
-      q->Apply(one);
-      ++routed;
+  const NamedDelta* one = &d;
+  for (const auto& tree : trees_) {
+    if (tree->Matches(d.relation, d.tuple.size())) {
+      tree->Apply(std::span<const NamedDelta* const>(&one, 1));
+      routed += tree->queries().size();
     }
   }
   return "OK routed=" + std::to_string(routed);
@@ -532,16 +675,18 @@ std::string Session::CmdBatch(const std::string& body) {
              std::to_string(it->second.size()) + " columns";
     }
   }
+  // One apply per tree, of the deltas that feed it; routed= counts the
+  // queries those applies serve.
   size_t routed = 0;
-  std::vector<NamedDelta> mine;
-  for (auto& [id, q] : queries_) {
+  std::vector<const NamedDelta*> mine;
+  for (const auto& tree : trees_) {
     mine.clear();
     for (const NamedDelta& d : deltas) {
-      if (q->Matches(d.relation, d.tuple.size())) mine.push_back(d);
+      if (tree->Matches(d.relation, d.tuple.size())) mine.push_back(&d);
     }
     if (mine.empty()) continue;
-    q->Apply(mine);
-    ++routed;
+    tree->Apply(mine);
+    routed += tree->queries().size();
   }
   return "OK deltas=" + std::to_string(deltas.size()) +
          " routed=" + std::to_string(routed);

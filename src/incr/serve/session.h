@@ -13,7 +13,8 @@
 //   UPDATE [+|-]<rel> v.. [xN]-> OK routed=<q>    (one delta, fanned out)
 //   BATCH\n<delta lines>      -> OK deltas=<k> routed=<q>  (all-or-nothing
 //                                                  parse, one engine batch
-//                                                  per affected query)
+//                                                  per affected tree; q
+//                                                  counts the queries)
 //   ENUMERATE q<N> [limit]    -> OK rows=<k>\n<sorted "v.. -> payload" rows>
 //                                 (the first k = min(limit, n) rows of the
 //                                  snapshot's enumeration order, and k counts
@@ -30,9 +31,17 @@
 // Errors reply "ERR <reason>" and leave the session unchanged. Values are
 // integers or identifiers, through the token codec of data/value.h.
 //
+// Maintenance is shared: registered queries over the same join and
+// group-by (the same canonical CQ text) are maintained by one view tree.
+// A COUNT or plain query reads the count component of an AVG or COVAR
+// tree; an AVG or COVAR query registered after a COUNT one widens the
+// COUNT tree, rebuilding it in the wider ring from its live atoms. A SUM
+// query, or an aggregate over another column, gets a tree of its own.
+// Replies stay per query id, and a BATCH applies each tree once.
+//
 // Thread safety: Execute may be called from many threads at once.
 // REGISTER takes the registry lock exclusively; UPDATE/BATCH/ENUMERATE/
-// STATS/EXPLAIN take it shared. Each registered query additionally has a
+// STATS/EXPLAIN take it shared. Each maintained tree additionally has a
 // maintenance mutex serializing its writers and EXPLAIN (which reads the
 // maintainer's live state) — the snapshot contract wants ONE maintainer
 // per tree, and serialized maintainers are exactly that. ENUMERATE never
@@ -47,6 +56,7 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "incr/data/value.h"
 #include "incr/engines/engine_options.h"
@@ -56,10 +66,13 @@
 namespace incr {
 namespace serve {
 
+/// A ring-typed view-tree engine and its maintenance mutex behind a
+/// type-erasing interface (the ring is picked by the aggregate, so the
+/// session cannot name it statically). Implemented by TypedTree<R> in
+/// session.cc.
+class MaintainedTree;
 /// One registered continuous query: the compiled SQL, its variable names,
-/// and a ring-typed view-tree engine behind a type-erasing interface (the
-/// ring is picked by the aggregate, so the session cannot name it
-/// statically). Implemented by TypedQuery<R> in session.cc.
+/// its metrics and the MaintainedTree it reads.
 class RegisteredQuery;
 struct NamedDelta;
 
@@ -79,6 +92,9 @@ class Session {
 
   /// Registered queries so far (monotonic ids q0, q1, ...).
   size_t num_queries() const;
+
+  /// View trees maintaining them (tests: queries over one join share one).
+  size_t num_trees() const;
 
  private:
   std::string CmdRegister(const std::string& sql_text);
@@ -100,9 +116,11 @@ class Session {
 
   const EngineOptions engine_opts_;
 
-  // Query registry + shared SQL catalog (tables declared once per session).
+  // Query registry, the trees maintaining the queries, and the shared SQL
+  // catalog (tables declared once per session).
   mutable std::shared_mutex reg_mu_;
   std::map<int, std::unique_ptr<RegisteredQuery>> queries_;
+  std::vector<std::unique_ptr<MaintainedTree>> trees_;
   sql::SqlCatalog catalog_;
   int next_query_id_ = 0;
 

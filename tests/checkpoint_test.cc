@@ -232,11 +232,10 @@ TEST(CheckpointTest, CheckpointUnderConcurrentSnapshotReaders) {
   std::vector<Delta<IntRing>> updates;
   updates.reserve(kBatches * kBatch);
   for (size_t i = 0; i < kBatches * kBatch; ++i) {
-    Delta<IntRing> d;
-    d.relation.assign(rng.Chance(0.5) ? "R" : "S", 1);
-    d.tuple = Tuple{rng.UniformInt(0, 7), rng.UniformInt(0, 7)};
-    d.delta = rng.Chance(0.7) ? 1 : -1;
-    updates.push_back(std::move(d));
+    const char* rel = rng.Chance(0.5) ? "R" : "S";
+    Tuple t{rng.UniformInt(0, 7), rng.UniformInt(0, 7)};
+    const int64_t m = rng.Chance(0.7) ? 1 : -1;
+    updates.push_back(Delta<IntRing>{rel, std::move(t), m});
   }
 
   // A handle pinned before any load, held until after the joins.

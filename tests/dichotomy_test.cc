@@ -36,7 +36,9 @@ Query RandomQuery(Rng& rng) {
     }
     if (s.empty()) s.push_back(static_cast<Var>(rng.Uniform(n_vars)));
     used = SchemaUnion(used, s);
-    atoms.push_back(Atom{"R" + std::to_string(a), s});
+    std::string rel = "R";
+    rel += std::to_string(a);
+    atoms.push_back(Atom{std::move(rel), s});
   }
   Schema free;
   for (Var v : used) {

@@ -4,6 +4,7 @@
 // must be byte-identical — the transport adds framing, nothing else.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -164,8 +165,8 @@ TEST(SessionTest, HeapAndPagedSessionsReplyIdentically) {
     std::string batch = "BATCH";
     for (int i = 0; i < 120; ++i) {
       const int v = round * 120 + i;
-      const std::string a = v % 5 == 0 ? "k" + std::to_string(v % 37)
-                                       : std::to_string(v * 13 % 500);
+      std::string a = v % 5 == 0 ? "k" : "";
+      a += std::to_string(v % 5 == 0 ? v % 37 : v * 13 % 500);
       batch += "\nR " + a + " " + std::to_string(v % 17);
       batch += "\nS " + std::to_string(v % 17) + " " + std::to_string(v % 9);
       if (v % 3 == 0) batch += "\n-R " + a + " " + std::to_string(v % 17);
@@ -191,7 +192,9 @@ TEST(SessionTest, HeapAndPagedSessionsReplyIdentically) {
       obs::MetricsRegistry::Global().GetCounter("pager.evictions");
   const uint64_t evicted = evictions->Value();
   const std::vector<std::string> pages = RunScript(script, paged);
-  if (obs::Enabled()) EXPECT_GT(evictions->Value(), evicted);
+  if (obs::Enabled()) {
+    EXPECT_GT(evictions->Value(), evicted);
+  }
   ASSERT_EQ(heap.size(), pages.size());
   for (size_t i = 0; i < heap.size(); ++i) {
     EXPECT_EQ(heap[i].rfind("OK", 0), 0u) << script[i] << ": " << heap[i];
@@ -237,6 +240,244 @@ TEST(SessionTest, StatsTimesTheMaintainLockWaitOfEveryApply) {
   const std::string after = run("STATS q0");
   EXPECT_EQ(HistCount(after, "lock_wait_ns") - waits0, 3) << after;
   EXPECT_EQ(HistCount(after, "update_ns") - updates0, 3) << after;
+}
+
+// Sharing: queries over one join and group-by are maintained by one tree.
+constexpr const char* kCountRS =
+    "REGISTER CREATE TABLE R (a, b); CREATE TABLE S (b, c, d); "
+    "SELECT R.a, R.b, COUNT(*) FROM R, S WHERE R.b = S.b GROUP BY R.a, R.b;";
+constexpr const char* kAvgRS =
+    "REGISTER CREATE TABLE R (a, b); CREATE TABLE S (b, c, d); "
+    "SELECT R.a, R.b, AVG(S.d) FROM R, S WHERE R.b = S.b GROUP BY R.a, R.b;";
+
+/// BATCH `round` of a stream over R(a, b) and S(b, c, d) that only
+/// retracts tuples it inserted before (multiplicities stay >= 0).
+std::string SharingBatch(int round) {
+  std::string batch = "BATCH";
+  for (int i = 0; i < 40; ++i) {
+    const int v = round * 40 + i;
+    const std::string r = std::to_string(v * 7 % 13) + " " +
+                          std::to_string(v % 5);
+    const std::string s = std::to_string(v % 5) + " " +
+                          std::to_string(v % 3) + " " +
+                          std::to_string(v * 11 % 17);
+    batch += "\nR " + r;
+    batch += "\nS " + s;
+    if (v % 4 == 1) batch += "\n-R " + r;
+    if (v % 6 == 5) batch += "\n-S " + s;
+  }
+  return batch;
+}
+
+/// The reply lines after the "OK rows=<k>" header.
+std::vector<std::string> Rows(const std::string& reply) {
+  std::vector<std::string> rows;
+  size_t pos = reply.find('\n');
+  while (pos != std::string::npos) {
+    const size_t next = reply.find('\n', pos + 1);
+    rows.push_back(reply.substr(pos + 1, next == std::string::npos
+                                             ? std::string::npos
+                                             : next - pos - 1));
+    pos = next;
+  }
+  return rows;
+}
+
+TEST(SessionTest, CountAndAvgOverOneJoinShareOneTreeInEitherOrder) {
+  obs::Counter* batches =
+      obs::MetricsRegistry::Global().GetCounter("viewtree.batches");
+  for (const bool avg_first : {false, true}) {
+    SCOPED_TRACE(avg_first ? "AVG first" : "COUNT first");
+    Session shared, count_only, avg_only;
+    bool close = false;
+    ASSERT_EQ(shared.Execute(avg_first ? kAvgRS : kCountRS, &close), "OK q0");
+    ASSERT_EQ(shared.Execute(avg_first ? kCountRS : kAvgRS, &close), "OK q1");
+    ASSERT_EQ(count_only.Execute(kCountRS, &close), "OK q0");
+    ASSERT_EQ(avg_only.Execute(kAvgRS, &close), "OK q0");
+    EXPECT_EQ(shared.num_queries(), 2u);
+    EXPECT_EQ(shared.num_trees(), 1u);
+    const std::string count_id = avg_first ? "q1" : "q0";
+    const std::string avg_id = avg_first ? "q0" : "q1";
+    for (int round = 0; round < 4; ++round) {
+      const std::string batch = SharingBatch(round);
+      const uint64_t before = batches->Value();
+      const std::string reply = shared.Execute(batch, &close);
+      EXPECT_EQ(reply.substr(reply.find(" routed=")), " routed=2") << reply;
+      // One tree, so one view-tree batch per BATCH, not one per query.
+      if (obs::Enabled()) {
+        EXPECT_EQ(batches->Value() - before, 1u);
+      }
+      count_only.Execute(batch, &close);
+      avg_only.Execute(batch, &close);
+      // The tree grew from empty, and on this stream even limited reads
+      // (the first rows of its dense order) equal the unshared sessions'.
+      // Not on every stream: a batch in which a COUNT delta cancels while
+      // its sum does not can order the AvgRing views differently.
+      for (const char* limit : {"", " 1", " 5"}) {
+        EXPECT_EQ(shared.Execute("ENUMERATE " + count_id + limit, &close),
+                  count_only.Execute(std::string("ENUMERATE q0") + limit,
+                                     &close))
+            << "round " << round << limit;
+        EXPECT_EQ(shared.Execute("ENUMERATE " + avg_id + limit, &close),
+                  avg_only.Execute(std::string("ENUMERATE q0") + limit,
+                                   &close))
+            << "round " << round << limit;
+      }
+    }
+    EXPECT_EQ(shared.Execute("ENUMERATE " + count_id, &close)
+                  .rfind("OK rows=", 0),
+              0u);
+    EXPECT_GT(Rows(shared.Execute("ENUMERATE " + count_id, &close)).size(),
+              5u);
+  }
+}
+
+TEST(SessionTest, WideningAfterDataMatchesUnsharedSessions) {
+  Session shared, count_only, avg_only;
+  bool close = false;
+  ASSERT_EQ(shared.Execute(kCountRS, &close), "OK q0");
+  ASSERT_EQ(count_only.Execute(kCountRS, &close), "OK q0");
+  ASSERT_EQ(avg_only.Execute(kAvgRS, &close), "OK q0");
+  auto feed = [&](int round, bool to_shared) {
+    const std::string batch = SharingBatch(round);
+    if (to_shared) shared.Execute(batch, &close);
+    count_only.Execute(batch, &close);
+    avg_only.Execute(batch, &close);
+  };
+  for (int round = 0; round < 3; ++round) feed(round, true);
+  // AVG widens the COUNT tree: rebuilt in AvgRing from its live atoms.
+  ASSERT_EQ(shared.Execute(kAvgRS, &close), "OK q1");
+  EXPECT_EQ(shared.num_trees(), 1u);
+  for (int round = 3; round < 6; ++round) {
+    if (round > 3) feed(round, true);
+    const std::string count_all = count_only.Execute("ENUMERATE q0", &close);
+    const std::string avg_all = avg_only.Execute("ENUMERATE q0", &close);
+    EXPECT_EQ(shared.Execute("ENUMERATE q0", &close), count_all);
+    EXPECT_EQ(shared.Execute("ENUMERATE q1", &close), avg_all);
+    // The rebuild laid the views out afresh, so a limited read may pick
+    // other rows than the unshared tree's first ones: k of them, from the
+    // full set, in byte order.
+    for (const auto& [id, all] : {std::pair{"q0", count_all},
+                                  std::pair{"q1", avg_all}}) {
+      const std::vector<std::string> full = Rows(all);
+      ASSERT_GT(full.size(), 7u);
+      const std::string limited =
+          shared.Execute(std::string("ENUMERATE ") + id + " 7", &close);
+      EXPECT_EQ(limited.rfind("OK rows=7\n", 0), 0u) << limited;
+      const std::vector<std::string> rows = Rows(limited);
+      EXPECT_EQ(rows.size(), 7u);
+      EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+      for (const std::string& row : rows) {
+        EXPECT_NE(std::find(full.begin(), full.end(), row), full.end())
+            << id << ": " << row;
+      }
+    }
+  }
+}
+
+TEST(SessionTest, ZRelationCancellationHidesTheSharedCountRow) {
+  // +S 1 1 5 and -S 1 2 7 without prior inserts: the group a = 9, b = 1
+  // has count 0 and sum -2. An IntRing COUNT tree drops it; the shared
+  // AvgRing tree keeps it, and its COUNT reader must skip it, limited reads
+  // included.
+  Session shared, count_only;
+  bool close = false;
+  ASSERT_EQ(shared.Execute(kCountRS, &close), "OK q0");
+  ASSERT_EQ(shared.Execute(kAvgRS, &close), "OK q1");
+  ASSERT_EQ(count_only.Execute(kCountRS, &close), "OK q0");
+  for (const char* cmd :
+       {"UPDATE R 9 1", "BATCH\n+S 1 1 5\n-S 1 2 7", "UPDATE R 8 2",
+        "UPDATE S 2 0 4"}) {
+    shared.Execute(cmd, &close);
+    count_only.Execute(cmd, &close);
+  }
+  // Rows list the tree's variable order, (b, a).
+  EXPECT_EQ(count_only.Execute("ENUMERATE q0", &close), "OK rows=1\n2 8 -> 1");
+  EXPECT_EQ(shared.Execute("ENUMERATE q0", &close), "OK rows=1\n2 8 -> 1");
+  EXPECT_EQ(shared.Execute("ENUMERATE q0 1", &close), "OK rows=1\n2 8 -> 1");
+  EXPECT_EQ(shared.Execute("ENUMERATE q1", &close),
+            "OK rows=2\n1 9 -> count=0 sum=-2\n2 8 -> count=1 sum=4");
+}
+
+TEST(SessionTest, OtherJoinsSumsAndColumnsKeepTheirOwnTrees) {
+  Session session;
+  bool close = false;
+  auto reg = [&](const std::string& sql) {
+    return session.Execute("REGISTER " + sql, &close);
+  };
+  ASSERT_EQ(reg("CREATE TABLE R (a, b); CREATE TABLE S (b, c, d); "
+                "SELECT R.a, R.b, COUNT(*) FROM R, S WHERE R.b = S.b "
+                "GROUP BY R.a, R.b;"),
+            "OK q0");
+  EXPECT_EQ(session.num_trees(), 1u);
+  // A different join.
+  ASSERT_EQ(reg("SELECT R.a, COUNT(*) FROM R GROUP BY R.a;"), "OK q1");
+  EXPECT_EQ(session.num_trees(), 2u);
+  // SUM over the same join: an IntRing tree whose payload is not a count.
+  ASSERT_EQ(reg("SELECT R.a, R.b, SUM(S.d) FROM R, S WHERE R.b = S.b "
+                "GROUP BY R.a, R.b;"),
+            "OK q2");
+  EXPECT_EQ(session.num_trees(), 3u);
+  // AVG(S.d) widens q0's tree; AVG(S.c) lifts another column.
+  ASSERT_EQ(reg("SELECT R.a, R.b, AVG(S.d) FROM R, S WHERE R.b = S.b "
+                "GROUP BY R.a, R.b;"),
+            "OK q3");
+  EXPECT_EQ(session.num_trees(), 3u);
+  ASSERT_EQ(reg("SELECT R.a, R.b, AVG(S.c) FROM R, S WHERE R.b = S.b "
+                "GROUP BY R.a, R.b;"),
+            "OK q4");
+  EXPECT_EQ(session.num_trees(), 4u);
+  // A plain SELECT of the grouped columns reads a count, like q0.
+  ASSERT_EQ(reg("SELECT R.a, R.b FROM R, S WHERE R.b = S.b;"), "OK q5");
+  EXPECT_EQ(session.num_trees(), 4u);
+  EXPECT_EQ(session.Execute("BATCH\nR 1 2\nS 2 3 10\nS 2 5 20", &close),
+            "OK deltas=3 routed=6");
+  // Rows over R, S list the tree's variable order, (b, a).
+  EXPECT_EQ(session.Execute("ENUMERATE q0", &close), "OK rows=1\n2 1 -> 2");
+  EXPECT_EQ(session.Execute("ENUMERATE q1", &close), "OK rows=1\n1 -> 1");
+  EXPECT_EQ(session.Execute("ENUMERATE q2", &close), "OK rows=1\n2 1 -> 30");
+  EXPECT_EQ(session.Execute("ENUMERATE q3", &close),
+            "OK rows=1\n2 1 -> count=2 sum=30");
+  EXPECT_EQ(session.Execute("ENUMERATE q4", &close),
+            "OK rows=1\n2 1 -> count=2 sum=8");
+  EXPECT_EQ(session.Execute("ENUMERATE q5", &close), "OK rows=1\n2 1 -> 2");
+}
+
+TEST(SessionTest, StatsUpdatesCountTheDeltasRoutedToEachQuery) {
+  // Metrics are process-global per query id, so count what this session
+  // adds. q0 and q1 share one tree; q2 has its own.
+  Session session;
+  bool close = false;
+  ASSERT_EQ(session.Execute(kCountRS, &close), "OK q0");
+  ASSERT_EQ(session.Execute(kAvgRS, &close), "OK q1");
+  ASSERT_EQ(session.Execute(
+                "REGISTER CREATE TABLE P (x); SELECT COUNT(*) FROM P;", &close),
+            "OK q2");
+  EXPECT_EQ(session.num_trees(), 2u);
+  auto updates = [&](const char* id) {
+    const std::string stats = session.Execute(std::string("STATS ") + id,
+                                              &close);
+    const std::string field = "\"updates\":";
+    const size_t pos = stats.find(field);
+    EXPECT_NE(pos, std::string::npos) << stats;
+    return pos == std::string::npos
+               ? int64_t{-1}
+               : std::stoll(stats.substr(pos + field.size()));
+  };
+  const int64_t u0 = updates("q0"), u1 = updates("q1"), u2 = updates("q2");
+  const int64_t w0 = HistCount(session.Execute("STATS q1", &close),
+                               "lock_wait_ns");
+  EXPECT_EQ(session.Execute("BATCH\nR 1 2\nS 2 3 4\nP 7\nR 5 2", &close),
+            "OK deltas=4 routed=3");
+  EXPECT_EQ(session.Execute("UPDATE P 8", &close), "OK routed=1");
+  EXPECT_EQ(session.Execute("UPDATE -S 2 3 4", &close), "OK routed=2");
+  EXPECT_EQ(updates("q0") - u0, 4);
+  EXPECT_EQ(updates("q1") - u1, 4);
+  EXPECT_EQ(updates("q2") - u2, 2);
+  // Each apply of the shared tree is recorded once per query it serves.
+  EXPECT_EQ(HistCount(session.Execute("STATS q1", &close), "lock_wait_ns") -
+                w0,
+            2);
 }
 
 TEST(SessionTest, ExplainRegimeFollowsTheRunningPlan) {
